@@ -9,7 +9,6 @@
 // (capacities are a pure function of the insert sequence), the
 // *_per_sec_wall rates are machine-dependent.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <unordered_set>
 #include <vector>
@@ -39,21 +38,6 @@ std::size_t legacy_bytes(
          seen.bucket_count() * sizeof(void*) +
          order.capacity() * sizeof(net::Ipv6Address) +
          sizeof(seen) + sizeof(order);
-}
-
-void emit_sample(
-    const std::vector<std::pair<std::string, std::string>>& metrics) {
-  const char* path = std::getenv("TTS_BENCH_JSON");
-  if (!path || !*path) return;
-  std::ofstream out(path);
-  out << "{\n  \"schema\": 1,\n  \"name\": \"collection_throughput\",\n"
-      << "  \"scale\": \"tiny\",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i)
-    out << "    \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  out << "  }\n}\n";
-  std::cerr << "[bench] wrote perf sample " << path
-            << " (collection_throughput)\n";
 }
 
 std::string fmt(double v) {
@@ -129,7 +113,7 @@ int main() {
              lookup_s > 0 ? fmt(static_cast<double>(n) / lookup_s) : "-"});
   t.render(std::cout);
 
-  std::vector<std::pair<std::string, std::string>> metrics;
+  bench::BenchMetrics metrics;
   metrics.emplace_back("addresses_collected", std::to_string(n));
   metrics.emplace_back("store_prefixes",
                        std::to_string(store.prefix_count()));
@@ -145,7 +129,7 @@ int main() {
                          fmt(static_cast<double>(n) / lookup_s));
   metrics.emplace_back("rss_peak_kb",
                        std::to_string(bench::bench_rss_peak_kb()));
-  emit_sample(metrics);
+  bench::emit_bench_json("collection_throughput", "tiny", metrics);
 
   // The acceptance bar this bench exists to hold: the compact store is at
   // least 4x smaller per address than the legacy layout at kTiny scale,

@@ -66,20 +66,37 @@ inline std::int64_t bench_rss_peak_kb() {
   return 0;
 }
 
-/// Emit one versioned perf-trajectory sample (schema v1, see DESIGN.md
+/// BENCH_*.json metrics in emission order: key and its JSON number text.
+using BenchMetrics = std::vector<std::pair<std::string, std::string>>;
+
+/// Write one versioned perf-trajectory sample (schema v1, see DESIGN.md
 /// "Perf trajectory") to the path in TTS_BENCH_JSON. No-op when the
-/// variable is unset. The sim-deterministic counts (events, addresses,
-/// probes, pending peak, token wait) are bit-stable for a given seed and
-/// scale; the wall metrics (dispatch percentiles, wall_seconds,
-/// throughput, RSS) vary with the machine — tools/benchdiff applies a
-/// separate tolerance to them.
+/// variable is unset. tools/benchdiff classifies each metric by its key.
+inline void emit_bench_json(const std::string& name, const std::string& scale,
+                            const BenchMetrics& metrics) {
+  const char* path = std::getenv("TTS_BENCH_JSON");
+  if (!path || !*path) return;
+  std::ofstream out(path);
+  out << "{\n  \"schema\": 1,\n  \"name\": \"" << name << "\",\n"
+      << "  \"scale\": \"" << scale << "\",\n  \"metrics\": {\n";
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    out << "    \"" << metrics[i].first << "\": " << metrics[i].second
+        << (i + 1 < metrics.size() ? ",\n" : "\n");
+  }
+  out << "  }\n}\n";
+  std::cerr << "[bench] wrote perf sample " << path << " (" << name
+            << ")\n";
+}
+
+/// The standard sample of one finished study. The sim-deterministic counts
+/// (events, addresses, probes, pending peak, token wait) are bit-stable for
+/// a given seed and scale; the wall metrics (mean dispatch time,
+/// wall_seconds, throughput, RSS) vary with the machine — tools/benchdiff
+/// applies a separate tolerance to them.
 inline void emit_bench_json(const std::string& name,
                             const core::Study& study, double wall_seconds,
                             const std::string& scale) {
-  const char* path = std::getenv("TTS_BENCH_JSON");
-  if (!path || !*path) return;
-
-  std::vector<std::pair<std::string, std::string>> metrics;
+  BenchMetrics metrics;
   auto add_u64 = [&metrics](const std::string& key, std::uint64_t v) {
     metrics.emplace_back(key, std::to_string(v));
   };
@@ -115,8 +132,9 @@ inline void emit_bench_json(const std::string& name,
   const obs::Histogram& dispatch =
       study.network().events().dispatch_wall_ns();
   if (dispatch.count() > 0) {
-    add_i64("dispatch_p50_ns", dispatch.percentile(0.50));
-    add_i64("dispatch_p95_ns", dispatch.percentile(0.95));
+    // The exact mean: the histogram's 4x-wide buckets make percentiles
+    // jump a whole bucket on any shift, too coarse to diff.
+    add_f("dispatch_mean_ns", dispatch.mean());
     add_i64("dispatch_max_ns", dispatch.max());
   }
   add_f("wall_seconds", wall_seconds);
@@ -126,17 +144,7 @@ inline void emit_bench_json(const std::string& name,
           static_cast<double>(addresses) / wall_seconds);
   }
   add_i64("rss_peak_kb", bench_rss_peak_kb());
-
-  std::ofstream out(path);
-  out << "{\n  \"schema\": 1,\n  \"name\": \"" << name << "\",\n"
-      << "  \"scale\": \"" << scale << "\",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    out << "    \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  }
-  out << "  }\n}\n";
-  std::cerr << "[bench] wrote perf sample " << path << " (" << name
-            << ")\n";
+  emit_bench_json(name, scale, metrics);
 }
 
 /// Run the standard study once (shared by the whole binary). When

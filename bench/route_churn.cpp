@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -139,20 +138,6 @@ SendRun run_sends(bool with_plane) {
   return out;
 }
 
-void emit_sample(
-    const std::vector<std::pair<std::string, std::string>>& metrics) {
-  const char* path = std::getenv("TTS_BENCH_JSON");
-  if (!path || !*path) return;
-  std::ofstream out(path);
-  out << "{\n  \"schema\": 1,\n  \"name\": \"route_churn\",\n"
-      << "  \"scale\": \"micro\",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i)
-    out << "    \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  out << "  }\n}\n";
-  std::cerr << "[bench] wrote perf sample " << path << " (route_churn)\n";
-}
-
 std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -230,7 +215,7 @@ int main() {
   t.add_row({"datagrams blackholed", std::to_string(on.blackholed)});
   t.render(std::cout);
 
-  std::vector<std::pair<std::string, std::string>> metrics;
+  bench::BenchMetrics metrics;
   metrics.emplace_back("flap_events", std::to_string(kFlapEvents));
   metrics.emplace_back("route_transitions",
                        std::to_string(plane.transition_count()));
@@ -248,7 +233,7 @@ int main() {
   metrics.emplace_back("wall_seconds", fmt(wall_seconds));
   metrics.emplace_back("rss_peak_kb",
                        std::to_string(bench::bench_rss_peak_kb()));
-  emit_sample(metrics);
+  bench::emit_bench_json("route_churn", "micro", metrics);
 
   // The acceptance bar: the reachability check costs <= 5% of plane-off
   // UDP throughput, and the scripted churn actually exercised both verdict

@@ -10,8 +10,6 @@
 // schedule degenerates to (at best) the serial one and the gate would
 // measure the scheduler, not the sharding.
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -52,21 +50,6 @@ std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.4g", v);
   return buf;
-}
-
-void emit_sample(
-    const std::vector<std::pair<std::string, std::string>>& metrics) {
-  const char* path = std::getenv("TTS_BENCH_JSON");
-  if (!path || !*path) return;
-  std::ofstream out(path);
-  out << "{\n  \"schema\": 1,\n  \"name\": \"shard_scaling\",\n"
-      << "  \"scale\": \"" << bench::scale_label(bench::bench_scale())
-      << "\",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i)
-    out << "    \"" << metrics[i].first << "\": " << metrics[i].second
-        << (i + 1 < metrics.size() ? ",\n" : "\n");
-  out << "  }\n}\n";
-  std::cerr << "[bench] wrote perf sample " << path << " (shard_scaling)\n";
 }
 
 }  // namespace
@@ -121,7 +104,8 @@ int main() {
               << "1.5x 4-shard gate needs >= 4; reporting only\n";
   }
 
-  emit_sample({
+  bench::emit_bench_json("shard_scaling",
+                         bench::scale_label(bench::bench_scale()), {
       {"events_executed", std::to_string(samples[0].events)},
       {"events_per_sec_wall_shards1", fmt(samples[0].events_per_sec)},
       {"events_per_sec_wall_shards2", fmt(samples[1].events_per_sec)},

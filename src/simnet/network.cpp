@@ -5,6 +5,39 @@
 
 namespace tts::simnet {
 
+namespace {
+
+template <typename Fn>
+using PortTable = std::vector<std::pair<std::uint16_t, Fn>>;
+
+/// A copy of the handler bound to `port`, or an empty one. Callers copy
+/// under maps_mu_ and run the copy unlocked: a handler may unbind itself.
+template <typename Fn>
+Fn bound_to(const PortTable<Fn>& table, std::uint16_t port) {
+  for (const auto& [p, fn] : table)
+    if (p == port) return fn;
+  return {};
+}
+
+/// Bind `fn` to `port`, replacing an existing binding.
+template <typename Fn>
+void bind_port(PortTable<Fn>& table, std::uint16_t port, Fn fn) {
+  for (auto& [p, slot] : table) {
+    if (p == port) {
+      slot = std::move(fn);
+      return;
+    }
+  }
+  table.emplace_back(port, std::move(fn));
+}
+
+template <typename Fn>
+void unbind_port(PortTable<Fn>& table, std::uint16_t port) {
+  std::erase_if(table, [port](const auto& b) { return b.first == port; });
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- TcpConnection
 
 TcpConnection::TcpConnection(Network* net, Endpoint client, Endpoint server,
@@ -138,41 +171,33 @@ util::Rng& Network::domain_rng() {
 }
 
 void Network::attach(const net::Ipv6Address& addr) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  ++online_[addr];
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  if (hosts_[addr].refs++ == 0) ++online_count_;
 }
 
 void Network::detach(const net::Ipv6Address& addr) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  auto it = online_.find(addr);
-  if (it == online_.end()) return;
-  if (--it->second > 0) return;
-  online_.erase(it);
-  // Drop every binding on this address.
-  // ttslint: allow(unordered-iter) reason=erase-only sweep; which bindings remain does not depend on visit order
-  for (auto b = udp_.begin(); b != udp_.end();) {
-    if (b->first.addr == addr)
-      b = udp_.erase(b);
-    else
-      ++b;
-  }
-  // ttslint: allow(unordered-iter) reason=erase-only sweep; which bindings remain does not depend on visit order
-  for (auto b = tcp_.begin(); b != tcp_.end();) {
-    if (b->first.addr == addr)
-      b = tcp_.erase(b);
-    else
-      ++b;
-  }
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  auto it = hosts_.find(addr);
+  if (it == hosts_.end() || it->second.refs == 0) return;
+  if (--it->second.refs > 0) return;
+  --online_count_;
+  hosts_.erase(it);  // and with it every binding on this address
 }
 
 bool Network::online(const net::Ipv6Address& addr) const {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  return online_.contains(addr);
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  auto it = hosts_.find(addr);
+  return it != hosts_.end() && it->second.refs > 0;
 }
 
 std::size_t Network::online_count() const {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  return online_.size();
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  return online_count_;
+}
+
+void Network::drop_if_idle(HostMap::iterator it) {
+  const Host& host = it->second;
+  if (host.refs == 0 && host.udp.empty() && host.tcp.empty()) hosts_.erase(it);
 }
 
 SimDuration Network::base_latency(const net::Ipv6Address& a,
@@ -207,13 +232,16 @@ void Network::run_taps(TransportProto proto, const Endpoint& src,
 }
 
 void Network::bind_udp(const Endpoint& ep, UdpHandler handler) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  udp_[ep] = std::move(handler);
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  bind_port(hosts_[ep.addr].udp, ep.port, std::move(handler));
 }
 
 void Network::unbind_udp(const Endpoint& ep) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  udp_.erase(ep);
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  auto it = hosts_.find(ep.addr);
+  if (it == hosts_.end()) return;
+  unbind_port(it->second.udp, ep.port);
+  drop_if_idle(it);
 }
 
 void Network::send_udp(const Endpoint& src, const Endpoint& dst,
@@ -240,10 +268,9 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
       [this, src, dst, payload = std::move(payload)] {
         UdpHandler handler;
         {
-          std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-          auto it = udp_.find(dst);
-          // Copy the handler: it may unbind itself while running.
-          if (it != udp_.end()) handler = it->second;
+          std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+          auto it = hosts_.find(dst.addr);
+          if (it != hosts_.end()) handler = bound_to(it->second.udp, dst.port);
         }
         if (!handler) {
           // No exact binding: try wildcard prefix bindings (aliased
@@ -262,13 +289,36 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
 }
 
 void Network::listen_tcp(const Endpoint& ep, TcpAcceptor acceptor) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  tcp_[ep] = std::move(acceptor);
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  bind_port(hosts_[ep.addr].tcp, ep.port, std::move(acceptor));
 }
 
 void Network::unlisten_tcp(const Endpoint& ep) {
-  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-  tcp_.erase(ep);
+  std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+  auto it = hosts_.find(ep.addr);
+  if (it == hosts_.end()) return;
+  unbind_port(it->second.tcp, ep.port);
+  drop_if_idle(it);
+}
+
+bool Network::tcp_listener(const Endpoint& dst, TcpAcceptor& acceptor) {
+  bool host_online = false;
+  {
+    std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+    auto it = hosts_.find(dst.addr);
+    if (it != hosts_.end()) {
+      host_online = it->second.refs > 0;
+      acceptor = bound_to(it->second.tcp, dst.port);
+    }
+  }
+  if (acceptor) return host_online;
+  for (const auto& p : prefix_tcp_) {
+    if (p.port == dst.port && p.prefix.contains(dst.addr)) {
+      acceptor = p.acceptor;
+      return true;
+    }
+  }
+  return host_online;
 }
 
 void Network::connect_tcp(const Endpoint& src, const Endpoint& dst,
@@ -310,24 +360,8 @@ void Network::connect_tcp(const Endpoint& src, const Endpoint& dst,
     return;
   }
 
-  bool host_online = online(dst.addr);
   TcpAcceptor acceptor;
-  {
-    std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-    auto listener = tcp_.find(dst);
-    if (listener != tcp_.end()) acceptor = listener->second;
-  }
-  if (!acceptor) {
-    for (const auto& p : prefix_tcp_) {
-      if (p.port == dst.port && p.prefix.contains(dst.addr)) {
-        acceptor = p.acceptor;
-        host_online = true;
-        break;
-      }
-    }
-  }
-
-  if (!host_online) {
+  if (!tcp_listener(dst, acceptor)) {
     // Blackhole: the connect attempt times out.
     events_.schedule_in(timeout, packet_cat_,
                         [result] { result(nullptr, /*refused=*/false); });
@@ -368,24 +402,8 @@ void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
       server_dom, send_at + lat, packet_cat_,
       [this, src, dst, lat, stalled, timeout, caller_dom, server_dom,
        send_at, result = std::move(result)] {
-        bool host_online;
         TcpAcceptor acceptor;
-        {
-          std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: binding-table structure is touched from every domain
-          host_online = online_.contains(dst.addr);
-          auto listener = tcp_.find(dst);
-          if (listener != tcp_.end()) acceptor = listener->second;
-        }
-        if (!acceptor) {
-          for (const auto& p : prefix_tcp_) {
-            if (p.port == dst.port && p.prefix.contains(dst.addr)) {
-              acceptor = p.acceptor;
-              host_online = true;
-              break;
-            }
-          }
-        }
-        if (!host_online) {
+        if (!tcp_listener(dst, acceptor)) {
           events_.schedule_on(caller_dom, send_at + timeout, packet_cat_,
                               [result] { result(nullptr, false); });
           return;

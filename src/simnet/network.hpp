@@ -10,10 +10,8 @@
 //
 // Sharded runs (set_shard_map): deliveries are scheduled on the destination
 // address's domain, stochastic draws (loss, jitter, fault verdicts) come
-// from the sending domain's own RNG stream, and the binding tables are
-// mutex-guarded — the lock protects map *structure* only, since all content
-// accesses for a given address happen on its home domain. The minimum
-// one-way latency is the cross-shard lookahead the EventQueue's barrier
+// from the sending domain's own RNG stream, and the per-address host table
+// is mutex-guarded. The minimum one-way latency is the cross-shard lookahead the EventQueue's barrier
 // protocol relies on.
 //
 // Taps: a tap observes every UDP datagram and TCP connection attempt whose
@@ -29,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ipv6.hpp"
@@ -48,12 +47,6 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   friend auto operator<=>(const Endpoint&, const Endpoint&) = default;
-};
-
-struct EndpointHash {
-  std::size_t operator()(const Endpoint& e) const {
-    return net::Ipv6AddressHash{}(e.addr) * 40503 + e.port;
-  }
 };
 
 struct Datagram {
@@ -182,7 +175,9 @@ class Network {
   /// Bring an address online. Online addresses refuse unmatched traffic;
   /// offline ones blackhole it.
   void attach(const net::Ipv6Address& addr);
-  /// Take an address offline and drop all its bindings.
+  /// Drop one claim on an address; the last one takes it offline and drops
+  /// all its bindings, in O(ports bound on it). Detaching an address that
+  /// is not attached is a no-op and leaves its bindings in place.
   void detach(const net::Ipv6Address& addr);
   bool online(const net::Ipv6Address& addr) const;
   std::size_t online_count() const;
@@ -305,14 +300,32 @@ class Network {
   /// Transition subscriptions made before install_routes, attached then.
   std::vector<RoutePlane::TransitionFn> route_subs_;
 
-  /// Guards the structure of the binding tables below. Content accesses
-  /// for an address always happen on its home domain, so the lock only
-  /// defends against concurrent rehash/insert from other domains.
-  mutable std::mutex maps_mu_;  // ttslint: allow(thread-confine) reason=guards binding-table structure against cross-domain rehash (documented above)
-  std::unordered_map<net::Ipv6Address, std::uint32_t, net::Ipv6AddressHash>
-      online_;  // refcount: a device may attach an address it already owns
-  std::unordered_map<Endpoint, UdpHandler, EndpointHash> udp_;
-  std::unordered_map<Endpoint, TcpAcceptor, EndpointHash> tcp_;
+  /// Everything the data plane knows about one address: its attach
+  /// refcount (a device may attach an address it already owns; 0 means
+  /// offline) and its (port, handler) bindings — a handful per host, so a
+  /// linear scan beats a nested map. Offline entries exist only while they
+  /// hold bindings — e.g. the ephemeral NTP poll port of a device that
+  /// never attaches its address — and vanish with their last unbind.
+  struct Host {
+    std::uint32_t refs = 0;
+    std::vector<std::pair<std::uint16_t, UdpHandler>> udp;
+    std::vector<std::pair<std::uint16_t, TcpAcceptor>> tcp;
+  };
+  using HostMap =
+      std::unordered_map<net::Ipv6Address, Host, net::Ipv6AddressHash>;
+
+  /// Erase `it` once it is offline and holds no binding. Requires maps_mu_.
+  void drop_if_idle(HostMap::iterator it);
+  /// Whether `dst` is online; copies its acceptor into `acceptor`: the
+  /// exact listener, else a wildcard prefix listener (whose region counts
+  /// as online), else none.
+  bool tcp_listener(const Endpoint& dst, TcpAcceptor& acceptor);
+
+  /// Guards the host table below: any domain may insert or erase entries,
+  /// so every access, lookups included, takes it.
+  mutable std::mutex maps_mu_;  // ttslint: allow(thread-confine) reason=guards the host table against cross-domain insert/erase (documented above)
+  HostMap hosts_;
+  std::size_t online_count_ = 0;  // hosts_ entries with refs > 0
 
   struct Tap {
     std::uint64_t id;

@@ -313,14 +313,131 @@ TEST_F(NetworkTest, DetachDropsBindingsAndRefcounts) {
   network_.attach(addr(1));
   network_.attach(addr(1));  // second claim
   network_.bind_udp({addr(1), 5}, [](const Datagram&) {});
+  int accepted = 0;
+  network_.listen_tcp({addr(1), 80}, [&](TcpConnectionPtr) { ++accepted; });
   network_.detach(addr(1));
   EXPECT_TRUE(network_.online(addr(1)));  // still held once
   network_.detach(addr(1));
   EXPECT_FALSE(network_.online(addr(1)));
   // Binding gone: datagram is silent.
   network_.send_udp({addr(2), 1}, {addr(1), 5}, {1});
+  // Listener gone and host offline: the connect blackholes, not refused.
+  int timeouts = 0;
+  SimTime start = events_.now();
+  network_.connect_tcp({addr(2), 2}, {addr(1), 80},
+                       [&](TcpConnectionPtr conn, bool refused) {
+                         EXPECT_EQ(conn, nullptr);
+                         EXPECT_FALSE(refused);
+                         ++timeouts;
+                       },
+                       sec(5));
   events_.run();
   EXPECT_EQ(network_.udp_delivered(), 0u);
+  EXPECT_EQ(timeouts, 1);
+  EXPECT_EQ(events_.now(), start + sec(5));
+  // Re-attaching does not resurrect the listener: now the host refuses.
+  network_.attach(addr(1));
+  bool refused = false;
+  network_.connect_tcp({addr(2), 3}, {addr(1), 80},
+                       [&](TcpConnectionPtr, bool r) { refused = r; });
+  events_.run();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(accepted, 0);
+}
+
+TEST_F(NetworkTest, DetachLeavesNeighbourBindingsDelivering) {
+  network_.attach(addr(1));
+  network_.attach(addr(3));
+  int udp1 = 0, udp3 = 0, accepted3 = 0;
+  network_.bind_udp({addr(1), 5}, [&](const Datagram&) { ++udp1; });
+  network_.bind_udp({addr(3), 5}, [&](const Datagram&) { ++udp3; });
+  network_.listen_tcp({addr(1), 80}, [](TcpConnectionPtr) {});
+  network_.listen_tcp({addr(3), 80}, [&](TcpConnectionPtr) { ++accepted3; });
+  network_.detach(addr(1));
+  EXPECT_TRUE(network_.online(addr(3)));
+  network_.send_udp({addr(2), 1}, {addr(1), 5}, {1});
+  network_.send_udp({addr(2), 1}, {addr(3), 5}, {1});
+  bool established = false;
+  network_.connect_tcp({addr(2), 2}, {addr(3), 80},
+                       [&](TcpConnectionPtr conn, bool) {
+                         established = conn != nullptr;
+                       });
+  events_.run();
+  EXPECT_EQ(udp1, 0);
+  EXPECT_EQ(udp3, 1);
+  EXPECT_TRUE(established);
+  EXPECT_EQ(accepted3, 1);
+}
+
+TEST_F(NetworkTest, OfflineBindingSurvivesUnrelatedDetach) {
+  // A binding on a never-attached address (a device's ephemeral NTP poll
+  // port) delivers, and only attach + detach of its own address drops it.
+  int got = 0;
+  network_.bind_udp({addr(1), 33000}, [&](const Datagram&) { ++got; });
+  network_.attach(addr(3));
+  network_.detach(addr(3));
+  network_.detach(addr(1));  // never attached: a no-op
+  network_.send_udp({addr(2), 123}, {addr(1), 33000}, {1});
+  events_.run();
+  EXPECT_EQ(got, 1);
+  network_.attach(addr(1));
+  network_.detach(addr(1));
+  network_.send_udp({addr(2), 123}, {addr(1), 33000}, {1});
+  events_.run();
+  EXPECT_EQ(got, 1);
+}
+
+TEST_F(NetworkTest, RebindingAPortReplacesTheHandler) {
+  int first = 0, second = 0;
+  network_.bind_udp({addr(1), 9}, [&](const Datagram&) { ++first; });
+  network_.bind_udp({addr(1), 9}, [&](const Datagram&) { ++second; });
+  network_.send_udp({addr(2), 1}, {addr(1), 9}, {1});
+  network_.attach(addr(1));
+  int first_tcp = 0, second_tcp = 0;
+  network_.listen_tcp({addr(1), 80}, [&](TcpConnectionPtr) { ++first_tcp; });
+  network_.listen_tcp({addr(1), 80}, [&](TcpConnectionPtr) { ++second_tcp; });
+  network_.connect_tcp({addr(2), 2}, {addr(1), 80},
+                       [](TcpConnectionPtr, bool) {});
+  events_.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(first_tcp, 0);
+  EXPECT_EQ(second_tcp, 1);
+  // One unbind removes the port: no stale first handler is left behind.
+  network_.unbind_udp({addr(1), 9});
+  network_.send_udp({addr(2), 1}, {addr(1), 9}, {2});
+  events_.run();
+  EXPECT_EQ(first + second, 1);
+}
+
+TEST_F(NetworkTest, OnlineCountIsExact) {
+  EXPECT_EQ(network_.online_count(), 0u);
+  // Bindings on an offline address do not bring it online, and its last
+  // unbind leaves nothing behind.
+  network_.bind_udp({addr(1), 5}, [](const Datagram&) {});
+  network_.listen_tcp({addr(1), 80}, [](TcpConnectionPtr) {});
+  EXPECT_EQ(network_.online_count(), 0u);
+  EXPECT_FALSE(network_.online(addr(1)));
+  network_.unbind_udp({addr(1), 5});
+  network_.unlisten_tcp({addr(1), 80});
+  EXPECT_EQ(network_.online_count(), 0u);
+  // Refcounted claims count once per address.
+  network_.attach(addr(1));
+  network_.attach(addr(1));
+  network_.attach(addr(2));
+  EXPECT_EQ(network_.online_count(), 2u);
+  network_.bind_udp({addr(1), 5}, [](const Datagram&) {});
+  network_.unbind_udp({addr(1), 5});  // online address stays online
+  EXPECT_TRUE(network_.online(addr(1)));
+  network_.detach(addr(1));
+  EXPECT_EQ(network_.online_count(), 2u);
+  network_.detach(addr(1));
+  EXPECT_EQ(network_.online_count(), 1u);
+  network_.detach(addr(1));  // already offline
+  network_.detach(addr(3));  // never attached
+  EXPECT_EQ(network_.online_count(), 1u);
+  network_.detach(addr(2));
+  EXPECT_EQ(network_.online_count(), 0u);
 }
 
 TEST_F(NetworkTest, WildcardPrefixListener) {
