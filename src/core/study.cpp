@@ -11,6 +11,21 @@
 
 namespace tts::core {
 
+namespace {
+
+/// Anomaly flight-recorder ring capacity (typed events, trace-linked).
+constexpr std::size_t kFlightCapacity = 2048;
+/// Fault-injection burst trigger: this many injections inside the window
+/// dump the flight ring (a scenario's impairment wave in full context).
+constexpr std::uint32_t kFaultBurst = 64;
+constexpr simnet::SimDuration kFaultBurstWindow = simnet::sec(1);
+/// Route-flap burst trigger: this many route withdrawals inside the window
+/// dump the flight ring (a flap storm in full context).
+constexpr std::uint32_t kRouteFlapBurst = 8;
+constexpr simnet::SimDuration kRouteFlapWindow = simnet::minutes(1);
+
+}  // namespace
+
 StudyConfig make_study_config(StudyScale scale) {
   StudyConfig config;
   config.server_countries = ntp::deployment_countries();
@@ -45,7 +60,7 @@ Study::Study(StudyConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       tracer_(config_.obs.trace_capacity),
-      flight_(config_.obs.flight_capacity),
+      flight_(kFlightCapacity),
       collector_(&metrics_) {
   if (config_.server_countries.empty())
     config_.server_countries = ntp::deployment_countries();
@@ -56,12 +71,10 @@ Study::Study(StudyConfig config)
   flight_.set_sim_clock(&events_);
   flight_.set_wall_clock(&obs::Tracer::wall_clock_ns);
   flight_.set_enabled(config_.obs.enabled);
-  flight_.add_trigger(obs::FlightKind::kFaultInjected,
-                      config_.obs.fault_burst, config_.obs.fault_burst_window,
-                      "fault-burst");
-  flight_.add_trigger(obs::FlightKind::kRouteWithdrawn,
-                      config_.obs.route_flap_burst,
-                      config_.obs.route_flap_window, "route-flap");
+  flight_.add_trigger(obs::FlightKind::kFaultInjected, kFaultBurst,
+                      kFaultBurstWindow, "fault-burst");
+  flight_.add_trigger(obs::FlightKind::kRouteWithdrawn, kRouteFlapBurst,
+                      kRouteFlapWindow, "route-flap");
   // The accessor-backing instruments are always enrolled (enrolment is a
   // cold path); obs.enabled only adds wall-clock work on hot paths.
   events_.attach_metrics(metrics_, {}, /*time_dispatch=*/config_.obs.enabled);

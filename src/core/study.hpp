@@ -53,19 +53,9 @@ struct ObservabilityConfig {
   std::size_t max_snapshots = 4096;
   /// Completed-span ring capacity (aggregates cover all spans regardless).
   std::size_t trace_capacity = 4096;
-  /// Anomaly flight-recorder ring capacity (typed events, trace-linked).
-  std::size_t flight_capacity = 2048;
   /// A timed dispatch whose wall time exceeds this is recorded in the
   /// flight ring and triggers a dump (the known ~9 ms tail trips this).
   std::int64_t slow_dispatch_ns = 1'000'000;
-  /// Fault-injection burst trigger: this many injections inside the window
-  /// dump the flight ring (a scenario's impairment wave in full context).
-  std::uint32_t fault_burst = 64;
-  simnet::SimDuration fault_burst_window = simnet::sec(1);
-  /// Route-flap burst trigger: this many route withdrawals inside the
-  /// window dump the flight ring (a flap storm in full context).
-  std::uint32_t route_flap_burst = 8;
-  simnet::SimDuration route_flap_window = simnet::minutes(1);
   /// Series families the final-metrics table rolls up to their top_n
   /// largest members plus one "other" row (population-proportional families
   /// would otherwise swamp the report).

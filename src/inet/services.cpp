@@ -1,5 +1,7 @@
 #include "inet/services.hpp"
 
+#include <optional>
+#include <span>
 #include <string>
 
 #include "ntp/ntp_packet.hpp"
@@ -34,6 +36,76 @@ proto::Certificate make_certificate(KeyId key, const std::string& subject,
       cert.not_before + static_cast<std::uint64_t>(lifetime_days) * 86400ULL);
   return cert;
 }
+
+// ------------------------------------------------------------ server stream
+
+namespace {
+
+/// The TLS front of a TCP service: the certificate it presents and whether
+/// a ClientHello without SNI is refused.
+struct ServerTls {
+  bool sni_required = false;
+  proto::Certificate cert;
+};
+
+/// The server side of one TCP exchange. send() frames each message as a
+/// TLS application-data record when the service runs behind TLS.
+struct ServerStream {
+  TcpConnectionPtr conn;
+  bool tls = false;
+
+  void send(std::vector<std::uint8_t> wire) const {
+    conn->send(TcpConnection::Side::kServer,
+               tls ? proto::encode_app_data(wire) : std::move(wire));
+  }
+  void close() const { conn->close(TcpConnection::Side::kServer); }
+};
+
+/// Serve one accepted connection: hand every client message to
+/// `app(stream, message)`. Behind TLS, first answer the ClientHello with
+/// the certificate (or an unrecognized_name alert when SNI is required but
+/// absent) and unwrap application-data records; anything else hangs up.
+template <typename AppFn>
+void serve_stream(const TcpConnectionPtr& conn, std::optional<ServerTls> tls,
+                  AppFn app) {
+  ServerStream stream{conn, tls.has_value()};
+  conn->set_on_data(
+      TcpConnection::Side::kServer,
+      [stream, tls = std::move(tls), app = std::move(app),
+       established = false](std::vector<std::uint8_t> data) mutable {
+        if (!tls) {
+          app(stream, data);
+          return;
+        }
+        auto msg = proto::decode(data);
+        if (!msg) {
+          stream.close();
+          return;
+        }
+        if (msg->kind == proto::TlsMessage::Kind::kClientHello) {
+          if (tls->sni_required && msg->client_hello.sni.empty()) {
+            stream.conn->send(TcpConnection::Side::kServer,
+                              proto::encode(proto::Alert{
+                                  2, proto::kAlertUnrecognizedName}));
+            stream.close();
+            return;
+          }
+          proto::ServerHello hello;
+          hello.cert = tls->cert;
+          stream.conn->send(TcpConnection::Side::kServer,
+                            proto::encode(hello));
+          established = true;
+          return;
+        }
+        if (msg->kind == proto::TlsMessage::Kind::kAppData && established) {
+          app(stream, msg->app_data);
+          return;
+        }
+        stream.close();
+      });
+}
+
+}  // namespace
 
 // ------------------------------------------------------------- DeviceRuntime
 
@@ -184,116 +256,134 @@ class DeviceRuntime {
 
   // ---- service binding ----
 
+  // Each app below answers one connection's client messages over its
+  // stream; serve_stream puts TLS in front where the port has it.
+
+  auto http_app() {
+    return [this](const ServerStream& stream,
+                  std::span<const std::uint8_t> msg) {
+      if (!proto::HttpRequest::parse(msg)) {
+        stream.close();
+        return;
+      }
+      proto::HttpResponse resp;
+      resp.status = device_.http_status;
+      resp.server = device_.http_server_header;
+      std::string title = device_.http_title;
+      // Expand the {ip} placeholder (parking pages embed the address).
+      std::size_t ph = title.find("{ip}");
+      if (ph != std::string::npos)
+        title.replace(ph, 4, stream.conn->server().addr.to_string());
+      resp.body = proto::html_page(title);
+      stream.send(resp.serialize());
+      stream.close();
+    };
+  }
+
+  auto mqtt_app() {
+    return [this](const ServerStream& stream,
+                  std::span<const std::uint8_t> msg) {
+      auto connect = proto::MqttConnect::parse(msg);
+      if (!connect) {
+        stream.close();
+        return;
+      }
+      proto::MqttConnack ack;
+      bool anonymous = connect->username.empty();
+      ack.code = (device_.mqtt_auth && anonymous)
+                     ? proto::MqttConnectReturn::kNotAuthorized
+                     : proto::MqttConnectReturn::kAccepted;
+      stream.send(ack.serialize());
+      stream.close();
+    };
+  }
+
+  auto amqp_app() {
+    return [this, started = false](const ServerStream& stream,
+                                   std::span<const std::uint8_t> msg) mutable {
+      if (!started) {
+        if (!proto::is_amqp_protocol_header(msg)) {
+          stream.close();
+          return;
+        }
+        started = true;
+        proto::AmqpFrame start;
+        start.method = proto::AmqpMethod::kStart;
+        start.text = "RabbitMQ 3.12";
+        stream.send(start.serialize());
+        return;
+      }
+      auto frame = proto::AmqpFrame::parse(msg);
+      if (!frame || frame->method != proto::AmqpMethod::kStartOk) {
+        stream.close();
+        return;
+      }
+      proto::AmqpFrame reply;
+      if (device_.amqp_auth) {
+        reply.method = proto::AmqpMethod::kClose;
+        reply.close_code = 403;
+        reply.text = "ACCESS_REFUSED";
+      } else {
+        reply.method = proto::AmqpMethod::kTune;
+        reply.text = "";
+      }
+      stream.send(reply.serialize());
+      stream.close();
+    };
+  }
+
   void bind_services(const net::Ipv6Address& addr) {
     const Device& d = device_;
     auto& net = world_.network_;
+    // Each acceptor captures `this` alone, so std::function stores it
+    // inline: one heap block per bound port adds up across the population.
     if (d.http_enabled) {
-      net.listen_tcp({addr, proto::kHttpPort},
-                     [this](TcpConnectionPtr c) { serve_http(c, false); });
+      net.listen_tcp({addr, proto::kHttpPort}, [this](TcpConnectionPtr c) {
+        serve_stream(c, std::nullopt, http_app());
+      });
       if (d.http_tls)
-        net.listen_tcp({addr, proto::kHttpsPort},
-                       [this](TcpConnectionPtr c) { serve_http(c, true); });
+        net.listen_tcp({addr, proto::kHttpsPort}, [this](TcpConnectionPtr c) {
+          serve_stream(c, server_tls(device_.http_cert), http_app());
+        });
     }
     if (d.ssh_enabled)
       net.listen_tcp({addr, proto::kSshPort},
                      [this](TcpConnectionPtr c) { serve_ssh(c); });
     if (d.mqtt_enabled) {
-      net.listen_tcp({addr, proto::kMqttPort},
-                     [this](TcpConnectionPtr c) { serve_mqtt(c, false); });
+      net.listen_tcp({addr, proto::kMqttPort}, [this](TcpConnectionPtr c) {
+        serve_stream(c, std::nullopt, mqtt_app());
+      });
       if (d.mqtt_tls)
-        net.listen_tcp({addr, proto::kMqttsPort},
-                       [this](TcpConnectionPtr c) { serve_mqtt(c, true); });
+        net.listen_tcp({addr, proto::kMqttsPort}, [this](TcpConnectionPtr c) {
+          serve_stream(c, server_tls(device_.mqtt_cert), mqtt_app());
+        });
     }
     if (d.amqp_enabled) {
-      net.listen_tcp({addr, proto::kAmqpPort},
-                     [this](TcpConnectionPtr c) { serve_amqp(c, false); });
+      net.listen_tcp({addr, proto::kAmqpPort}, [this](TcpConnectionPtr c) {
+        serve_stream(c, std::nullopt, amqp_app());
+      });
       if (d.amqp_tls)
-        net.listen_tcp({addr, proto::kAmqpsPort},
-                       [this](TcpConnectionPtr c) { serve_amqp(c, true); });
+        net.listen_tcp({addr, proto::kAmqpsPort}, [this](TcpConnectionPtr c) {
+          serve_stream(c, server_tls(device_.amqp_cert), amqp_app());
+        });
     }
     if (d.coap_enabled)
       net.bind_udp({addr, proto::kCoapPort},
                    [this](const simnet::Datagram& dg) { serve_coap(dg); });
   }
 
-  // TLS policy shared by all TLS-fronted services: answer the ClientHello
-  // with a certificate (or an unrecognized_name alert when SNI is required
-  // but absent), then hand app-data records to `app`.
-  template <typename AppFn>
-  bool handle_tls_record(const TcpConnectionPtr& conn,
-                         const std::vector<std::uint8_t>& data, KeyId cert_key,
-                         bool& established, AppFn&& app) {
-    auto msg = proto::decode(data);
-    if (!msg) {
-      conn->close(TcpConnection::Side::kServer);
-      return false;
-    }
-    if (msg->kind == proto::TlsMessage::Kind::kClientHello) {
-      if (device_.sni_required && msg->client_hello.sni.empty()) {
-        conn->send(TcpConnection::Side::kServer,
-                   proto::encode(proto::Alert{
-                       2, proto::kAlertUnrecognizedName}));
-        conn->close(TcpConnection::Side::kServer);
-        return false;
-      }
-      proto::ServerHello hello;
-      bool self_signed = device_.profile->placement != Placement::kHosting;
-      hello.cert = make_certificate(
-          cert_key, tls_subject(), self_signed,
-          world_.config_.cert_lifetime_days);
-      conn->send(TcpConnection::Side::kServer, proto::encode(hello));
-      established = true;
-      return true;
-    }
-    if (msg->kind == proto::TlsMessage::Kind::kAppData && established) {
-      app(msg->app_data);
-      return true;
-    }
-    conn->close(TcpConnection::Side::kServer);
-    return false;
+  /// The TLS front of this device's services, presenting `key`'s
+  /// certificate.
+  ServerTls server_tls(KeyId key) const {
+    bool self_signed = device_.profile->placement != Placement::kHosting;
+    return ServerTls{device_.sni_required,
+                     make_certificate(key, tls_subject(), self_signed,
+                                      world_.config_.cert_lifetime_days)};
   }
 
   std::string tls_subject() const {
     return "CN=" + device_.profile->model + "." +
            util::to_lower(device_.country);
-  }
-
-  void serve_http(const TcpConnectionPtr& conn, bool tls) {
-    auto established = std::make_shared<bool>(false);
-    auto self = this;
-    conn->set_on_data(
-        TcpConnection::Side::kServer,
-        [self, conn, tls, established](std::vector<std::uint8_t> data) {
-          auto respond = [self, conn, tls](std::span<const std::uint8_t> req) {
-            auto request = proto::HttpRequest::parse(req);
-            if (!request) {
-              conn->close(TcpConnection::Side::kServer);
-              return;
-            }
-            proto::HttpResponse resp;
-            resp.status = self->device_.http_status;
-            resp.server = self->device_.http_server_header;
-            std::string title = self->device_.http_title;
-            // Expand the {ip} placeholder (parking pages embed the address).
-            std::size_t ph = title.find("{ip}");
-            if (ph != std::string::npos)
-              title.replace(ph, 4, conn->server().addr.to_string());
-            resp.body = proto::html_page(title);
-            auto wire = resp.serialize();
-            if (tls)
-              conn->send(TcpConnection::Side::kServer,
-                         proto::encode_app_data(wire));
-            else
-              conn->send(TcpConnection::Side::kServer, std::move(wire));
-            conn->close(TcpConnection::Side::kServer);
-          };
-          if (tls) {
-            self->handle_tls_record(conn, data, self->device_.http_cert,
-                                    *established, respond);
-          } else {
-            respond(data);
-          }
-        });
   }
 
   void serve_ssh(const TcpConnectionPtr& conn) {
@@ -313,95 +403,6 @@ class DeviceRuntime {
                                    proto::ssh_kex_reply(self->device_.ssh_key));
                         conn->close(TcpConnection::Side::kServer);
                       });
-  }
-
-  void serve_mqtt(const TcpConnectionPtr& conn, bool tls) {
-    auto established = std::make_shared<bool>(false);
-    auto self = this;
-    conn->set_on_data(
-        TcpConnection::Side::kServer,
-        [self, conn, tls, established](std::vector<std::uint8_t> data) {
-          auto respond = [self, conn, tls](std::span<const std::uint8_t> req) {
-            auto connect = proto::MqttConnect::parse(req);
-            if (!connect) {
-              conn->close(TcpConnection::Side::kServer);
-              return;
-            }
-            proto::MqttConnack ack;
-            bool anonymous = connect->username.empty();
-            ack.code = (self->device_.mqtt_auth && anonymous)
-                           ? proto::MqttConnectReturn::kNotAuthorized
-                           : proto::MqttConnectReturn::kAccepted;
-            auto wire = ack.serialize();
-            if (tls)
-              conn->send(TcpConnection::Side::kServer,
-                         proto::encode_app_data(wire));
-            else
-              conn->send(TcpConnection::Side::kServer, std::move(wire));
-            conn->close(TcpConnection::Side::kServer);
-          };
-          if (tls) {
-            self->handle_tls_record(conn, data, self->device_.mqtt_cert,
-                                    *established, respond);
-          } else {
-            respond(data);
-          }
-        });
-  }
-
-  void serve_amqp(const TcpConnectionPtr& conn, bool tls) {
-    auto established = std::make_shared<bool>(false);
-    auto started = std::make_shared<bool>(false);
-    auto self = this;
-    conn->set_on_data(
-        TcpConnection::Side::kServer,
-        [self, conn, tls, established,
-         started](std::vector<std::uint8_t> data) {
-          auto respond = [self, conn, tls,
-                          started](std::span<const std::uint8_t> req) {
-            auto send = [conn, tls](std::vector<std::uint8_t> wire) {
-              if (tls)
-                conn->send(TcpConnection::Side::kServer,
-                           proto::encode_app_data(wire));
-              else
-                conn->send(TcpConnection::Side::kServer, std::move(wire));
-            };
-            if (!*started) {
-              if (!proto::is_amqp_protocol_header(req)) {
-                conn->close(TcpConnection::Side::kServer);
-                return;
-              }
-              *started = true;
-              proto::AmqpFrame start;
-              start.method = proto::AmqpMethod::kStart;
-              start.text = "RabbitMQ 3.12";
-              send(start.serialize());
-              return;
-            }
-            auto frame = proto::AmqpFrame::parse(req);
-            if (!frame || frame->method != proto::AmqpMethod::kStartOk) {
-              conn->close(TcpConnection::Side::kServer);
-              return;
-            }
-            proto::AmqpFrame reply;
-            if (self->device_.amqp_auth) {
-              reply.method = proto::AmqpMethod::kClose;
-              reply.close_code = 403;
-              reply.text = "ACCESS_REFUSED";
-            } else {
-              reply.method = proto::AmqpMethod::kTune;
-              reply.text = "";
-            }
-            send(reply.serialize());
-            conn->close(TcpConnection::Side::kServer);
-          };
-          if (tls) {
-            self->handle_tls_record(conn, data, self->device_.amqp_cert,
-                                    *established, respond);
-          } else {
-            respond(data);
-          }
-        });
   }
 
   void serve_coap(const simnet::Datagram& dg) {
@@ -476,69 +477,30 @@ void InternetRuntime::start() {
   // 200 page; HTTPS handshakes fail without SNI (Section 4.2's Cloudfront
   // observation). One shared "device" personality serves the whole region.
   const auto& region = population_.registry().cdn_alias_region();
-  auto serve_cdn = [this](TcpConnectionPtr conn, bool tls) {
-    auto established = std::make_shared<bool>(false);
-    conn->set_on_data(
-        TcpConnection::Side::kServer,
-        [this, conn, tls, established](std::vector<std::uint8_t> data) {
-          auto respond = [conn, tls](std::span<const std::uint8_t> wire) {
-            auto request = proto::HttpRequest::parse(wire);
-            if (!request) {
-              conn->close(TcpConnection::Side::kServer);
-              return;
-            }
-            proto::HttpResponse resp;
-            resp.status = 200;
-            resp.server = "CloudFront";
-            resp.body = proto::html_page("");
-            auto bytes = resp.serialize();
-            conn->send(TcpConnection::Side::kServer,
-                       tls ? proto::encode_app_data(bytes)
-                           : std::move(bytes));
-            conn->close(TcpConnection::Side::kServer);
-          };
-          if (!tls) {
-            respond(data);
-            return;
-          }
-          auto msg = proto::decode(data);
-          if (!msg) {
-            conn->close(TcpConnection::Side::kServer);
-            return;
-          }
-          if (msg->kind == proto::TlsMessage::Kind::kClientHello) {
-            if (msg->client_hello.sni.empty()) {
-              // Address-based probes carry no hostname: the region rejects
-              // them (Section 4.2's failed-handshake flood).
-              conn->send(TcpConnection::Side::kServer,
-                         proto::encode(proto::Alert{
-                             2, proto::kAlertUnrecognizedName}));
-              conn->close(TcpConnection::Side::kServer);
-              return;
-            }
-            *established = true;
-            proto::ServerHello hello;
-            hello.cert =
-                make_certificate(util::fnv1a("cdn-wildcard-cert"),
-                                 "CN=*.cdn.example", false, 365);
-            conn->send(TcpConnection::Side::kServer, proto::encode(hello));
-            return;
-          }
-          if (msg->kind == proto::TlsMessage::Kind::kAppData &&
-              *established) {
-            respond(msg->app_data);
-            return;
-          }
-          conn->close(TcpConnection::Side::kServer);
-        });
+  auto cdn_http = [](const ServerStream& stream,
+                     std::span<const std::uint8_t> msg) {
+    if (!proto::HttpRequest::parse(msg)) {
+      stream.close();
+      return;
+    }
+    proto::HttpResponse resp;
+    resp.status = 200;
+    resp.server = "CloudFront";
+    resp.body = proto::html_page("");
+    stream.send(resp.serialize());
+    stream.close();
   };
+  // Address-based probes carry no hostname: the region rejects them
+  // (Section 4.2's failed-handshake flood).
+  ServerTls cdn_tls{true, make_certificate(util::fnv1a("cdn-wildcard-cert"),
+                                           "CN=*.cdn.example", false, 365)};
   network_.listen_tcp_prefix(region, proto::kHttpPort,
-                             [serve_cdn](TcpConnectionPtr c) {
-                               serve_cdn(c, false);
+                             [cdn_http](TcpConnectionPtr c) {
+                               serve_stream(c, std::nullopt, cdn_http);
                              });
   network_.listen_tcp_prefix(region, proto::kHttpsPort,
-                             [serve_cdn](TcpConnectionPtr c) {
-                               serve_cdn(c, true);
+                             [cdn_http, cdn_tls](TcpConnectionPtr c) {
+                               serve_stream(c, cdn_tls, cdn_http);
                              });
 }
 

@@ -17,7 +17,8 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
       rng_(config_.seed),
       queue_(config_.max_pending),
       pump_timer_(network.events(), [this] { pump(); },
-                  network.events().register_category("scan_pump")) {
+                  network.events().register_category("scan_pump")),
+      probe_cat_(network.events().register_category("scan_probe")) {
   if (!config_.budget && config_.max_pps <= 0)
     throw std::invalid_argument("ScanEngine: max_pps must be positive");
   if (!(config_.budget_weight > 0) || !std::isfinite(config_.budget_weight))
@@ -50,20 +51,6 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
   }
 
   network_.attach(config_.scanner_address);
-  scanners_.push_back(make_http_scanner(false, config_.sni));
-  scanners_.push_back(make_http_scanner(true, config_.sni));
-  scanners_.push_back(make_ssh_scanner());
-  scanners_.push_back(make_mqtt_scanner(false, config_.sni));
-  scanners_.push_back(make_mqtt_scanner(true, config_.sni));
-  scanners_.push_back(make_amqp_scanner(false, config_.sni));
-  scanners_.push_back(make_amqp_scanner(true, config_.sni));
-  scanners_.push_back(make_coap_scanner());
-  for (const auto& scanner : scanners_) {
-    auto idx = static_cast<std::size_t>(scanner->protocol());
-    assert(!by_proto_[idx] && "duplicate scanner for protocol");
-    by_proto_[idx] = scanner.get();
-    scanner->set_timeouts(config_.probe_timeout, config_.connect_timeout);
-  }
   if (config_.tracer) {
     for (std::size_t p = 0; p < kProtocolCount; ++p) {
       span_ids_[p] = config_.tracer->intern(
@@ -141,7 +128,6 @@ void ScanEngine::enroll_metrics() {
   reg->enroll(submitted_, "scan_submitted", ds, this);
   reg->enroll(skipped_blackout_, "scan_skipped_blackout", ds, this);
   reg->enroll(backpressure_, "scan_backpressure_events", ds, this);
-  reg->enroll(no_scanner_, "scan_no_scanner", ds, this);
   reg->enroll(probes_launched_, "scan_probes_launched", ds, this);
   reg->enroll(probes_completed_, "scan_probes_completed", ds, this);
   reg->enroll(pump_wakes_, "scan_pump_wakes", ds, this);
@@ -231,7 +217,7 @@ void ScanEngine::stage_target(const net::Ipv6Address& target, Dataset lane) {
 void ScanEngine::stage_successor(const ScanIntent& intent,
                                  simnet::SimTime slot) {
   std::size_t next = static_cast<std::size_t>(intent.chain_pos) + 1;
-  if (next >= scanners_.size()) return;
+  if (next >= kProtocolCount) return;
   // Staggered inter-protocol delay (Appendix A.2.1: 10 s to 10 min between
   // the protocols of one target), relative to the previous probe's launch.
   simnet::SimDuration span =
@@ -255,7 +241,7 @@ void ScanEngine::begin_intent_trace(ScanIntent& intent) {
   intent.trace = mint_trace(intent.dataset);
   obs::Tracer* tracer = config_.tracer;
   if (!tracer || !tracer->enabled()) return;
-  Protocol proto = scanners_[intent.chain_pos]->protocol();
+  auto proto = static_cast<Protocol>(intent.chain_pos);
   intent.lifecycle_span =
       tracer->open(lifecycle_ids_[static_cast<std::size_t>(proto)],
                    intent.trace);
@@ -386,14 +372,9 @@ void ScanEngine::pump() {
 }
 
 void ScanEngine::launch(const ScanIntent& intent, simnet::SimTime at) {
-  Protocol proto = scanners_[intent.chain_pos]->protocol();
-  ProtocolScanner* scanner = by_proto_[static_cast<std::size_t>(proto)];
-  if (!scanner) {
-    no_scanner_.inc();
-    assert(!"no scanner registered for staged protocol");
-    return;
-  }
-
+  // A target's protocol chain runs in Protocol order: the chain position
+  // is the protocol.
+  auto proto = static_cast<Protocol>(intent.chain_pos);
   probes_launched_.inc();
   launched_by_proto_[static_cast<std::size_t>(proto)].inc();
   auto src_port =
@@ -409,14 +390,17 @@ void ScanEngine::launch(const ScanIntent& intent, simnet::SimTime at) {
   if (config_.tracer)
     span = config_.tracer->open(span_ids_[static_cast<std::size_t>(proto)],
                                 intent.trace);
-  scanner->probe(network_, src, std::move(base),
-                 [this, intent, proto, span](ScanRecord r) {
-                   probes_completed_.inc();
-                   completed_by_proto_[static_cast<std::size_t>(proto)].inc();
-                   probe_rtt_.record(network_.now() - r.at);
-                   if (config_.tracer) config_.tracer->close(span);
-                   finish_probe(intent, std::move(r));
-                 });
+  ProbeDoneFn done = [this, intent, proto, span](ScanRecord r) {
+    probes_completed_.inc();
+    completed_by_proto_[static_cast<std::size_t>(proto)].inc();
+    probe_rtt_.record(network_.now() - r.at);
+    if (config_.tracer) config_.tracer->close(span);
+    finish_probe(intent, std::move(r));
+  };
+  if (proto == Protocol::kCoap)
+    probe_coap(src, std::move(base), std::move(done));
+  else
+    probe_tcp(src, std::move(base), std::move(done));
 }
 
 void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
@@ -521,7 +505,7 @@ void ScanEngine::shed_probe(const ScanIntent& intent, simnet::SimTime now) {
   if (intent.attempt == 0) stage_successor(intent, now);
   ScanRecord record;
   record.dataset = intent.dataset;
-  record.protocol = scanners_[intent.chain_pos]->protocol();
+  record.protocol = static_cast<Protocol>(intent.chain_pos);
   record.target = intent.target;
   record.at = now;
   record.outcome = Outcome::kTimeout;

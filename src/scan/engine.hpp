@@ -6,22 +6,25 @@
 // packet budget (SharedBudget — one uplink across engines, weighted fair
 // borrowing), randomised 10 s - 10 min delays between the per-protocol
 // probes of one target, and a 3-day blackout before any address is scanned
-// again. Each protocol probe performs a full byte-level exchange through
-// the protocol scanners and records one ScanRecord.
+// again. Each protocol probe performs a full byte-level exchange (probe.cpp:
+// one dialogue per protocol over a client stream that owns its TLS framing)
+// and records one ScanRecord.
 //
 // Pacing is pull-based: submissions only stage *intents* in a bounded
 // PendingQueue; a single coalesced pump timer (simnet::Timer — one
 // re-schedulable wake slot per engine, not one heap entry per grant) wakes
 // at token-availability time, pulls the due intents, and launches them
-// inline against tokens acquired from the budget. An uncontended pump
-// oversleeps by the budget's burst bank and launches the banked batch in
-// one wake, which is what cuts a saturated sweep's event count by
-// ~kPumpSlackSlots x versus a per-grant wake. A full lane applies
-// backpressure to the submitter, and registered bulk sources are pulled
-// chunk-by-chunk as staging room frees up, so the pending depth stays
-// O(max_pending) instead of O(total targets) and `scan_token_wait_us`
-// measures the real pacing delay (launch minus token accrual, bounded by
-// the burst bank) rather than the position of a probe in a bulk backlog.
+// inline against tokens acquired from the budget. An engine running alone
+// on its budget oversleeps by the burst bank and launches the banked batch
+// in one wake, which cuts a saturated sweep's event count by
+// ~kPumpSlackSlots x versus a per-grant wake. Engines contending for one
+// budget (the full study's two) get no such batching and wake about once
+// per grant. A full lane applies backpressure to the submitter, and
+// registered bulk sources are pulled chunk-by-chunk as staging room frees
+// up, so the pending depth stays O(max_pending) instead of O(total
+// targets) and `scan_token_wait_us` measures the real pacing delay (launch
+// minus token accrual, bounded by the burst bank) rather than the position
+// of a probe in a bulk backlog.
 //
 // All campaign counters (submitted / skipped / launched / completed, the
 // per-protocol splits, the token-bucket wait and queue-delay histograms,
@@ -53,33 +56,6 @@ class FlightRecorder;
 
 namespace tts::scan {
 
-/// One protocol prober. Implementations live in *_scanner.cpp.
-class ProtocolScanner {
- public:
-  using DoneFn = std::function<void(ScanRecord)>;
-
-  virtual ~ProtocolScanner() = default;
-  virtual Protocol protocol() const = 0;
-
-  /// Run one probe. `base` carries dataset/target/time tags; fill outcome
-  /// and payloads, then invoke `done` exactly once.
-  virtual void probe(simnet::Network& network, const simnet::Endpoint& src,
-                     ScanRecord base, DoneFn done) = 0;
-
-  /// Engine-configured timeouts: the overall probe guard and the TCP
-  /// connect give-up (defaults suit a standalone scanner; the engine
-  /// overrides both from its config at construction).
-  void set_timeouts(simnet::SimDuration probe_timeout,
-                    simnet::SimDuration connect_timeout) {
-    probe_timeout_ = probe_timeout;
-    connect_timeout_ = connect_timeout;
-  }
-
- protected:
-  simnet::SimDuration probe_timeout_ = simnet::sec(8);
-  simnet::SimDuration connect_timeout_ = simnet::sec(5);
-};
-
 struct ScanEngineConfig {
   /// Probe budget per second of virtual time for an engine that owns its
   /// budget privately (budget == nullptr). The paper scans at up to
@@ -97,8 +73,8 @@ struct ScanEngineConfig {
   simnet::SimDuration rescan_blackout = simnet::days(3);
   /// Per-probe guard: a probe with no conclusion by then records kTimeout.
   simnet::SimDuration probe_timeout = simnet::sec(8);
-  /// TCP connect give-up, passed to every scanner (must not exceed
-  /// probe_timeout, or connects would outlive their own probe guard).
+  /// TCP connect give-up (must not exceed probe_timeout, or connects would
+  /// outlive their own probe guard).
   simnet::SimDuration connect_timeout = simnet::sec(5);
   /// Retry schedule applied to every protocol (default: no retries) …
   RetryPolicy retry;
@@ -223,9 +199,10 @@ class ScanEngine {
   const CircuitBreakerSet* breaker() const {
     return breaker_ ? &*breaker_ : nullptr;
   }
-  /// Pump wake-ups (coalesced timer firings). A saturated sweep launches
-  /// ~(kPumpSlackSlots + 1) probes per wake, so this stays well under
-  /// probes_launched() — the event-count cut the coalesced slot buys.
+  /// Pump wake-ups (coalesced timer firings). A saturated sweep on an
+  /// uncontended budget launches ~(kPumpSlackSlots + 1) probes per wake, so
+  /// this stays well under probes_launched(); under contention it is ~one
+  /// wake per grant.
   std::uint64_t pump_wakes() const { return pump_wakes_.value(); }
   /// Pump wakes that skipped source refill because the budget had no token
   /// accrued — bulk staging work deferred to a wake that can launch.
@@ -279,6 +256,15 @@ class ScanEngine {
   /// Stage the next protocol of `intent`'s chain after a launch at `slot`.
   void stage_successor(const ScanIntent& intent, simnet::SimTime slot);
   void launch(const ScanIntent& intent, simnet::SimTime at);
+  /// Probe completion callback: invoked exactly once per launched probe.
+  using ProbeDoneFn = std::function<void(ScanRecord)>;
+  /// The TCP probes (probe.cpp): connect, TLS handshake for the TLS
+  /// protocols, then the protocol's dialogue over one client stream.
+  void probe_tcp(const simnet::Endpoint& src, ScanRecord base,
+                 ProbeDoneFn done);
+  /// The CoAP probe (probe.cpp): one confirmable GET over UDP.
+  void probe_coap(const simnet::Endpoint& src, ScanRecord base,
+                  ProbeDoneFn done);
   /// Drop an intent refused by its prefix breaker: synthesize the timeout
   /// record (conserving the one-outcome-per-probe tally) and keep the
   /// protocol chain going so later probes can close the breaker again.
@@ -302,9 +288,6 @@ class ScanEngine {
   /// Resolved per-protocol retry policies (config.retry plus overrides).
   std::array<RetryPolicy, kProtocolCount> retry_{};
   std::optional<CircuitBreakerSet> breaker_;
-  std::vector<std::unique_ptr<ProtocolScanner>> scanners_;
-  /// Scanner lookup by protocol, built at construction (no per-probe scan).
-  std::array<ProtocolScanner*, kProtocolCount> by_proto_{};
 
   std::unordered_map<net::Ipv6Address, simnet::SimTime, net::Ipv6AddressHash>
       last_scan_;
@@ -324,12 +307,14 @@ class ScanEngine {
   SharedBudget::ClientId budget_id_ = 0;
   /// The coalesced wake slot: every pump wake re-arms this one timer.
   simnet::Timer pump_timer_;
+  /// Dispatch category of the per-probe guard timers.
+  simnet::EventQueue::CategoryId probe_cat_;
   std::uint64_t next_ephemeral_ = 40000;
+  std::uint16_t next_coap_message_id_ = 1;
 
   obs::Counter submitted_;
   obs::Counter skipped_blackout_;
   obs::Counter backpressure_;
-  obs::Counter no_scanner_;
   obs::Counter probes_launched_;
   obs::Counter probes_completed_;
   obs::Counter pump_wakes_;
@@ -363,12 +348,5 @@ class ScanEngine {
   /// Per-lane monotone trace counter (see mint_trace).
   std::uint64_t next_trace_ = 0;
 };
-
-/// Factories for the built-in protocol scanners (one per Table 2 protocol).
-std::unique_ptr<ProtocolScanner> make_http_scanner(bool tls, std::string sni);
-std::unique_ptr<ProtocolScanner> make_ssh_scanner();
-std::unique_ptr<ProtocolScanner> make_mqtt_scanner(bool tls, std::string sni);
-std::unique_ptr<ProtocolScanner> make_amqp_scanner(bool tls, std::string sni);
-std::unique_ptr<ProtocolScanner> make_coap_scanner();
 
 }  // namespace tts::scan

@@ -1,4 +1,4 @@
-// Client-side TLS session used by the TLS-fronted protocol scanners.
+// Client-side TLS session of the TLS probes (HTTPS, MQTTS, AMQPS).
 //
 // Wraps a TcpConnection: performs the ClientHello/ServerHello exchange
 // (scans are by IP, so no SNI is offered unless configured — which is why
@@ -40,10 +40,10 @@ class TlsClientSession
   /// Receive unwrapped application data.
   void set_on_app_data(AppDataFn fn) { on_app_data_ = std::move(fn); }
 
-  /// Release both user callbacks. The scanners' closures capture the
-  /// session (and the probe state) in shared_ptr cycles; the probe calls
-  /// this from its finish path so a completed or timed-out session can
-  /// actually be destroyed.
+  /// Release both user callbacks. The probe's closures capture its state,
+  /// which owns the session: a shared_ptr cycle. The probe calls this from
+  /// its finish path so a completed or timed-out session can actually be
+  /// destroyed.
   void drop_callbacks() {
     on_handshake_ = nullptr;
     on_app_data_ = nullptr;

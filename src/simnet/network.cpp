@@ -272,17 +272,8 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
           auto it = hosts_.find(dst.addr);
           if (it != hosts_.end()) handler = bound_to(it->second.udp, dst.port);
         }
-        if (!handler) {
-          // No exact binding: try wildcard prefix bindings (aliased
-          // regions); otherwise blackholed or refused — UDP stays silent.
-          for (const auto& p : prefix_udp_) {
-            if (p.port == dst.port && p.prefix.contains(dst.addr)) {
-              handler = p.handler;
-              break;
-            }
-          }
-          if (!handler) return;
-        }
+        // No binding: blackholed or refused — UDP stays silent.
+        if (!handler) return;
         udp_delivered_.fetch_add(1, std::memory_order_relaxed);
         handler(Datagram{src, dst, payload});
       });
@@ -471,11 +462,6 @@ void Network::track_connection(const TcpConnectionPtr& conn) {
 void Network::listen_tcp_prefix(const net::Ipv6Prefix& prefix,
                                 std::uint16_t port, TcpAcceptor acceptor) {
   prefix_tcp_.push_back(PrefixTcp{prefix, port, std::move(acceptor)});
-}
-
-void Network::bind_udp_prefix(const net::Ipv6Prefix& prefix,
-                              std::uint16_t port, UdpHandler handler) {
-  prefix_udp_.push_back(PrefixUdp{prefix, port, std::move(handler)});
 }
 
 std::uint64_t Network::add_tap(const net::Ipv6Prefix& prefix, TapFn fn) {

@@ -239,9 +239,6 @@ class Network {
   /// 356 M Cloudfront responses). Exact-endpoint listeners take precedence.
   void listen_tcp_prefix(const net::Ipv6Prefix& prefix, std::uint16_t port,
                          TcpAcceptor acceptor);
-  /// UDP counterpart (unused by the CDN model but symmetric).
-  void bind_udp_prefix(const net::Ipv6Prefix& prefix, std::uint16_t port,
-                       UdpHandler handler);
 
   // -- taps ------------------------------------------------------------------
   /// Observe all traffic destined into `prefix`. Returns a tap id.
@@ -339,13 +336,7 @@ class Network {
     std::uint16_t port;
     TcpAcceptor acceptor;
   };
-  struct PrefixUdp {
-    net::Ipv6Prefix prefix;
-    std::uint16_t port;
-    UdpHandler handler;
-  };
   std::vector<PrefixTcp> prefix_tcp_;
-  std::vector<PrefixUdp> prefix_udp_;
   std::uint64_t next_tap_id_ = 1;
 
   /// Weak handles on every established connection, pruned amortised; used

@@ -3,8 +3,10 @@
 
 #include "inet/services.hpp"
 #include "proto/amqp.hpp"
+#include "proto/coap.hpp"
 #include "proto/http.hpp"
 #include "proto/mqtt.hpp"
+#include "proto/sshwire.hpp"
 #include "proto/tlslite.hpp"
 #include "proto/ports.hpp"
 #include "scan/engine.hpp"
@@ -286,6 +288,76 @@ TEST_F(ScanTest, MalformedServerBytesAreRecorded) {
   engine.submit(addr(7));
   events_.run();
   EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kSsh,
+                           Outcome::kMalformed),
+            1u);
+}
+
+TEST_F(ScanTest, PeerHangUpBeforeReplyIsMalformed) {
+  // Each server accepts, reads the opening message and hangs up without
+  // replying: the client-speaks-first protocols record a malformed probe.
+  const struct {
+    Protocol protocol;
+    std::uint64_t host;
+  } cases[] = {{Protocol::kHttp, 21}, {Protocol::kMqtt, 22},
+               {Protocol::kAmqp, 23}};
+  ScanEngine engine(network_, results_, fast_config());
+  for (const auto& c : cases) {
+    network_.attach(addr(c.host));
+    network_.listen_tcp({addr(c.host), port_of(c.protocol)},
+                        [](simnet::TcpConnectionPtr conn) {
+                          conn->set_on_data(
+                              simnet::TcpConnection::Side::kServer,
+                              [conn](std::vector<std::uint8_t>) {
+                                conn->close(
+                                    simnet::TcpConnection::Side::kServer);
+                              });
+                        });
+    engine.submit(addr(c.host));
+  }
+  events_.run();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.protocol));
+    EXPECT_EQ(results_.count(Dataset::kNtp, c.protocol, Outcome::kMalformed),
+              1u);
+    EXPECT_EQ(results_.total(Dataset::kNtp, c.protocol), 3u);
+  }
+}
+
+TEST_F(ScanTest, SshBannerThenHangUpIsBannerOnlySuccess) {
+  network_.attach(addr(24));
+  network_.listen_tcp({addr(24), proto::kSshPort},
+                      [](simnet::TcpConnectionPtr conn) {
+                        conn->send(simnet::TcpConnection::Side::kServer,
+                                   proto::ssh_id_string("SSH-2.0-unit_1.0"));
+                        conn->close(simnet::TcpConnection::Side::kServer);
+                      });
+  ScanEngine engine(network_, results_, fast_config());
+  engine.submit(addr(24));
+  events_.run();
+  auto hits = results_.successes(Dataset::kNtp, Protocol::kSsh);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0]->ssh_banner, "SSH-2.0-unit_1.0");
+  EXPECT_FALSE(hits[0]->ssh_hostkey);
+}
+
+TEST_F(ScanTest, CoapReplyWithWrongMessageIdIsMalformed) {
+  network_.attach(addr(25));
+  network_.bind_udp({addr(25), proto::kCoapPort},
+                    [this](const simnet::Datagram& dg) {
+                      auto request = proto::CoapMessage::parse(dg.payload);
+                      ASSERT_TRUE(request);
+                      proto::CoapMessage reply;
+                      reply.type = proto::CoapType::kAck;
+                      reply.code = proto::kCoapContent;
+                      reply.message_id =
+                          static_cast<std::uint16_t>(request->message_id + 1);
+                      reply.token = request->token;
+                      network_.send_udp(dg.dst, dg.src, reply.serialize());
+                    });
+  ScanEngine engine(network_, results_, fast_config());
+  engine.submit(addr(25));
+  events_.run();
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kCoap,
                            Outcome::kMalformed),
             1u);
 }

@@ -3,6 +3,8 @@
 // reaches pool servers.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "inet/services.hpp"
 #include "ntp/ntp_server.hpp"
 #include "proto/ports.hpp"
@@ -38,17 +40,17 @@ class ServicesTest : public ::testing::Test {
     return nullptr;
   }
 
-  /// Probes a target with a fresh engine; returns the success record for
-  /// `proto` (outcome left untouched on failure) and the store's outcome
-  /// counters via `outcome_of`.
-  void probe(scan::Protocol proto, const net::Ipv6Address& target,
-             scan::ScanRecord& out) {
-    scan::Outcome ignored;
-    probe(proto, target, out, ignored);
-  }
+  /// One protocol's result from a probe run: the outcome tallied for it
+  /// and, on kSuccess, the stored record (failures are tallied, not
+  /// stored, so `record` stays default-constructed then).
+  struct Probed {
+    scan::Outcome outcome = scan::Outcome::kTimeout;
+    scan::ScanRecord record{};
+  };
 
-  void probe(scan::Protocol proto, const net::Ipv6Address& target,
-             scan::ScanRecord& out, scan::Outcome& outcome) {
+  /// Probes every protocol of `target` with a fresh engine.
+  std::array<Probed, scan::kProtocolCount> probe_all(
+      const net::Ipv6Address& target) {
     scan::ResultStore results;
     scan::ScanEngineConfig config;
     config.scanner_address =
@@ -58,15 +60,36 @@ class ServicesTest : public ::testing::Test {
     scan::ScanEngine engine(network_, results, config);
     engine.submit(target);
     events_.run();
-    for (const auto& r : results.records())
-      if (r.protocol == proto && r.target == target) out = r;
-    // Reconstruct the single probe's outcome from the counters (failure
-    // outcomes are tallied, not stored).
-    for (auto o : {scan::Outcome::kSuccess, scan::Outcome::kRefused,
-                   scan::Outcome::kTimeout, scan::Outcome::kTlsFailed,
-                   scan::Outcome::kMalformed}) {
-      if (results.count(scan::Dataset::kNtp, proto, o) > 0) outcome = o;
+    std::array<Probed, scan::kProtocolCount> out{};
+    for (std::size_t p = 0; p < scan::kProtocolCount; ++p) {
+      auto proto = static_cast<scan::Protocol>(p);
+      for (auto o : {scan::Outcome::kSuccess, scan::Outcome::kRefused,
+                     scan::Outcome::kTimeout, scan::Outcome::kTlsFailed,
+                     scan::Outcome::kMalformed}) {
+        if (results.count(scan::Dataset::kNtp, proto, o) > 0)
+          out[p].outcome = o;
+      }
     }
+    for (const auto& r : results.records())
+      if (r.target == target)
+        out[static_cast<std::size_t>(r.protocol)].record = r;
+    return out;
+  }
+
+  /// Probes a target with a fresh engine; returns the success record for
+  /// `proto` (outcome left untouched on failure) and, via `outcome`, the
+  /// outcome the store tallied for it.
+  void probe(scan::Protocol proto, const net::Ipv6Address& target,
+             scan::ScanRecord& out) {
+    scan::Outcome ignored;
+    probe(proto, target, out, ignored);
+  }
+
+  void probe(scan::Protocol proto, const net::Ipv6Address& target,
+             scan::ScanRecord& out, scan::Outcome& outcome) {
+    Probed probed = probe_all(target)[static_cast<std::size_t>(proto)];
+    outcome = probed.outcome;
+    if (probed.outcome == scan::Outcome::kSuccess) out = probed.record;
   }
 
   simnet::EventQueue events_;
@@ -136,6 +159,70 @@ TEST_F(ServicesTest, MqttBrokerReportsAuthPolicy) {
   probe(scan::Protocol::kMqtt, auth_broker->initial_address, auth_record);
   EXPECT_EQ(auth_record.outcome, scan::Outcome::kSuccess);
   EXPECT_EQ(auth_record.broker_auth_required, std::optional<bool>(true));
+}
+
+TEST_F(ServicesTest, MqttsBrokersPresentTheirCertAndAuthPolicy) {
+  ntp::NtpPool pool;
+  InternetRuntime runtime(network_, population_, &pool, stable());
+  runtime.start();
+
+  int brokers = 0;
+  for (const auto& d : population_.devices()) {
+    if (!d.mqtt_enabled || !d.mqtt_tls) continue;
+    ++brokers;
+    scan::ScanRecord mqtts{};
+    scan::Outcome outcome = scan::Outcome::kTimeout;
+    probe(scan::Protocol::kMqtts, d.initial_address, mqtts, outcome);
+    EXPECT_EQ(outcome, scan::Outcome::kSuccess);
+    ASSERT_TRUE(mqtts.certificate);
+    EXPECT_EQ(mqtts.certificate->fingerprint, d.mqtt_cert);
+    EXPECT_EQ(mqtts.broker_auth_required, std::optional<bool>(d.mqtt_auth));
+  }
+  EXPECT_EQ(brokers, 2);
+}
+
+TEST_F(ServicesTest, AmqpBrokersEnforcingAuthAnswerClose403) {
+  ntp::NtpPool pool;
+  InternetRuntime runtime(network_, population_, &pool, stable());
+  runtime.start();
+
+  int brokers = 0, tls_brokers = 0;
+  for (const auto& d : population_.devices()) {
+    if (!d.amqp_enabled || !d.amqp_auth) continue;
+    ++brokers;
+    auto probed = probe_all(d.initial_address);
+    const Probed& amqp =
+        probed[static_cast<std::size_t>(scan::Protocol::kAmqp)];
+    EXPECT_EQ(amqp.outcome, scan::Outcome::kSuccess);
+    EXPECT_EQ(amqp.record.broker_auth_required, std::optional<bool>(true));
+    if (!d.amqp_tls) continue;
+    ++tls_brokers;
+    const Probed& amqps =
+        probed[static_cast<std::size_t>(scan::Protocol::kAmqps)];
+    EXPECT_EQ(amqps.outcome, scan::Outcome::kSuccess);
+    EXPECT_EQ(amqps.record.broker_auth_required, std::optional<bool>(true));
+    ASSERT_TRUE(amqps.record.certificate);
+    EXPECT_EQ(amqps.record.certificate->fingerprint, d.amqp_cert);
+  }
+  EXPECT_EQ(brokers, 3);
+  EXPECT_EQ(tls_brokers, 1);
+}
+
+TEST_F(ServicesTest, SniRequiredDeviceFailsAddressOnlyHandshake) {
+  ntp::NtpPool pool;
+  InternetRuntime runtime(network_, population_, &pool, stable());
+  runtime.start();
+
+  int devices = 0;
+  for (const auto& d : population_.devices()) {
+    if (!d.sni_required || !d.http_tls) continue;
+    ++devices;
+    scan::ScanRecord https{};
+    scan::Outcome outcome = scan::Outcome::kSuccess;
+    probe(scan::Protocol::kHttps, d.initial_address, https, outcome);
+    EXPECT_EQ(outcome, scan::Outcome::kTlsFailed);
+  }
+  EXPECT_EQ(devices, 1);
 }
 
 TEST_F(ServicesTest, CoapDeviceAdvertisesItsResources) {
