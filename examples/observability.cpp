@@ -18,7 +18,6 @@ using namespace tts;
 int main() {
   core::StudyConfig config = core::make_study_config(core::StudyScale::kTiny);
   config.obs.enabled = true;
-  config.obs.heartbeat_interval = simnet::hours(24);
 
   core::Study study(std::move(config));
   std::cout << "Running the tiny study with observability enabled...\n\n";
@@ -53,11 +52,8 @@ int main() {
   // Machine-readable exports of the end-of-run snapshot, rolled up the
   // same way the report table is (per-server families keep their top_n
   // members plus one {series=other} aggregate, so cardinality is bounded).
-  obs::TableRollup rollup;
-  rollup.names = study.config().obs.rollup_names;
-  rollup.top_n = study.config().obs.rollup_top_n;
   obs::RegistrySnapshot snap = obs::apply_rollup(
-      metrics.snapshot(study.network().now()), rollup);
+      metrics.snapshot(study.network().now()), core::Study::metrics_rollup());
   std::string jsonl = obs::to_jsonl(snap);
   std::cout << "\nJSONL export: " << snap.values.size()
             << " instruments, " << jsonl.size() << " bytes. First lines:\n";
@@ -95,7 +91,7 @@ int main() {
   std::cout << "\nWrote tts_trace.json (" << trace.size()
             << " bytes, " << study.tracer().completed()
             << " spans completed; ring keeps the most recent "
-            << study.config().obs.trace_capacity << ")\n";
+            << study.tracer().capacity() << ")\n";
 
   // The anomaly flight recorder appends typed, trace-linked events
   // (breaker transitions, sheds, retries, fault injections, slow

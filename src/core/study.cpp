@@ -23,6 +23,13 @@ constexpr simnet::SimDuration kFaultBurstWindow = simnet::sec(1);
 /// dump the flight ring (a flap storm in full context).
 constexpr std::uint32_t kRouteFlapBurst = 8;
 constexpr simnet::SimDuration kRouteFlapWindow = simnet::minutes(1);
+/// Completed-span ring capacity (aggregates cover all spans regardless).
+constexpr std::size_t kTraceCapacity = 4096;
+/// Virtual time between heartbeat snapshots, and the timeline's row cap.
+constexpr simnet::SimDuration kHeartbeatInterval = simnet::hours(24);
+constexpr std::size_t kMaxSnapshots = 4096;
+/// Aggregate netspeed of third-party servers per zone.
+constexpr double kBackgroundNetspeed = 3000;
 
 }  // namespace
 
@@ -59,7 +66,7 @@ StudyConfig make_study_config(StudyScale scale) {
 Study::Study(StudyConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      tracer_(config_.obs.trace_capacity),
+      tracer_(kTraceCapacity),
       flight_(kFlightCapacity),
       collector_(&metrics_) {
   if (config_.server_countries.empty())
@@ -86,12 +93,11 @@ Study::Study(StudyConfig config)
   metrics_.enroll(overflow_dropped_, "scan_overflow_dropped",
                   {{"dataset", "ntp"}}, this);
   // One token source for both engines: the aggregate rate is the paper's
-  // scan budget, per-engine shares come from the weights. Built here (not
-  // in run()) so tests can attach a grant observer up front.
+  // scan budget, split in equal fair shares. Built here (not in run()) so
+  // tests can attach a grant observer up front.
   if (config_.enable_ntp_scans || config_.enable_hitlist_scan)
     scan_budget_ = std::make_unique<scan::SharedBudget>(
-        scan::SharedBudgetConfig{config_.scan_pps, /*burst_slots=*/2,
-                                 &metrics_});
+        scan::SharedBudgetConfig{config_.scan_pps, &metrics_});
 }
 
 Study::~Study() { metrics_.drop_owner(this); }
@@ -136,7 +142,7 @@ void Study::build_pool() {
   // Third-party background servers in every country zone.
   for (const auto& country : registry_->countries()) {
     int n = 2 + static_cast<int>(pool_rng.below(3));
-    double per_server = config_.background_netspeed / n;
+    double per_server = kBackgroundNetspeed / n;
     for (int i = 0; i < n; ++i) {
       net::Ipv6Address addr = allocate_infra_address(
           country.code, static_cast<std::uint16_t>(10 + i));
@@ -156,7 +162,7 @@ void Study::build_pool() {
   // budget; the closed-form equivalent against a known zone total).
   double share = config_.pool_share;
   double our_netspeed =
-      config_.background_netspeed * share / std::max(1e-9, 1.0 - share);
+      kBackgroundNetspeed * share / std::max(1e-9, 1.0 - share);
   ntp::ServerId id = 0;
   for (const auto& country : config_.server_countries) {
     net::Ipv6Address addr = allocate_infra_address(country, 1);
@@ -314,7 +320,6 @@ void Study::run() {
     engine.scanner_address = allocate_infra_address("DE", 0x51);
     engine.dataset = scan::Dataset::kNtp;
     engine.budget = scan_budget_.get();
-    engine.budget_weight = config_.ntp_scan_weight;
     engine.max_pending = config_.scan_max_pending;
     // One source of truth for the connect give-up: the network default the
     // simnet blackhole path uses (instead of a silently different 5 s).
@@ -407,7 +412,6 @@ void Study::run() {
     engine.scanner_address = allocate_infra_address("DE", 0x52);
     engine.dataset = scan::Dataset::kHitlist;
     engine.budget = scan_budget_.get();
-    engine.budget_weight = config_.hitlist_scan_weight;
     engine.max_pending = config_.scan_max_pending;
     engine.connect_timeout = config_.network.connect_timeout;
     engine.retry = config_.scan_retry;
@@ -419,12 +423,10 @@ void Study::run() {
     hitlist_engine_ =
         std::make_unique<scan::ScanEngine>(*network_, results_, engine);
     events_.schedule_at(config_.hitlist_scan_start, hitlist_cat, [this] {
-      // Chunked pull feed: the engine drains the hitlist as staging room
-      // frees up, so pending_depth stays bounded by scan_max_pending
-      // instead of one intent per probe of the whole sweep.
-      sweeper_ = std::make_unique<hitlist::SweepFeeder>(*hitlist_engine_,
-                                                        hitlist_.full);
-      sweeper_->start();
+      // Pull feed: the engine drains the hitlist as staging room frees
+      // up, so pending_depth stays bounded by scan_max_pending instead of
+      // one intent per probe of the whole sweep.
+      hitlist_engine_->submit_bulk(hitlist_.full);
     });
   }
 
@@ -471,9 +473,9 @@ void Study::run() {
   simnet::SimTime horizon = config_.runtime.duration + config_.drain;
   if (config_.obs.enabled) {
     obs::HeartbeatConfig hb;
-    hb.interval = config_.obs.heartbeat_interval;
+    hb.interval = kHeartbeatInterval;
     hb.until = horizon;
-    hb.max_snapshots = config_.obs.max_snapshots;
+    hb.max_snapshots = kMaxSnapshots;
     heartbeat_ = std::make_unique<obs::Heartbeat>(events_, metrics_, hb);
     heartbeat_->snap_now();  // t=0 baseline row
     heartbeat_->start();
@@ -608,6 +610,10 @@ std::vector<std::string> Study::timeline_columns() {
           "simnet_dispatch_wall_ns{category=packet}"};
 }
 
+obs::TableRollup Study::metrics_rollup() {
+  return {{"pool_selections"}, 8};
+}
+
 std::string Study::observability_report() const {
   std::string out;
   if (heartbeat_) {
@@ -619,17 +625,14 @@ std::string Study::observability_report() const {
     out += obs::timeline_table(heartbeat_->timeline(), timeline_columns(),
                                "heartbeat timeline (per virtual " +
                                    simnet::format_duration(
-                                       config_.obs.heartbeat_interval) +
+                                       kHeartbeatInterval) +
                                    ")",
                                timeline_options)
                .to_string();
     out += "\n";
   }
-  obs::TableRollup rollup;
-  rollup.names = config_.obs.rollup_names;
-  rollup.top_n = config_.obs.rollup_top_n;
   out += obs::to_table(metrics_.snapshot(events_.now()), "final metrics",
-                       rollup)
+                       metrics_rollup())
              .to_string();
   if (!tracer_.stats().empty()) {
     out += "\n";

@@ -20,7 +20,6 @@
 #include "analysis/eui64_analysis.hpp"
 #include "core/snapshot.hpp"
 #include "hitlist/hitlist.hpp"
-#include "hitlist/sweep.hpp"
 #include "inet/as_registry.hpp"
 #include "inet/population.hpp"
 #include "inet/services.hpp"
@@ -40,6 +39,10 @@
 #include "telescope/classifier.hpp"
 #include "telescope/prober.hpp"
 
+namespace tts::obs {
+struct TableRollup;
+}
+
 namespace tts::core {
 
 /// Opt-in observability for a study run. The metrics registry and the
@@ -48,19 +51,9 @@ namespace tts::core {
 /// dispatch histogram, span tracing, and the heartbeat timeline.
 struct ObservabilityConfig {
   bool enabled = false;
-  /// Virtual time between heartbeat snapshots.
-  simnet::SimDuration heartbeat_interval = simnet::hours(24);
-  std::size_t max_snapshots = 4096;
-  /// Completed-span ring capacity (aggregates cover all spans regardless).
-  std::size_t trace_capacity = 4096;
   /// A timed dispatch whose wall time exceeds this is recorded in the
   /// flight ring and triggers a dump (the known ~9 ms tail trips this).
   std::int64_t slow_dispatch_ns = 1'000'000;
-  /// Series families the final-metrics table rolls up to their top_n
-  /// largest members plus one "other" row (population-proportional families
-  /// would otherwise swamp the report).
-  std::vector<std::string> rollup_names = {"pool_selections"};
-  std::size_t rollup_top_n = 8;
 };
 
 struct StudyConfig {
@@ -94,17 +87,12 @@ struct StudyConfig {
   /// Target share of each zone's traffic our server receives after
   /// netspeed tuning.
   double pool_share = 0.35;
-  /// Aggregate netspeed of third-party servers per zone.
-  double background_netspeed = 3000;
 
   /// Aggregate probe budget across BOTH engines (one shared uplink, the
   /// paper's Section 3 setup): the NTP feed and the hitlist sweep draw
-  /// weighted fair shares of this single rate.
-  double scan_pps = 2000;
-  /// Fair-share weights on the shared budget. An idle engine's share is
+  /// equal fair shares of this single rate. An idle engine's share is
   /// lent to the busy one and reclaimed within about one token gap.
-  double ntp_scan_weight = 1.0;
-  double hitlist_scan_weight = 1.0;
+  double scan_pps = 2000;
   /// Per-dataset cap on each engine's staged probe intents: bounds the
   /// pending queue (and memory) regardless of hitlist size; a full lane
   /// pushes back on the feed instead of queueing (scan_backpressure_events).
@@ -225,11 +213,6 @@ class Study {
   std::uint64_t overflow_dropped() const { return overflow_dropped_.value(); }
   /// Current depth of the collector-overflow buffer (<= overflow_cap).
   std::size_t overflow_depth() const { return ntp_overflow_.size(); }
-  /// The chunked feeder driving the hitlist sweep (nullptr before the
-  /// sweep starts or when the hitlist scan is disabled).
-  const hitlist::SweepFeeder* hitlist_sweeper() const {
-    return sweeper_.get();
-  }
 
   std::uint64_t events_executed() const { return events_.executed(); }
 
@@ -249,6 +232,9 @@ class Study {
   std::string observability_report() const;
   /// The key per-day progress columns the timeline table shows.
   static std::vector<std::string> timeline_columns();
+  /// The rollup the final-metrics table applies: population-proportional
+  /// families keep their largest members plus one "other" row.
+  static obs::TableRollup metrics_rollup();
 
  private:
   void build_pool();
@@ -302,7 +288,6 @@ class Study {
   std::unique_ptr<scan::SharedBudget> scan_budget_;
   std::unique_ptr<scan::ScanEngine> ntp_engine_;
   std::unique_ptr<scan::ScanEngine> hitlist_engine_;
-  std::unique_ptr<hitlist::SweepFeeder> sweeper_;
   /// Collector addresses refused with kQueueFull, drained back into the
   /// NTP engine via a pull source; bounded by config_.overflow_cap
   /// (drops beyond it are counted, not silent).

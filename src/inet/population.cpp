@@ -10,6 +10,14 @@ namespace tts::inet {
 
 namespace {
 
+/// Eyeball customers initially packed per /48 (clustering; Table 1's
+/// median-IPs-per-/48 metric reacts to this).
+constexpr std::uint64_t kCustomersPer48 = 4;
+/// Prefix rotation draws from a pool this many times larger than the
+/// currently-assigned customer base (ISPs hold spare space); larger values
+/// thin the per-/48 density of dynamic addresses.
+constexpr std::uint64_t kRotationPoolSpread = 6;
+
 /// Hosting abundance is not proportional to a country's NTP client volume;
 /// mix a base per hosting AS with a small population term.
 double hosting_units(const CountryParams& c) {
@@ -121,14 +129,12 @@ net::Ipv6Prefix Population::allocate_delegation(net::AsNumber asn,
   std::uint64_t n = next_customer_[asn]++;
 
   // Spill across the AS's /32s when the first fills (64k /48s each).
-  std::uint64_t per_prefix =
-      65536ULL * static_cast<std::uint64_t>(config_.customers_per_48);
+  std::uint64_t per_prefix = 65536ULL * kCustomersPer48;
   std::size_t prefix_idx =
       static_cast<std::size_t>(n / per_prefix) % as->prefixes.size();
   std::uint64_t local = n % per_prefix;
 
-  std::uint64_t idx48 =
-      local / static_cast<std::uint64_t>(config_.customers_per_48);
+  std::uint64_t idx48 = local / kCustomersPer48;
   std::uint64_t base_hi = as->prefixes[prefix_idx].address().hi64();
 
   if (eyeball) {
@@ -159,20 +165,14 @@ net::Ipv6Prefix Population::rotate_delegation(net::AsNumber asn, bool eyeball,
   auto it = next_customer_.find(asn);
   std::uint64_t n = it == next_customer_.end() ? 0 : it->second;
   if (n == 0) return allocate_delegation(asn, eyeball, rng);
-  std::uint64_t pool =
-      n * static_cast<std::uint64_t>(
-              config_.rotation_pool_spread > 0 ? config_.rotation_pool_spread
-                                               : 1);
-  std::uint64_t local = rng.below(pool);
+  std::uint64_t local = rng.below(n * kRotationPoolSpread);
   const AsInfo* as = registry_->find(asn);
   assert(as && !as->prefixes.empty());
-  std::uint64_t per_prefix =
-      65536ULL * static_cast<std::uint64_t>(config_.customers_per_48);
+  std::uint64_t per_prefix = 65536ULL * kCustomersPer48;
   std::size_t prefix_idx =
       static_cast<std::size_t>(local / per_prefix) % as->prefixes.size();
   std::uint64_t in_prefix = local % per_prefix;
-  std::uint64_t idx48 =
-      in_prefix / static_cast<std::uint64_t>(config_.customers_per_48);
+  std::uint64_t idx48 = in_prefix / kCustomersPer48;
   std::uint64_t base_hi = as->prefixes[prefix_idx].address().hi64();
   if (eyeball) {
     std::uint64_t slot56 = rng.below(256);

@@ -85,13 +85,6 @@ struct PopulationConfig {
   /// Global abundance multiplier (expected devices = weight * country units
   /// * this). 1.0 yields roughly 13k devices with the builtin tables.
   double device_scale = 1.0;
-  /// Eyeball customers initially packed per /48 (clustering; Table 1's
-  /// median-IPs-per-/48 metric reacts to this).
-  int customers_per_48 = 4;
-  /// Prefix rotation draws from a pool this many times larger than the
-  /// currently-assigned customer base (ISPs hold spare space); larger
-  /// values thin the per-/48 density of dynamic addresses.
-  int rotation_pool_spread = 6;
   std::uint64_t seed = 0x715;
 };
 

@@ -41,6 +41,9 @@ proto::Certificate make_certificate(KeyId key, const std::string& subject,
 
 namespace {
 
+/// Validity window of a device certificate, relative to its issue date.
+constexpr std::uint32_t kCertLifetimeDays = 365;
+
 /// The TLS front of a TCP service: the certificate it presents and whether
 /// a ClientHello without SNI is refused.
 struct ServerTls {
@@ -220,9 +223,6 @@ class DeviceRuntime {
   }
 
   void do_poll() {
-    if (world_.config_.poll_thinning > 0 &&
-        rng_.chance(world_.config_.poll_thinning))
-      return;
     auto server = world_.pool_->resolve(device_.country, rng_);
     if (!server) return;
     world_.ntp_polls_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -378,7 +378,7 @@ class DeviceRuntime {
     bool self_signed = device_.profile->placement != Placement::kHosting;
     return ServerTls{device_.sni_required,
                      make_certificate(key, tls_subject(), self_signed,
-                                      world_.config_.cert_lifetime_days)};
+                                      kCertLifetimeDays)};
   }
 
   std::string tls_subject() const {
@@ -493,7 +493,8 @@ void InternetRuntime::start() {
   // Address-based probes carry no hostname: the region rejects them
   // (Section 4.2's failed-handshake flood).
   ServerTls cdn_tls{true, make_certificate(util::fnv1a("cdn-wildcard-cert"),
-                                           "CN=*.cdn.example", false, 365)};
+                                           "CN=*.cdn.example", false,
+                                           kCertLifetimeDays)};
   network_.listen_tcp_prefix(region, proto::kHttpPort,
                              [cdn_http](TcpConnectionPtr c) {
                                serve_stream(c, std::nullopt, cdn_http);

@@ -23,12 +23,7 @@ namespace tts::inet {
 
 struct RuntimeConfig {
   simnet::SimDuration duration = simnet::days(28);
-  /// Certificate validity window relative to the simulation epoch.
-  std::uint32_t cert_lifetime_days = 365;
   std::uint64_t seed = 0x5eed;
-  /// Fraction of NTP polls suppressed (cuts event volume without changing
-  /// address dynamics; 0 = every scheduled poll is sent).
-  double poll_thinning = 0.0;
   /// Master switch for address churn (tests that probe devices at their
   /// initial addresses turn it off).
   bool enable_churn = true;

@@ -6,6 +6,16 @@
 
 namespace tts::ntp {
 
+namespace {
+
+/// The pool's score cap, and the score change per outcome (the real pool:
+/// roughly -5 per miss, +1 per valid response).
+constexpr int kMaxScore = 20;
+constexpr int kOnMiss = -5;
+constexpr int kOnSuccess = 1;
+
+}  // namespace
+
 PoolMonitor::PoolMonitor(simnet::Network& network, NtpPool& pool,
                          PoolMonitorConfig config)
     : network_(network),
@@ -80,8 +90,8 @@ void PoolMonitor::run_round() {
             for (const auto& entry : pool_.servers())
               if (entry.address == addr) score = entry.monitor_score;
             score = hit
-                ? std::min(config_.max_score, score + config_.on_success)
-                : std::max(config_.min_score, score + config_.on_miss);
+                ? std::min(kMaxScore, score + kOnSuccess)
+                : std::max(config_.min_score, score + kOnMiss);
             pool_.set_monitor_score(addr, score);
           });
         },

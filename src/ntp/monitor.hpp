@@ -27,11 +27,6 @@ struct PoolMonitorConfig {
   net::Ipv6Address vantage;              // monitoring station address
   simnet::SimDuration check_interval = simnet::minutes(15);
   simnet::SimDuration duration = simnet::days(28);
-  int max_score = 20;
-  /// Score change per outcome (the real pool: roughly -5 per miss, +1 per
-  /// valid response).
-  int on_miss = -5;
-  int on_success = 1;
   /// Decay floor. The real pool bottoms out around -100; a higher floor
   /// bounds how long a recovered server needs to climb back into rotation
   /// (useful for fault-injection runs on short horizons).

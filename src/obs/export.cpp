@@ -539,20 +539,6 @@ util::TextTable span_table(const Tracer& tracer, std::string title) {
 
 // ---------------------------------------------------------- chrome trace
 
-namespace {
-
-std::string hex64(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  do {
-    out.insert(out.begin(), kDigits[value & 0xf]);
-    value >>= 4;
-  } while (value != 0);
-  return out;
-}
-
-}  // namespace
-
 std::string to_chrome_trace(const Tracer& tracer,
                             const ChromeTraceOptions& options) {
   std::string out = "{\"traceEvents\":[";
@@ -567,8 +553,8 @@ std::string to_chrome_trace(const Tracer& tracer,
     if (ph == 'X') out += util::cat(",\"dur\":", rec.sim_duration());
     if (ph == 'i') out += ",\"s\":\"t\"";
     if (rec.trace != 0)
-      out += util::cat(",\"cat\":\"trace\",\"id\":\"0x", hex64(rec.trace),
-                       "\"");
+      out += util::cat(",\"cat\":\"trace\",\"id\":\"0x",
+                       util::hex64(rec.trace), "\"");
     if (options.include_wall && !rec.instant)
       out += util::cat(",\"args\":{\"wall_ns\":", rec.wall_ns, "}");
     out += '}';

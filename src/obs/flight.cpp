@@ -7,15 +7,9 @@
 namespace tts::obs {
 namespace {
 
-std::string hex64(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  do {
-    out.insert(out.begin(), kDigits[value & 0xf]);
-    value >>= 4;
-  } while (value != 0);
-  return out;
-}
+/// Dump rate limit: at most kMaxDumps, kMinDumpGap of sim time apart.
+constexpr std::size_t kMaxDumps = 8;
+constexpr simnet::SimDuration kMinDumpGap = simnet::minutes(1);
 
 }  // namespace
 
@@ -124,14 +118,13 @@ void FlightRecorder::trigger(std::string_view reason) {
 void FlightRecorder::trigger_locked(std::string_view reason) {
   ++triggers_;
   simnet::SimTime now = sim_now();
-  if (dumps_.size() >= max_dumps_ ||
-      (last_dump_at_ >= 0 && now - last_dump_at_ < min_dump_gap_)) {
+  if (dumps_.size() >= kMaxDumps ||
+      (last_dump_at_ >= 0 && now - last_dump_at_ < kMinDumpGap)) {
     ++suppressed_;
     return;
   }
   last_dump_at_ = now;
   dumps_.emplace_back(std::string(reason), dump_locked(64));
-  if (sink_) sink_(reason, dumps_.back().second);
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
@@ -169,7 +162,7 @@ std::string FlightRecorder::dump_locked(std::size_t max_events) const {
     const FlightEvent& ev = all[i];
     table.add_row({simnet::format_duration(ev.sim),
                    std::string(to_string(ev.kind)),
-                   ev.trace ? util::cat("0x", hex64(ev.trace))
+                   ev.trace ? util::cat("0x", util::hex64(ev.trace))
                             : std::string("-"),
                    notes_[ev.detail], util::grouped(ev.a),
                    util::grouped(ev.b)});

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -76,8 +75,6 @@ class FlightRecorder {
  public:
   using NoteId = std::uint32_t;
   using WallClockFn = std::int64_t (*)();
-  using DumpFn =
-      std::function<void(std::string_view reason, const std::string& dump)>;
 
   explicit FlightRecorder(std::size_t capacity = 2048);
 
@@ -105,14 +102,9 @@ class FlightRecorder {
   /// time (e.g. 64 fault injections within one virtual second).
   void add_trigger(FlightKind kind, std::uint32_t burst,
                    simnet::SimDuration window, std::string reason);
-  /// Minimum sim time between dumps (repeated triggers inside the gap are
-  /// counted in suppressed(), not dumped again).
-  void set_min_dump_gap(simnet::SimDuration gap) { min_dump_gap_ = gap; }
-  void set_max_dumps(std::size_t n) { max_dumps_ = n; }
-  /// Optional sink invoked on every dump (in addition to dumps() storage).
-  void set_dump_sink(DumpFn fn) { sink_ = std::move(fn); }
-
-  /// Dump now (rate-limited like an automatic trigger).
+  /// Dump now (rate-limited like an automatic trigger: at most 8 dumps, one
+  /// virtual minute apart, per kMaxDumps / kMinDumpGap in flight.cpp;
+  /// repeated triggers inside the gap are counted in suppressed()).
   void trigger(std::string_view reason);
 
   /// Ring contents, oldest first.
@@ -137,7 +129,7 @@ class FlightRecorder {
     std::lock_guard<std::mutex> lock(mu_);
     return suppressed_;
   }
-  /// (reason, rendered dump) pairs, oldest first, capped at max_dumps.
+  /// (reason, rendered dump) pairs, oldest first, at most 8.
   /// Returns a reference into the recorder: read only once appends have
   /// quiesced (post-run, or from a barrier commit).
   // ttslint: barrier_only
@@ -175,13 +167,10 @@ class FlightRecorder {
   std::uint64_t overwritten_ = 0;
   std::vector<std::string> notes_;
   std::vector<TriggerRule> rules_;
-  simnet::SimDuration min_dump_gap_ = simnet::minutes(1);
   simnet::SimTime last_dump_at_ = -1;
-  std::size_t max_dumps_ = 8;
   std::uint64_t triggers_ = 0;
   std::uint64_t suppressed_ = 0;
   std::vector<std::pair<std::string, std::string>> dumps_;
-  DumpFn sink_;
 };
 
 }  // namespace tts::obs

@@ -72,11 +72,11 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = 4096);
 
-  /// The wall clock every obs component shares (steady_clock, ns). This is
-  /// the one sanctioned ambient-time read outside the event queue: callers
-  /// (FlightRecorder, bench emitters) take the value as data instead of
-  /// reading clocks themselves, keeping the ttslint wall-clock allowlist
-  /// at exactly two files.
+  /// The wall clock every obs component and the event queue's dispatch
+  /// profiler share (steady_clock, ns). This is the one sanctioned
+  /// ambient-time read: callers (EventQueue, FlightRecorder, bench
+  /// emitters) take the value as data instead of reading clocks
+  /// themselves, keeping the ttslint wall-clock allowlist at this file.
   static std::int64_t wall_clock_ns();
 
   /// Virtual-time source; without one, spans record sim times of 0.
@@ -133,6 +133,8 @@ class Tracer {
   const SpanStats& stats_of(NameId name) const { return stats_[name]; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t dropped() const { return dropped_; }
+  /// Completed-span ring capacity.
+  std::size_t capacity() const { return capacity_; }
   std::size_t open_spans() const { return open_count_; }
 
  private:

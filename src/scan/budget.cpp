@@ -9,9 +9,6 @@ SharedBudget::SharedBudget(SharedBudgetConfig config)
     : config_(config) {
   if (!(config_.max_pps > 0))
     throw std::invalid_argument("SharedBudget: max_pps must be positive");
-  if (config_.burst_slots < 0)
-    throw std::invalid_argument(
-        "SharedBudget: burst_slots must be non-negative");
   double exact = 1e6 / config_.max_pps;
   auto gap = static_cast<simnet::SimDuration>(exact);
   gap_ = gap < 1 ? 1 : gap;
@@ -101,7 +98,7 @@ bool SharedBudget::deferred_to_peer(ClientId id) const {
 std::optional<simnet::SimTime> SharedBudget::try_acquire(ClientId id,
                                                          simnet::SimTime now) {
   Client& c = *clients_[id];
-  simnet::SimTime bank_floor = now - config_.burst_slots * gap_;
+  simnet::SimTime bank_floor = now - kBurstSlots * gap_;
   simnet::SimTime slot =
       next_accrual_ > bank_floor ? next_accrual_ : bank_floor;
   if (slot > now) return std::nullopt;  // next token not accrued yet
@@ -137,7 +134,7 @@ std::optional<simnet::SimTime> SharedBudget::try_acquire(ClientId id,
 }
 
 simnet::SimTime SharedBudget::next_slot(ClientId id, simnet::SimTime now) const {
-  simnet::SimTime bank_floor = now - config_.burst_slots * gap_;
+  simnet::SimTime bank_floor = now - kBurstSlots * gap_;
   simnet::SimTime accrue =
       next_accrual_ > bank_floor ? next_accrual_ : bank_floor;
   simnet::SimTime at = accrue > now ? accrue : now;
@@ -156,7 +153,7 @@ simnet::SimTime SharedBudget::suggested_wake(ClientId id,
     if (peer.active && peer.backlogged) return at;  // contended: no slack
   }
   // Uncontended: oversleep by the bank and launch the batch in one wake.
-  return at + config_.burst_slots * gap_;
+  return at + kBurstSlots * gap_;
 }
 
 void SharedBudget::wake_waiting_peers(ClientId except) {

@@ -19,9 +19,9 @@
 //     scan_budget_reclaim_us measures the realized latency.
 //
 // Tokens accrue one global gap (1e6/max_pps us) apart and at most
-// burst_slots gaps' worth may be banked; older tokens evaporate. The bank
+// kBurstSlots gaps' worth may be banked; older tokens evaporate. The bank
 // is what lets a pump wake once per batch instead of once per grant (see
-// ScanEngine's coalesced pump) while bounding any burst to burst_slots + 1
+// ScanEngine's coalesced pump) while bounding any burst to kBurstSlots + 1
 // launches.
 //
 // Clients pull: try_acquire() consumes a token or refuses (token not yet
@@ -42,12 +42,14 @@
 
 namespace tts::scan {
 
+/// Token gaps' worth of unused capacity a budget may bank: the largest
+/// burst a single pump wake launches (minus one), and so the bound on a
+/// granted token's wait.
+inline constexpr std::int64_t kBurstSlots = 2;
+
 struct SharedBudgetConfig {
   /// Aggregate probe budget per second of virtual time, across all clients.
   double max_pps = 2000;
-  /// Token gaps' worth of unused capacity that may be banked (and thus the
-  /// largest burst a single wake may launch, minus one).
-  std::int64_t burst_slots = 2;
   /// Export per-client instruments (scan_budget_grants,
   /// scan_budget_borrowed_slots, scan_budget_reclaim_us, labelled
   /// client=<name>); must outlive the budget. Optional.
@@ -66,8 +68,7 @@ class SharedBudget {
   using GrantFn = std::function<void(ClientId id, simnet::SimTime slot,
                                      simnet::SimTime at)>;
 
-  /// Throws std::invalid_argument on non-positive max_pps or negative
-  /// burst_slots.
+  /// Throws std::invalid_argument on non-positive max_pps.
   explicit SharedBudget(SharedBudgetConfig config);
   ~SharedBudget();
 
@@ -87,7 +88,7 @@ class SharedBudget {
   void set_backlog(ClientId id, bool backlogged, simnet::SimTime now);
 
   /// Consume one token at `now`. Returns the token's accrual time
-  /// (in (now - burst_slots * gap, now]), or nullopt when the next token
+  /// (in (now - kBurstSlots * gap, now]), or nullopt when the next token
   /// has not accrued yet or a backlogged peer with an earlier fair-queue
   /// tag owns it.
   std::optional<simnet::SimTime> try_acquire(ClientId id, simnet::SimTime now);
@@ -97,7 +98,7 @@ class SharedBudget {
   /// remove_client move it earlier and fire the waiters' WakeFns.
   simnet::SimTime next_slot(ClientId id, simnet::SimTime now) const;
   /// next_slot(), plus the burst-bank slack when no backlogged peer is
-  /// contending: an uncontended pump may oversleep by burst_slots gaps and
+  /// contending: an uncontended pump may oversleep by kBurstSlots gaps and
   /// launch the banked batch in one wake (the coalescing that cuts pump
   /// event counts); a contended pump must not, or banked tokens would
   /// evaporate unused.
@@ -105,7 +106,7 @@ class SharedBudget {
 
   simnet::SimDuration gap() const { return gap_; }
   double max_pps() const { return config_.max_pps; }
-  std::int64_t burst_slots() const { return config_.burst_slots; }
+  std::int64_t burst_slots() const { return kBurstSlots; }
 
   std::size_t clients() const { return clients_.size(); }
   std::uint64_t grants(ClientId id) const { return clients_[id]->grants.value(); }
@@ -156,7 +157,7 @@ class SharedBudget {
   std::uint64_t frac_step_ = 0;
   std::uint64_t frac_acc_ = 0;
   /// Accrual time of the next unconsumed token (tokens older than
-  /// burst_slots gaps evaporate — the bank floor is now - burst*gap).
+  /// kBurstSlots gaps evaporate — the bank floor is now - burst*gap).
   simnet::SimTime next_accrual_ = 0;
   /// SFQ virtual time: start tag of the last granted token. Freshly busy
   /// clients re-enter here, which is exactly the no-banked-credit rule.

@@ -32,18 +32,14 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
         "ScanEngine: inverted protocol-delay range (max < min)");
   if (config_.max_pending == 0)
     throw std::invalid_argument("ScanEngine: max_pending must be >= 1");
-  if (config_.probe_timeout <= 0 || config_.connect_timeout <= 0)
+  if (config_.connect_timeout <= 0)
     throw std::invalid_argument("ScanEngine: timeouts must be positive");
-  if (config_.connect_timeout > config_.probe_timeout)
+  if (config_.connect_timeout > kProbeTimeout)
     throw std::invalid_argument(
-        "ScanEngine: connect_timeout must not exceed probe_timeout");
-
-  for (std::size_t p = 0; p < kProtocolCount; ++p) {
-    retry_[p] = config_.retry_by_proto[p].value_or(config_.retry);
-    // ScanIntent::attempt is 8-bit; anything near that is a config bug.
-    if (retry_[p].max_retries > 100)
-      throw std::invalid_argument("ScanEngine: max_retries too large");
-  }
+        "ScanEngine: connect_timeout must not exceed the probe timeout");
+  // ScanIntent::attempt is 8-bit; anything near that is a config bug.
+  if (config_.retry.max_retries > 100)
+    throw std::invalid_argument("ScanEngine: max_retries too large");
   if (config_.breaker.enabled) {
     if (config_.breaker.prefix_len > 128)
       throw std::invalid_argument("ScanEngine: breaker prefix_len > 128");
@@ -105,8 +101,8 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
   if (config_.budget) {
     budget_ = config_.budget;
   } else {
-    own_budget_ = std::make_unique<SharedBudget>(SharedBudgetConfig{
-        config_.max_pps, kPumpSlackSlots, config_.registry});
+    own_budget_ = std::make_unique<SharedBudget>(
+        SharedBudgetConfig{config_.max_pps, config_.registry});
     budget_ = own_budget_.get();
   }
   budget_id_ =
@@ -158,7 +154,7 @@ SubmitResult ScanEngine::try_submit(const net::Ipv6Address& target,
                                     Dataset lane) {
   simnet::SimTime now = network_.now();
   auto it = last_scan_.find(target);
-  if (it != last_scan_.end() && now - it->second < config_.rescan_blackout) {
+  if (it != last_scan_.end() && now - it->second < kRescanBlackout) {
     skipped_blackout_.inc();
     return SubmitResult::kBlackout;
   }
@@ -270,8 +266,7 @@ void ScanEngine::refill_from_sources() {
       simnet::SimTime now = network_.now();
       for (const auto& target : batch) {
         auto it = last_scan_.find(target);
-        if (it != last_scan_.end() &&
-            now - it->second < config_.rescan_blackout) {
+        if (it != last_scan_.end() && now - it->second < kRescanBlackout) {
           skipped_blackout_.inc();
           continue;
         }
@@ -330,9 +325,9 @@ void ScanEngine::pump() {
   else if (!sources_.empty())
     refill_deferred_.inc();
   // Launch every due intent the budget grants a token for, inline: one
-  // timer wake covers the whole banked batch (up to burst_slots + 1), so a
+  // timer wake covers the whole banked batch (up to kBurstSlots + 1), so a
   // saturated sweep pays ~1 event per batch instead of one per probe.
-  if (!quarantine_.empty()) drain_quarantine(now);
+  drain_quarantine(now);
   while (const ScanIntent* next = queue_.peek_due(now)) {
     if (network_.route_withdrawn(next->target, now)) {
       // Withdrawn route: the target is *unreachable*, not unresponsive.
@@ -341,6 +336,7 @@ void ScanEngine::pump() {
       ScanIntent intent = *queue_.pull_due(now);
       end_stage_span(intent, quarantine_name_);
       route_deferred_.inc();
+      parked_lanes_ |= lane_bit(intent.dataset);
       quarantine_.push_back(std::move(intent));
       continue;
     }
@@ -411,7 +407,7 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
   if (breaker_) breaker_->on_outcome(record.target, !timeout, now);
   if (intent.attempt > 0 && record.outcome == Outcome::kSuccess)
     retry_success_.inc();
-  const RetryPolicy& policy = retry_[static_cast<std::size_t>(record.protocol)];
+  const RetryPolicy& policy = config_.retry;
   if (timeout && intent.attempt < policy.max_retries) {
     std::uint32_t attempt = intent.attempt + 1u;
     simnet::SimDuration delay = policy.backoff(attempt, rng_);
@@ -452,33 +448,37 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
 }
 
 void ScanEngine::drain_quarantine(simnet::SimTime now) {
-  if (quarantine_.empty()) return;
+  // Nothing can leave while every lane holding a parked intent is full.
+  bool room = false;
+  for (std::size_t d = 0; d < kDatasetCount; ++d)
+    room |= (parked_lanes_ >> d & 1u) != 0 &&
+            !queue_.full(static_cast<Dataset>(d));
+  if (!room) return;
   std::size_t kept = 0;
+  std::uint8_t parked_lanes = 0;
   bool staged = false;
-  for (std::size_t i = 0; i < quarantine_.size(); ++i) {
-    ScanIntent& intent = quarantine_[i];
-    if (network_.route_withdrawn(intent.target, now)) {
-      quarantine_[kept++] = std::move(intent);  // still unrouted: keep parked
+  for (ScanIntent& intent : quarantine_) {
+    // Still unrouted, or its lane has no room: keep it parked (FIFO), with
+    // no staging span; the next announce commit or pump wake retries.
+    if (queue_.full(intent.dataset) ||
+        network_.route_withdrawn(intent.target, now)) {
+      parked_lanes |= lane_bit(intent.dataset);
+      quarantine_[kept++] = std::move(intent);
       continue;
     }
-    ScanIntent again = std::move(intent);
-    again.not_before = now;
+    intent.not_before = now;
     // Back into staging on the same trace: a fresh staging span covers the
     // re-queued wait, exactly like a retry re-stage.
-    if (config_.tracer && again.trace != 0)
-      again.stage_span = config_.tracer->open(stage_name_, again.trace);
-    if (queue_.push(again)) {
-      route_requeued_.inc();
-      staged = true;
-      continue;
-    }
-    // Lane full: stay quarantined; the next announce commit or pump wake
-    // retries, so the intent cannot strand.
-    if (config_.tracer) config_.tracer->close(again.stage_span);
-    again.stage_span = obs::Tracer::kNoSpan;
-    quarantine_[kept++] = std::move(again);
+    if (config_.tracer && intent.trace != 0)
+      intent.stage_span = config_.tracer->open(stage_name_, intent.trace);
+    bool ok = queue_.push(std::move(intent));
+    assert(ok && "the lane had room");
+    (void)ok;
+    route_requeued_.inc();
+    staged = true;
   }
   quarantine_.resize(kept);
+  parked_lanes_ = parked_lanes;
   if (staged) {
     pending_gauge_.set(static_cast<std::int64_t>(queue_.size()));
     pending_peak_gauge_.set(static_cast<std::int64_t>(queue_.peak()));

@@ -17,7 +17,7 @@
 // inline against tokens acquired from the budget. An engine running alone
 // on its budget oversleeps by the burst bank and launches the banked batch
 // in one wake, which cuts a saturated sweep's event count by
-// ~kPumpSlackSlots x versus a per-grant wake. Engines contending for one
+// ~kBurstSlots x versus a per-grant wake. Engines contending for one
 // budget (the full study's two) get no such batching and wake about once
 // per grant. A full lane applies backpressure to the submitter, and
 // registered bulk sources are pulled chunk-by-chunk as staging room frees
@@ -70,16 +70,11 @@ struct ScanEngineConfig {
   double budget_weight = 1.0;
   simnet::SimDuration min_protocol_delay = simnet::sec(10);
   simnet::SimDuration max_protocol_delay = simnet::minutes(10);
-  simnet::SimDuration rescan_blackout = simnet::days(3);
-  /// Per-probe guard: a probe with no conclusion by then records kTimeout.
-  simnet::SimDuration probe_timeout = simnet::sec(8);
-  /// TCP connect give-up (must not exceed probe_timeout, or connects would
-  /// outlive their own probe guard).
+  /// TCP connect give-up (must not exceed ScanEngine::kProbeTimeout, or
+  /// connects would outlive their own probe guard).
   simnet::SimDuration connect_timeout = simnet::sec(5);
-  /// Retry schedule applied to every protocol (default: no retries) …
+  /// Retry schedule applied to every protocol (default: no retries).
   RetryPolicy retry;
-  /// … with optional per-protocol overrides (index by Protocol).
-  std::array<std::optional<RetryPolicy>, kProtocolCount> retry_by_proto{};
   /// Per-routed-prefix circuit breaking (default off).
   BreakerConfig breaker;
   /// Per-dataset-lane cap on staged probe intents: bounds pending_depth()
@@ -115,6 +110,12 @@ enum class SubmitResult : std::uint8_t {
 
 class ScanEngine {
  public:
+  /// A target accepted for scanning is skipped for this long afterwards
+  /// (the paper's ethical-scanning rule, Section 4.1).
+  static constexpr simnet::SimDuration kRescanBlackout = simnet::days(3);
+  /// Per-probe guard: a probe with no conclusion by then records kTimeout.
+  static constexpr simnet::SimDuration kProbeTimeout = simnet::sec(8);
+
   /// Pull source for bulk feeds: return up to `max_n` fresh targets; an
   /// empty result marks the source as drained and unregisters it. Called
   /// repeatedly as staging room frees up; the source must advance its own
@@ -126,7 +127,7 @@ class ScanEngine {
 
   /// Throws std::invalid_argument on inverted protocol-delay ranges,
   /// non-positive max_pps (private budget), non-positive budget_weight,
-  /// or a zero max_pending.
+  /// a zero max_pending, or a connect_timeout outside (0, kProbeTimeout].
   ScanEngine(simnet::Network& network, ResultStore& results,
              ScanEngineConfig config);
   ~ScanEngine();
@@ -200,7 +201,7 @@ class ScanEngine {
     return breaker_ ? &*breaker_ : nullptr;
   }
   /// Pump wake-ups (coalesced timer firings). A saturated sweep on an
-  /// uncontended budget launches ~(kPumpSlackSlots + 1) probes per wake, so
+  /// uncontended budget launches ~(kBurstSlots + 1) probes per wake, so
   /// this stays well under probes_launched(); under contention it is ~one
   /// wake per grant.
   std::uint64_t pump_wakes() const { return pump_wakes_.value(); }
@@ -215,7 +216,7 @@ class ScanEngine {
 
   /// Virtual-time wait the token bucket imposed on each granted slot (us):
   /// launch time minus the consumed token's accrual time. Bounded by the
-  /// budget's burst bank (~kPumpSlackSlots token gaps).
+  /// budget's burst bank (~kBurstSlots token gaps).
   const obs::Histogram& token_wait() const { return token_wait_; }
   /// Staging delay per probe (us): launch time minus the intent's
   /// not-before time. Shows token starvation of a backlogged lane.
@@ -234,11 +235,6 @@ class ScanEngine {
   std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
 
  private:
-  /// Token gaps the budget may bank for a private budget — the burst a
-  /// single pump wake launches at most (plus one), and therefore the bound
-  /// on token_wait. Shared budgets configure their own burst.
-  static constexpr std::int64_t kPumpSlackSlots = 2;
-
   /// Stage the first-protocol intent for an accepted target.
   void stage_target(const net::Ipv6Address& target, Dataset lane);
   /// Mint the next seed-stable TraceId for `lane` (staging order is
@@ -271,7 +267,8 @@ class ScanEngine {
   void shed_probe(const ScanIntent& intent, simnet::SimTime now);
   /// Re-stage quarantined intents whose routes have been re-announced
   /// (runs at route-announce commits and at every pump wake, so lane-full
-  /// parks cannot strand).
+  /// parks retry). A no-op while every lane holding a parked intent is
+  /// full; an intent its lane cannot take gets no staging span.
   void drain_quarantine(simnet::SimTime now);
   /// Probe completion: breaker feedback, retry re-staging, result tally.
   void finish_probe(const ScanIntent& intent, ScanRecord record);
@@ -285,8 +282,6 @@ class ScanEngine {
   ResultStore& results_;
   ScanEngineConfig config_;
   util::Rng rng_;
-  /// Resolved per-protocol retry policies (config.retry plus overrides).
-  std::array<RetryPolicy, kProtocolCount> retry_{};
   std::optional<CircuitBreakerSet> breaker_;
 
   std::unordered_map<net::Ipv6Address, simnet::SimTime, net::Ipv6AddressHash>
@@ -295,6 +290,11 @@ class ScanEngine {
   /// Intents pulled due while their target sat in withdrawn space: parked
   /// FIFO here (no token, no record) until re-announcement re-stages them.
   std::vector<ScanIntent> quarantine_;
+  /// Bit d set: a quarantined intent waits for room in Dataset lane d.
+  std::uint8_t parked_lanes_ = 0;
+  static std::uint8_t lane_bit(Dataset lane) {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(lane));
+  }
   struct Source {
     SourceFn fn;
     Dataset lane;

@@ -207,7 +207,7 @@ void ScanEngine::probe_tcp(const simnet::Endpoint& src, ScanRecord base,
   state->record = std::move(base);
   state->done = std::move(done);
   // The guard: a probe nothing finished by then records a timeout.
-  network_.events().schedule_in(config_.probe_timeout, probe_cat_, [state] {
+  network_.events().schedule_in(kProbeTimeout, probe_cat_, [state] {
     state->finish(Outcome::kTimeout);
   });
 
@@ -279,7 +279,7 @@ void ScanEngine::probe_coap(const simnet::Endpoint& src, ScanRecord base,
   network_.send_udp(src, dst, request.serialize());
 
   // UDP silence (no listener, lost packet, filtered) = timeout.
-  network_.events().schedule_in(config_.probe_timeout, probe_cat_, [state] {
+  network_.events().schedule_in(kProbeTimeout, probe_cat_, [state] {
     state->finish(Outcome::kTimeout);
   });
 }

@@ -1,22 +1,16 @@
 #include "simnet/event_queue.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
+#include "obs/trace.hpp"
 
 namespace tts::simnet {
 
 namespace {
-
-std::int64_t wall_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
@@ -250,9 +244,9 @@ void EventQueue::dispatch(Domain& dom, Entry e) {
   executed_ctr_.inc();
   categories_[e.cat].executed->inc();
   if (time_dispatch_ && (executed_ctr_.value() & dispatch_mask_) == 0) {
-    std::int64_t t0 = wall_ns();
+    std::int64_t t0 = obs::Tracer::wall_clock_ns();
     e.fn();
-    std::int64_t wall = wall_ns() - t0;
+    std::int64_t wall = obs::Tracer::wall_clock_ns() - t0;
     dispatch_wall_.record(wall);
     categories_[e.cat].wall->record(wall);
     note_slow_dispatch(dom.now, wall, e.cat);
@@ -336,10 +330,10 @@ void EventQueue::exec_domain(DomainId d, SimTime bound) {
 }
 
 void EventQueue::exec_shard(std::uint32_t shard, SimTime bound) {
-  std::int64_t t0 = time_dispatch_ ? wall_ns() : 0;
+  std::int64_t t0 = time_dispatch_ ? obs::Tracer::wall_clock_ns() : 0;
   for (DomainId d = shard; d < domains_.size(); d += shards_)
     exec_domain(d, bound);
-  if (time_dispatch_) shard_wall_[shard] = wall_ns() - t0;
+  if (time_dispatch_) shard_wall_[shard] = obs::Tracer::wall_clock_ns() - t0;
 }
 
 void EventQueue::worker_loop() {

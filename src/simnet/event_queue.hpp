@@ -123,7 +123,6 @@ class EventQueue {
   void attach_metrics(obs::Registry& registry, obs::Labels labels = {},
                       bool time_dispatch = true);
 
-  void enable_dispatch_timing(bool on) { time_dispatch_ = on; }
   /// Time only every `every`-th event (rounded down to a power of two;
   /// default 1 = every event). Sampling keeps the two steady_clock reads
   /// off most dispatches — at study scale the full-timing cost dominates

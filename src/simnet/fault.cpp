@@ -41,7 +41,8 @@ void FaultPlane::set_flight_recorder(obs::FlightRecorder* recorder) {
   fault_notes_[kNoteTcpStall] = flight_->note("tcp_stall");
 }
 
-void FaultPlane::inject(InjectNote which) {
+void FaultPlane::inject(obs::Counter& counter, InjectNote which) {
+  counter.inc();
   if (flight_)
     flight_->record(obs::FlightKind::kFaultInjected, fault_notes_[which]);
 }
@@ -90,44 +91,8 @@ FaultPlane::UdpVerdict FaultPlane::on_udp(const net::Ipv6Address& src,
                                           const net::Ipv6Address& dst,
                                           std::uint16_t dst_port, SimTime now,
                                           DomainId domain) {
-  util::Rng& rng = domain_rng(domain);
-  UdpVerdict verdict;
-  if (host_down(dst, now)) {
-    udp_host_down_.inc();
-    inject(kNoteUdpHostDown);
-    verdict.drop = true;
-    return verdict;
-  }
-  for (const FaultRule& rule : scenario_.rules) {
-    if (!rule.udp || !rule.active(now) || !rule.matches(src, dst, dst_port))
-      continue;
-    switch (rule.kind) {
-      case FaultKind::kBlackhole:
-        udp_dropped_.inc();
-        inject(kNoteUdpDrop);
-        verdict.drop = true;
-        return verdict;
-      case FaultKind::kLoss:
-        if (rng.chance(rule.probability)) {
-          udp_dropped_.inc();
-          inject(kNoteUdpDrop);
-          verdict.drop = true;
-          return verdict;
-        }
-        break;
-      case FaultKind::kDelay:
-        verdict.extra_latency += rule.added_latency;
-        if (rule.added_jitter > 0)
-          verdict.extra_latency += static_cast<SimDuration>(
-              rng.below(static_cast<std::uint64_t>(rule.added_jitter)));
-        break;
-      case FaultKind::kRst:
-      case FaultKind::kStall:
-        break;  // TCP-only semantics; no effect on datagrams
-    }
-  }
-  if (verdict.extra_latency > 0) delays_injected_.inc();
-  return verdict;
+  TcpVerdict v = walk<Transport::kUdp>(src, dst, dst_port, now, domain);
+  return UdpVerdict{v.action != TcpAction::kNone, v.extra_latency};
 }
 
 FaultPlane::TcpVerdict FaultPlane::on_tcp_connect(const net::Ipv6Address& src,
@@ -135,41 +100,47 @@ FaultPlane::TcpVerdict FaultPlane::on_tcp_connect(const net::Ipv6Address& src,
                                                   std::uint16_t dst_port,
                                                   SimTime now,
                                                   DomainId domain) {
+  return walk<Transport::kTcp>(src, dst, dst_port, now, domain);
+}
+
+template <FaultPlane::Transport kTransport>
+FaultPlane::TcpVerdict FaultPlane::walk(const net::Ipv6Address& src,
+                                        const net::Ipv6Address& dst,
+                                        std::uint16_t dst_port, SimTime now,
+                                        DomainId domain) {
   util::Rng& rng = domain_rng(domain);
+  constexpr bool tcp = kTransport == Transport::kTcp;
   TcpVerdict verdict;
-  if (host_down(dst, now)) {
-    tcp_blackholed_.inc();
-    inject(kNoteTcpBlackhole);
-    verdict.action = TcpAction::kBlackhole;
+  auto hit = [&](obs::Counter& counter, InjectNote note, TcpAction action) {
+    inject(counter, note);
+    verdict.action = action;
     return verdict;
-  }
+  };
+  // A dropped datagram and a vanished SYN (a lost SYN looks like a
+  // blackhole) are the same verdict, counted per transport.
+  auto drop = [&] {
+    return tcp ? hit(tcp_blackholed_, kNoteTcpBlackhole, TcpAction::kBlackhole)
+               : hit(udp_dropped_, kNoteUdpDrop, TcpAction::kBlackhole);
+  };
+  if (host_down(dst, now))
+    return tcp ? drop()
+               : hit(udp_host_down_, kNoteUdpHostDown, TcpAction::kBlackhole);
   for (const FaultRule& rule : scenario_.rules) {
-    if (!rule.tcp || !rule.active(now) || !rule.matches(src, dst, dst_port))
+    if (!(tcp ? rule.tcp : rule.udp) || !rule.active(now) ||
+        !rule.matches(src, dst, dst_port))
       continue;
     switch (rule.kind) {
       case FaultKind::kBlackhole:
-        tcp_blackholed_.inc();
-        inject(kNoteTcpBlackhole);
-        verdict.action = TcpAction::kBlackhole;
-        return verdict;
+        return drop();
       case FaultKind::kLoss:
-        if (rng.chance(rule.probability)) {
-          tcp_blackholed_.inc();  // a lost SYN looks like a blackhole
-          inject(kNoteTcpBlackhole);
-          verdict.action = TcpAction::kBlackhole;
-          return verdict;
-        }
+        if (rng.chance(rule.probability)) return drop();
         break;
       case FaultKind::kRst:
-        tcp_rst_.inc();
-        inject(kNoteTcpRst);
-        verdict.action = TcpAction::kRst;
-        return verdict;
+        if (!tcp) break;  // TCP-only semantics; no effect on datagrams
+        return hit(tcp_rst_, kNoteTcpRst, TcpAction::kRst);
       case FaultKind::kStall:
-        tcp_stalled_.inc();
-        inject(kNoteTcpStall);
-        verdict.action = TcpAction::kStall;
-        return verdict;
+        if (!tcp) break;
+        return hit(tcp_stalled_, kNoteTcpStall, TcpAction::kStall);
       case FaultKind::kDelay:
         verdict.extra_latency += rule.added_latency;
         if (rule.added_jitter > 0)

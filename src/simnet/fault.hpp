@@ -223,7 +223,16 @@ class FaultPlane {
     kNoteTcpStall,
     kNoteCount,
   };
-  void inject(InjectNote which);
+  enum class Transport : std::uint8_t { kUdp, kTcp };
+  /// The one verdict walk both transports share: host outage first, then
+  /// the rules in declaration order. A UDP drop comes back as kBlackhole.
+  /// The transport is a template argument so each instantiation's rule
+  /// loop tests only its own flag, as fast as a walk written per transport.
+  template <Transport kTransport>
+  TcpVerdict walk(const net::Ipv6Address& src, const net::Ipv6Address& dst,
+                  std::uint16_t dst_port, SimTime now, DomainId domain);
+  /// Count one terminal injection and report it to the flight recorder.
+  void inject(obs::Counter& counter, InjectNote which);
 
   util::Rng& domain_rng(DomainId domain) {
     if (domain < rngs_.size()) return rngs_[domain];

@@ -90,4 +90,14 @@ std::string hex(const std::uint8_t* data, std::size_t len) {
   return out;
 }
 
+std::string hex64(std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  do {
+    out.insert(out.begin(), kDigits[value & 0xf]);
+    value >>= 4;
+  } while (value != 0);
+  return out;
+}
+
 }  // namespace tts::util

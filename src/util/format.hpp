@@ -54,4 +54,7 @@ void append_hex_byte(std::string& out, std::uint8_t byte);
 /// Hex-encode a byte span.
 std::string hex(const std::uint8_t* data, std::size_t len);
 
+/// Lowercase hex digits of `value`, no leading zeros and no prefix.
+std::string hex64(std::uint64_t value);
+
 }  // namespace tts::util

@@ -67,7 +67,7 @@ TEST(BudgetHarness, RandomisedScenariosNeverExceedCapInAnyWindow) {
   for (int iter = 0; iter < 12; ++iter) {
     Scenario s = random_scenario(rng);
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, 2, nullptr});
+    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
     auto grants = run_scenario(s, budget, events);
 
     std::uint64_t total = 0;
@@ -94,7 +94,7 @@ TEST(BudgetHarness, SaturatedSharesConvergeToWeightsAndNobodyStarves) {
   for (int iter = 0; iter < 12; ++iter) {
     Scenario s = random_scenario(rng);
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, 2, nullptr});
+    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
     auto grants = run_scenario(s, budget, events);
 
     // All clients are backlogged until the earliest last-grant time; the
@@ -134,7 +134,7 @@ TEST(BudgetHarness, SameScenarioGivesBitIdenticalGrantSequences) {
   Scenario s = random_scenario(rng);
   auto run_once = [&] {
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, 2, nullptr});
+    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
     return run_scenario(s, budget, events);
   };
   auto a = run_once();
@@ -145,7 +145,7 @@ TEST(BudgetHarness, SameScenarioGivesBitIdenticalGrantSequences) {
 
 TEST(BudgetHarness, IdleShareIsLentAndReclaimedWithinOneGap) {
   simnet::EventQueue events;
-  SharedBudget budget(SharedBudgetConfig{1000, 2, nullptr});  // gap = 1 ms
+  SharedBudget budget(SharedBudgetConfig{1000, nullptr});  // gap = 1 ms
   GrantLog log;
   log.attach(budget);
   FakePacer a(events, budget, "a", 1.0);
@@ -181,7 +181,7 @@ TEST(BudgetHarness, FractionalGapRateIsExactOverLongWindows) {
   // [0, 600 s).
   auto run_once = [] {
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{4096, 2, nullptr});
+    SharedBudget budget(SharedBudgetConfig{4096, nullptr});
     GrantLog log;
     log.attach(budget);
     FakePacer pacer(events, budget, "solo", 1.0);
@@ -203,13 +203,11 @@ TEST(BudgetHarness, FractionalGapRateIsExactOverLongWindows) {
 }
 
 TEST(BudgetHarness, ConfigValidation) {
-  EXPECT_THROW(SharedBudget(SharedBudgetConfig{0, 2, nullptr}),
+  EXPECT_THROW(SharedBudget(SharedBudgetConfig{0, nullptr}),
                std::invalid_argument);
-  EXPECT_THROW(SharedBudget(SharedBudgetConfig{-5, 2, nullptr}),
+  EXPECT_THROW(SharedBudget(SharedBudgetConfig{-5, nullptr}),
                std::invalid_argument);
-  EXPECT_THROW(SharedBudget(SharedBudgetConfig{100, -1, nullptr}),
-               std::invalid_argument);
-  SharedBudget ok(SharedBudgetConfig{100, 0, nullptr});
+  SharedBudget ok(SharedBudgetConfig{100, nullptr});
   EXPECT_THROW(ok.add_client("bad", 0.0), std::invalid_argument);
   EXPECT_THROW(ok.add_client("bad", -1.0), std::invalid_argument);
 }

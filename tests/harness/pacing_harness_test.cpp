@@ -76,7 +76,7 @@ class PacingHarness : public ::testing::Test {
 };
 
 TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
-  SharedBudget budget(SharedBudgetConfig{1000, 2, nullptr});
+  SharedBudget budget(SharedBudgetConfig{1000, nullptr});
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,
@@ -110,7 +110,7 @@ TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
 }
 
 TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
-  SharedBudget budget(SharedBudgetConfig{2000, 2, nullptr});
+  SharedBudget budget(SharedBudgetConfig{2000, nullptr});
   ScanEngine ntp(network_, results_,
                  engine_config(Dataset::kNtp, 0xb1, &budget, 3.0));
   ScanEngine hitlist(network_, results_,
@@ -131,7 +131,7 @@ TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
 }
 
 TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
-  SharedBudget budget(SharedBudgetConfig{1000, 2, nullptr});
+  SharedBudget budget(SharedBudgetConfig{1000, nullptr});
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,

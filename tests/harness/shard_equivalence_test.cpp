@@ -6,6 +6,8 @@
 // packet into an already-committed window (zero violations).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "harness.hpp"
@@ -105,6 +107,20 @@ TEST(ShardEquivalence, BarrierProtocolNeverViolatesCommittedWindows) {
     EXPECT_GT(run.windows, 0u) << shards << " shards";
     EXPECT_EQ(run.violations, 0u) << shards << " shards";
   }
+}
+
+TEST(ShardEquivalence, ObservabilityOnKeepsReportsBitIdentical) {
+  // With obs on, shard executors on worker threads write the flight
+  // recorder, the registry histograms and the dispatch profiler. The
+  // slow-dispatch threshold is out of reach so no wall-time trigger can
+  // make the run depend on the host.
+  auto observed = [](std::uint32_t shards) {
+    auto config = shard_config(shards);
+    config.obs.enabled = true;
+    config.obs.slow_dispatch_ns = std::numeric_limits<std::int64_t>::max();
+    return config;
+  };
+  EXPECT_EQ(run_study(observed(1)).report, run_study(observed(2)).report);
 }
 
 TEST(ShardEquivalence, ShardedRunsStaySeedSensitive) {

@@ -5,11 +5,13 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "scan/engine.hpp"
 #include "scan/retry.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/network.hpp"
+#include "simnet/route.hpp"
 #include "util/rng.hpp"
 
 namespace tts::scan {
@@ -385,6 +387,53 @@ TEST_F(RetryEngineTest, BreakerShedsConservesRecordsAndRecloses) {
   EXPECT_EQ(results_.total(config.dataset), chains);
   EXPECT_EQ(results_.total(config.dataset),
             engine.probes_completed() + engine.breaker_shed());
+}
+
+TEST_F(RetryEngineTest, ReParkingAQuarantinedIntentOpensNoStageSpan) {
+  // kNetA is withdrawn from t=0 to 30 s: its target parks in the route
+  // quarantine. At the announce, two routed chains (kNetB, started 4 s
+  // apart, 10 s between protocols) hold both staging slots, so every drain
+  // until the first chain ends re-parks the intent; the second chain's
+  // last wake then finds room and re-stages it.
+  simnet::RouteScenario routes;
+  routes.convergence = 0;
+  routes.withdraw(net::Ipv6Prefix(addr(kNetA, 0), 32), 0);
+  routes.announce(net::Ipv6Prefix(addr(kNetA, 0), 32), simnet::sec(30));
+  network_.install_routes(std::move(routes));
+
+  obs::Tracer tracer;
+  tracer.set_sim_clock(&events_);
+  auto config = fast_config();
+  config.min_protocol_delay = simnet::sec(10);
+  config.max_protocol_delay = simnet::sec(10);
+  config.max_pending = 2;
+  config.tracer = &tracer;
+  ScanEngine engine(network_, results_, config);
+  ASSERT_TRUE(engine.submit(addr(kNetA, 1)));
+  events_.schedule_at(simnet::sec(1),
+                      [&] { EXPECT_TRUE(engine.submit(addr(kNetB, 1))); });
+  events_.schedule_at(simnet::sec(5),
+                      [&] { EXPECT_TRUE(engine.submit(addr(kNetB, 2))); });
+  events_.schedule_at(simnet::sec(31), [&] {
+    EXPECT_EQ(engine.quarantine_depth(), 1u);  // routed, but no room
+  });
+  events_.run();
+
+  EXPECT_EQ(engine.route_deferred(), 1u);
+  EXPECT_EQ(engine.route_requeued(), 1u);
+  EXPECT_EQ(engine.quarantine_depth(), 0u);
+  EXPECT_EQ(results_.total(config.dataset), 3 * kProtocolCount);
+
+  // The parked intent's trace holds exactly two staging spans: the one the
+  // quarantine closed and the one its re-stage opened.
+  std::uint64_t parked = 0;
+  for (const obs::SpanRecord& rec : tracer.records())
+    if (rec.name == "probe/quarantine") parked = rec.trace;
+  ASSERT_NE(parked, 0u);
+  int stage_spans = 0;
+  for (const obs::SpanRecord& rec : tracer.records())
+    stage_spans += rec.trace == parked && rec.name == "probe/stage";
+  EXPECT_EQ(stage_spans, 2);
 }
 
 TEST_F(RetryEngineTest, ValidatesTimeoutAndRetryConfig) {

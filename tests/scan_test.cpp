@@ -103,7 +103,6 @@ TEST_F(ScanTest, SuccessRecordsCarryPayloads) {
 
 TEST_F(ScanTest, BlackoutSuppressesRescans) {
   auto config = fast_config();
-  config.rescan_blackout = simnet::days(3);
   ScanEngine engine(network_, results_, config);
 
   EXPECT_TRUE(engine.submit(addr(5)));

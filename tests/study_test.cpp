@@ -160,11 +160,12 @@ TEST_F(StudyTest, ScanStagingStaysBoundedAndSweepDrains) {
   EXPECT_LE(s.hitlist_engine()->pending_peak(), s.config().scan_max_pending);
   ASSERT_NE(s.ntp_engine(), nullptr);
   EXPECT_LE(s.ntp_engine()->pending_peak(), s.config().scan_max_pending);
-  // The chunked feeder handed over the full hitlist before the run ended.
-  ASSERT_NE(s.hitlist_sweeper(), nullptr);
-  EXPECT_TRUE(s.hitlist_sweeper()->drained());
-  EXPECT_EQ(s.hitlist_sweeper()->fed(), s.hitlist_sweeper()->total());
-  EXPECT_GT(s.hitlist_sweeper()->total(), 1000u);
+  // The bulk feed handed over the full hitlist before the run ended.
+  EXPECT_EQ(s.hitlist_engine()->sources_pending(), 0u);
+  EXPECT_EQ(s.hitlist_engine()->submitted() +
+                s.hitlist_engine()->skipped_blackout(),
+            s.hitlist().full.size());
+  EXPECT_GT(s.hitlist().full.size(), 1000u);
 }
 
 TEST_F(StudyTest, HitlistOverlapIsPartial) {
