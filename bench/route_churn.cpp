@@ -1,16 +1,22 @@
-// Route-plane churn bench: verdict-lookup throughput against a RoutePlane
-// compiled from 1,000 scripted flap events over 64 prefixes, and the
-// end-to-end cost of the reachability check on the UDP hot path — the same
-// scripted send schedule driven through a Network with and without the
-// plane installed.
+// Impairment-plane bench: verdict-lookup throughput against a RoutePlane
+// compiled from 1,000 scripted flap events over 64 prefixes, the end-to-end
+// cost of the reachability check on the UDP hot path (the same scripted
+// send schedule driven through a Network with and without the plane
+// installed), and a fault-rule sweep: the same schedule under a FaultPlane
+// scripted with 1/10/100/1000 /48 rules plus one forever eyeball-style loss
+// rule, so every verdict draws.
 //
 // The perf-smoke lane compares the emitted sample against the committed
-// BENCH_route_churn.json; the flap/transition/blackhole counts are
-// sim-deterministic (the plane is a pure function of the script), the
-// *_per_sec_wall rates are machine-dependent. The binary also self-gates:
-// installing the plane must keep at least 95% of the plane-off send
-// throughput (nonzero exit otherwise) — the verdict runs before any RNG
-// draw, so the only admissible cost is the LPM probe itself.
+// BENCH_route_churn.json; the flap/transition/blackhole/fault counts are
+// sim-deterministic (both planes are pure functions of their script and
+// seed), the *_per_sec_wall rates and *_ns timings are machine-dependent.
+// The binary self-gates on two ratios (nonzero exit if either fails):
+// installing the route plane must keep at least 95% of the plane-off send
+// throughput — the verdict runs before any RNG draw, so the only
+// admissible cost is the prefix-index probe itself — and sends under
+// 1,000 fault rules must keep at least 80% of the throughput under one
+// rule: a fault verdict visits only the rules covering the packet, so its
+// cost must not grow with the rule count.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +27,7 @@
 
 #include "common.hpp"
 #include "simnet/event_queue.hpp"
+#include "simnet/fault.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route.hpp"
 #include "util/rng.hpp"
@@ -36,6 +43,8 @@ constexpr std::size_t kLookups = 2'000'000;
 constexpr std::size_t kSendBatches = 500;  // scripted send schedule
 constexpr std::size_t kSendsPerBatch = 1200;
 constexpr int kSendReps = 16;  // interleaved off/on pairs (noise rejection)
+constexpr std::size_t kRuleCounts[] = {1, 10, 100, 1000};  // fault sweep
+constexpr int kSweepReps = 8;  // interleaved rounds over kRuleCounts
 
 /// The i-th flapped /32 (2001:100+i::/32) — scripted space.
 net::Ipv6Prefix flapped(std::size_t i) {
@@ -87,16 +96,47 @@ struct SendRun {
   std::uint64_t blackholed = 0;
 };
 
-/// Drive the scripted send schedule through a Network, with or without the
-/// churn scenario installed: kSendBatches events spread across the flap
-/// timeline, each sending kSendsPerBatch datagrams into always-routed
-/// space plus one into the flapped space (so the with-plane run also
-/// exercises the down-window probe, deterministically). The plane-off run
-/// schedules a no-op tick at each of the plane's transition instants, so
-/// both configurations execute the identical event schedule and the
-/// measured ratio isolates the per-send verdict cost — not the event-queue
-/// population effect of 1k extra pending events, which at study scale
-/// (millions of probes per flap) is noise.
+/// Drive the scripted send schedule through `network`: kSendBatches events
+/// spread across the flap timeline, each sending kSendsPerBatch datagrams
+/// to `sink` (bound, so a delivered datagram runs a handler) plus one to
+/// probe(batch), so a run also exercises the plane's hit path,
+/// deterministically.
+template <typename Probe>
+SendRun drive_sends(simnet::EventQueue& events, simnet::Network& network,
+                    const net::Ipv6Address& sink, Probe probe) {
+  SendRun out;
+  network.bind_udp({sink, 123}, [&out](const simnet::Datagram&) {
+    ++out.delivered;
+  });
+  simnet::SimTime span = churn_horizon();
+  for (std::size_t b = 0; b < kSendBatches; ++b) {
+    simnet::SimTime at =
+        span / static_cast<std::int64_t>(kSendBatches) *
+        static_cast<std::int64_t>(b);
+    events.schedule_at(at, [&network, &sink, &probe, b] {
+      for (std::size_t s = 0; s < kSendsPerBatch; ++s)
+        network.send_udp({routed_addr(2), 1}, {sink, 123}, {1});
+      network.send_udp({routed_addr(2), 1}, {probe(b), 123}, {1});
+    });
+  }
+  std::int64_t t0 = bench::bench_wall_ns();
+  events.run();
+  out.wall_seconds =
+      static_cast<double>(bench::bench_wall_ns() - t0) / 1e9;
+  auto total =
+      static_cast<double>(kSendBatches * (kSendsPerBatch + 1));
+  out.sends_per_sec =
+      out.wall_seconds > 0 ? total / out.wall_seconds : 0;
+  return out;
+}
+
+/// The send schedule with or without the churn scenario installed, into
+/// always-routed space plus one datagram per batch into the flapped space.
+/// The plane-off run schedules a no-op tick at each of the plane's
+/// transition instants, so both configurations execute the identical event
+/// schedule and the measured ratio isolates the per-send verdict cost —
+/// not the event-queue population effect of 1k extra pending events, which
+/// at study scale (millions of probes per flap) is noise.
 SendRun run_sends(bool with_plane) {
   simnet::EventQueue events;
   simnet::Network network(events);
@@ -108,34 +148,92 @@ SendRun run_sends(bool with_plane) {
                              simnet::sec(30),
                          [] {});
   }
-
-  SendRun out;
-  net::Ipv6Address sink = routed_addr(1);
-  network.bind_udp({sink, 123}, [&out](const simnet::Datagram&) {
-    ++out.delivered;
-  });
-  simnet::SimTime span = churn_horizon();
-  for (std::size_t b = 0; b < kSendBatches; ++b) {
-    simnet::SimTime at =
-        span / static_cast<std::int64_t>(kSendBatches) *
-        static_cast<std::int64_t>(b);
-    events.schedule_at(at, [&network, &sink, b] {
-      for (std::size_t s = 0; s < kSendsPerBatch; ++s)
-        network.send_udp({routed_addr(2), 1}, {sink, 123}, {1});
-      network.send_udp({routed_addr(2), 1},
-                       {flapped_addr(b % kPrefixes, 9), 123}, {1});
-    });
-  }
-  std::int64_t t0 = bench::bench_wall_ns();
-  events.run();
-  out.wall_seconds =
-      static_cast<double>(bench::bench_wall_ns() - t0) / 1e9;
-  auto total =
-      static_cast<double>(kSendBatches * (kSendsPerBatch + 1));
-  out.sends_per_sec =
-      out.wall_seconds > 0 ? total / out.wall_seconds : 0;
+  SendRun out = drive_sends(events, network, routed_addr(1),
+                            [](std::size_t b) {
+                              return flapped_addr(b % kPrefixes, 9);
+                            });
   if (with_plane) out.blackholed = network.routes()->blackholed();
   return out;
+}
+
+// ---- fault-rule sweep -------------------------------------------------------
+
+/// The eyeball-style /32 every sweep rule lives in (2a02:1000::/32).
+constexpr std::uint64_t kEyeballHi = 0x2a02100000000000ULL;
+
+/// The i-th fault rule's /48, 2a02:1000:<i+1>::/48.
+net::Ipv6Prefix rule_net(std::size_t i) {
+  return net::Ipv6Prefix(
+      net::Ipv6Address::from_halves(
+          kEyeballHi | (static_cast<std::uint64_t>(i + 1) << 16), 0),
+      48);
+}
+
+/// `rules` /48 rules (a third blackhole, the rest 30% loss) in staggered
+/// windows over the send timeline, then one forever 20% loss rule over the
+/// whole eyeball /32: the shape of a partial-outage script over an eyeball
+/// AS.
+simnet::FaultScenario fault_scenario(std::size_t rules) {
+  simnet::FaultScenario scenario;
+  simnet::SimTime quarter = churn_horizon() / 4;
+  for (std::size_t i = 0; i < rules; ++i) {
+    simnet::SimTime from = quarter * static_cast<std::int64_t>(i % 4);
+    scenario.rules.push_back(
+        {.prefix = rule_net(i),
+         .kind = i % 3 == 0 ? simnet::FaultKind::kBlackhole
+                            : simnet::FaultKind::kLoss,
+         .from = from,
+         .until = from + 2 * quarter,
+         .probability = 0.3});
+  }
+  scenario.rules.push_back(
+      {.prefix = net::Ipv6Prefix(net::Ipv6Address::from_halves(kEyeballHi, 0),
+                                 32),
+       .kind = simnet::FaultKind::kLoss,
+       .probability = 0.2});
+  return scenario;
+}
+
+struct FaultRun {
+  SendRun sends;
+  std::uint64_t dropped = 0;
+};
+
+/// The send schedule under fault_scenario(rules): the sink sits in the
+/// eyeball /32 outside every rule's /48, so each of its verdicts draws
+/// once (for the eyeball loss rule) at every rule count, and each batch's
+/// probe lands inside one of the /48s.
+FaultRun run_fault_sends(std::size_t rules) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  network.install_faults(fault_scenario(rules));
+  // 2a02:1000:0:1::1, in the /32 but in no rule's /48.
+  net::Ipv6Address sink = net::Ipv6Address::from_halves(kEyeballHi | 0x1, 1);
+  FaultRun out;
+  out.sends = drive_sends(events, network, sink, [rules](std::size_t b) {
+    return net::Ipv6Address::from_halves(
+        rule_net(b % rules).address().hi64() | 0x7, 9);
+  });
+  out.dropped = network.faults()->udp_dropped();
+  return out;
+}
+
+/// Throughput of a configuration relative to a base one, from their
+/// wall-time samples: the better of the minimum-wall ratio (noise only
+/// ever *adds* wall time, so per-config minima converge on clean run
+/// times) and the median-wall ratio (order statistics shrug off outlier
+/// runs), either of which a genuine hot-path regression drags down.
+double throughput_ratio(std::vector<double> base_walls,
+                        std::vector<double> walls) {
+  std::sort(base_walls.begin(), base_walls.end());
+  std::sort(walls.begin(), walls.end());
+  double min_ratio =
+      walls.front() > 0 ? base_walls.front() / walls.front() : 0;
+  double median_ratio = walls[walls.size() / 2] > 0
+                            ? base_walls[base_walls.size() / 2] /
+                                  walls[walls.size() / 2]
+                            : 0;
+  return std::max(min_ratio, median_ratio);
 }
 
 std::string fmt(double v) {
@@ -173,12 +271,8 @@ int main() {
       lookup_s > 0 ? static_cast<double>(kLookups) / lookup_s : 0;
 
   // End-to-end hot-path overhead: kSendReps interleaved off/on runs per
-  // configuration. Scheduler/co-tenant noise on shared runners swings a
-  // single run by 10%+, so the gate uses the better of two noise-robust
-  // estimators — the minimum-wall ratio (noise only ever *adds* wall time,
-  // so per-config minima converge on clean run times) and the median-wall
-  // ratio (order statistics shrug off outlier runs) — either of which a
-  // genuine hot-path regression drags down.
+  // configuration (scheduler/co-tenant noise on shared runners swings a
+  // single run by 10%+), gated on throughput_ratio.
   SendRun on, off;
   std::vector<double> off_walls, on_walls;
   for (int rep = 0; rep < kSendReps; ++rep) {
@@ -189,20 +283,42 @@ int main() {
     if (o.sends_per_sec > off.sends_per_sec) off = o;
     if (w.sends_per_sec > on.sends_per_sec) on = w;
   }
-  std::sort(off_walls.begin(), off_walls.end());
-  std::sort(on_walls.begin(), on_walls.end());
-  double min_ratio = on_walls.front() > 0
-                         ? off_walls.front() / on_walls.front()
-                         : 0;
-  double median_ratio = on_walls[on_walls.size() / 2] > 0
-                            ? off_walls[off_walls.size() / 2] /
-                                  on_walls[on_walls.size() / 2]
-                            : 0;
-  double ratio = std::max(min_ratio, median_ratio);
+  double ratio = throughput_ratio(off_walls, on_walls);
+
+  // Fault-rule sweep: kSweepReps rounds, each running every rule count
+  // once, so drift in machine load spreads evenly over the counts.
+  constexpr std::size_t kCounts = std::size(kRuleCounts);
+  std::vector<std::vector<double>> sweep_walls(kCounts);
+  std::vector<FaultRun> sweep(kCounts);
+  for (int rep = 0; rep < kSweepReps; ++rep) {
+    for (std::size_t c = 0; c < kCounts; ++c) {
+      FaultRun run = run_fault_sends(kRuleCounts[c]);
+      sweep_walls[c].push_back(run.sends.wall_seconds);
+      if (run.sends.sends_per_sec > sweep[c].sends.sends_per_sec)
+        sweep[c] = run;
+    }
+  }
+  double rule_ratio =
+      throughput_ratio(sweep_walls.front(), sweep_walls.back());
+
+  // Compile cost (best of five) and footprint of the largest sweep
+  // script's indexes.
+  simnet::FaultScenario largest = fault_scenario(kRuleCounts[kCounts - 1]);
+  std::int64_t compile_ns = 0;
+  std::size_t index_bytes = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    std::int64_t t_compile = bench::bench_wall_ns();
+    simnet::FaultPlane compiled(largest, nullptr);
+    std::int64_t ns = bench::bench_wall_ns() - t_compile;
+    if (rep == 0 || ns < compile_ns) compile_ns = ns;
+    index_bytes = compiled.index_bytes();
+  }
+
   double wall_seconds =
       static_cast<double>(bench::bench_wall_ns() - t0) / 1e9;
 
-  util::TextTable t("Route-plane churn: verdicts under 1k scripted flaps");
+  util::TextTable t(
+      "Impairment planes: route verdicts under 1k flaps, fault-rule sweep");
   t.set_header({"metric", "value"});
   t.add_row({"flap events scripted", std::to_string(kFlapEvents)});
   t.add_row({"transitions compiled",
@@ -213,6 +329,15 @@ int main() {
   t.add_row({"sends/s (plane on)", fmt(on.sends_per_sec)});
   t.add_row({"on/off throughput ratio", fmt(ratio)});
   t.add_row({"datagrams blackholed", std::to_string(on.blackholed)});
+  for (std::size_t c = 0; c < kCounts; ++c)
+    t.add_row({"sends/s (" + std::to_string(kRuleCounts[c]) +
+                   " fault rules)",
+               fmt(sweep[c].sends.sends_per_sec)});
+  t.add_row({"1000-rule/1-rule throughput ratio", fmt(rule_ratio)});
+  t.add_row({"fault index compile (1001 rules)",
+             fmt(static_cast<double>(compile_ns) / 1e3) + " us"});
+  t.add_row({"fault index footprint",
+             std::to_string(index_bytes) + " B"});
   t.render(std::cout);
 
   bench::BenchMetrics metrics;
@@ -230,17 +355,34 @@ int main() {
                        fmt(on.sends_per_sec));
   metrics.emplace_back("sends_plane_off_per_sec_wall",
                        fmt(off.sends_per_sec));
+  for (std::size_t c = 0; c < kCounts; ++c)
+    metrics.emplace_back(
+        "fault_rules_" + std::to_string(kRuleCounts[c]) +
+            "_sends_per_sec_wall",
+        fmt(sweep[c].sends.sends_per_sec));
+  metrics.emplace_back("fault_datagrams_dropped",
+                       std::to_string(sweep.back().dropped));
+  metrics.emplace_back("fault_datagrams_delivered",
+                       std::to_string(sweep.back().sends.delivered));
+  metrics.emplace_back("fault_index_bytes",
+                       std::to_string(index_bytes));
+  metrics.emplace_back("fault_index_compile_ns", std::to_string(compile_ns));
   metrics.emplace_back("wall_seconds", fmt(wall_seconds));
   metrics.emplace_back("rss_peak_kb",
                        std::to_string(bench::bench_rss_peak_kb()));
   bench::emit_bench_json("route_churn", "micro", metrics);
 
-  // The acceptance bar: the reachability check costs <= 5% of plane-off
-  // UDP throughput, and the scripted churn actually exercised both verdict
-  // outcomes.
-  bool pass = ratio >= 0.95 && withdrawn_hits > 0 && on.blackholed > 0;
+  // The acceptance bars: the reachability check costs <= 5% of plane-off
+  // UDP throughput and the scripted churn exercised both verdict outcomes;
+  // sends under 1,000 fault rules keep >= 80% of the 1-rule throughput and
+  // the sweep's rules actually fired.
+  bool route_pass = ratio >= 0.95 && withdrawn_hits > 0 && on.blackholed > 0;
+  bool fault_pass = rule_ratio >= 0.80 && sweep.back().dropped > 0;
   std::cout << "\nRoute-plane overhead check (>= 0.95x plane-off"
             << " throughput, both verdicts exercised): "
-            << (pass ? "PASS" : "FAIL") << "\n";
-  return pass ? 0 : 1;
+            << (route_pass ? "PASS" : "FAIL") << "\n";
+  std::cout << "Fault-rule scaling check (1000 rules >= 0.80x the 1-rule"
+            << " throughput, rules fired): "
+            << (fault_pass ? "PASS" : "FAIL") << "\n";
+  return route_pass && fault_pass ? 0 : 1;
 }

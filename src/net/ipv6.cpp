@@ -155,14 +155,6 @@ std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) {
   return Ipv6Prefix(*addr, len);
 }
 
-bool Ipv6Prefix::contains(const Ipv6Address& a) const {
-  return a.masked(len_) == addr_;
-}
-
-bool Ipv6Prefix::contains(const Ipv6Prefix& other) const {
-  return other.len_ >= len_ && contains(other.addr_);
-}
-
 std::string Ipv6Prefix::to_string() const {
   return addr_.to_string() + "/" + std::to_string(len_);
 }

@@ -103,6 +103,14 @@ struct Ipv6AddressHash {
   }
 };
 
+/// Network masks of a /len prefix (0..128) over an address's two halves.
+constexpr std::uint64_t prefix_mask_hi(unsigned len) {
+  return len == 0 ? 0 : len >= 64 ? ~0ULL : ~0ULL << (64 - len);
+}
+constexpr std::uint64_t prefix_mask_lo(unsigned len) {
+  return len <= 64 ? 0 : ~0ULL << (128 - len);
+}
+
 /// A CIDR prefix: an address with all host bits zero plus a length.
 class Ipv6Prefix {
  public:
@@ -115,8 +123,14 @@ class Ipv6Prefix {
   const Ipv6Address& address() const { return addr_; }
   unsigned length() const { return len_; }
 
-  bool contains(const Ipv6Address& a) const;
-  bool contains(const Ipv6Prefix& other) const;
+  /// Compares the network bits of both halves under the /len masks.
+  bool contains(const Ipv6Address& a) const {
+    return ((a.hi64() ^ addr_.hi64()) & prefix_mask_hi(len_)) == 0 &&
+           ((a.lo64() ^ addr_.lo64()) & prefix_mask_lo(len_)) == 0;
+  }
+  bool contains(const Ipv6Prefix& other) const {
+    return other.len_ >= len_ && contains(other.addr_);
+  }
 
   std::string to_string() const;
 

@@ -1,12 +1,66 @@
 #include "simnet/fault.hpp"
 
+#include <algorithm>
+#include <array>
+#include <span>
+
 #include "obs/flight.hpp"
 #include "simnet/event_queue.hpp"
 
 namespace tts::simnet {
+namespace {
+
+/// The rule ids one verdict visits. A packet is rarely covered by more
+/// than a few rules, so they collect inline and spill to the heap only
+/// past kInline.
+class RuleHits {
+ public:
+  void add(std::span<const std::uint32_t> ids) {
+    for (std::uint32_t id : ids) {
+      if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+      if (size_ >= kInline)
+        spill_.push_back(id);
+      else
+        inline_[size_] = id;
+      ++size_;
+    }
+  }
+  /// The ids in declaration order, each once: a kBoth rule covering both
+  /// ends of a packet is found through both indexes.
+  std::span<const std::uint32_t> in_order() {
+    std::uint32_t* first = size_ > kInline ? spill_.data() : inline_.data();
+    std::sort(first, first + size_);
+    return {first, static_cast<std::size_t>(
+                       std::unique(first, first + size_) - first)};
+  }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  std::array<std::uint32_t, kInline> inline_{};
+  std::vector<std::uint32_t> spill_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
 
 FaultPlane::FaultPlane(FaultScenario scenario, obs::Registry* registry)
     : scenario_(std::move(scenario)), registry_(registry) {
+  std::vector<PrefixIndex::Entry> dst, src, hosts;
+  for (std::size_t i = 0; i < scenario_.rules.size(); ++i) {
+    const FaultRule& rule = scenario_.rules[i];
+    auto id = static_cast<std::uint32_t>(i);
+    if (rule.direction != FaultDirection::kOutbound)
+      dst.emplace_back(rule.prefix, id);
+    if (rule.direction != FaultDirection::kInbound)
+      src.emplace_back(rule.prefix, id);
+  }
+  for (std::size_t i = 0; i < scenario_.outages.size(); ++i)
+    hosts.emplace_back(net::Ipv6Prefix(scenario_.outages[i].host, 128),
+                       static_cast<std::uint32_t>(i));
+  dst_rules_ = PrefixIndex(std::move(dst));
+  src_rules_ = PrefixIndex(std::move(src));
+  outage_hosts_ = PrefixIndex(std::move(hosts));
+
   rngs_.push_back(util::Rng(scenario_.seed).stream("faultplane"));
   if (!registry_) return;
   registry_->enroll(udp_dropped_, "fault_udp_dropped", {}, this);
@@ -82,8 +136,8 @@ void FaultPlane::arm_windows(EventQueue& events) {
 }
 
 bool FaultPlane::host_down(const net::Ipv6Address& host, SimTime now) const {
-  for (const HostOutage& outage : scenario_.outages)
-    if (outage.host == host && outage.active(now)) return true;
+  for (std::uint32_t id : outage_hosts_.longest(host))
+    if (scenario_.outages[id].active(now)) return true;
   return false;
 }
 
@@ -125,9 +179,19 @@ FaultPlane::TcpVerdict FaultPlane::walk(const net::Ipv6Address& src,
   if (host_down(dst, now))
     return tcp ? drop()
                : hit(udp_host_down_, kNoteUdpHostDown, TcpAction::kBlackhole);
-  for (const FaultRule& rule : scenario_.rules) {
+  // Only rules whose prefix covers the packet can match; FaultRule::matches
+  // is the scope contract the two indexes encode (the unknown source ::
+  // never matches an outbound scope), leaving the port to check here.
+  RuleHits hits;
+  auto collect = [&hits](std::span<const std::uint32_t> ids) {
+    hits.add(ids);
+  };
+  dst_rules_.for_each_covering(dst, collect);
+  if (!src.is_unspecified()) src_rules_.for_each_covering(src, collect);
+  for (std::uint32_t id : hits.in_order()) {
+    const FaultRule& rule = scenario_.rules[id];
     if (!(tcp ? rule.tcp : rule.udp) || !rule.active(now) ||
-        !rule.matches(src, dst, dst_port))
+        (rule.dst_port != 0 && rule.dst_port != dst_port))
       continue;
     switch (rule.kind) {
       case FaultKind::kBlackhole:

@@ -17,6 +17,15 @@
 // packet's fate — all draws come from one seeded stream, so the same
 // scenario under the same seed perturbs a run bit-identically.
 //
+// The plane compiles its script once, at construction, into three
+// read-only PrefixIndex tables: destination-scoped rules (kInbound and
+// kBoth), source-scoped rules (kOutbound and kBoth) and outage hosts (as
+// /128s). A verdict probes each table once per distinct prefix length and
+// visits only the rules whose prefix covers the packet, re-sorted into
+// declaration order, so its cost does not grow with the rule count; rules
+// that do not cover a packet never drew, so the draws, counters and flight
+// events are exactly those of a walk over every rule.
+//
 // Every injected fault is counted (fault_* instruments) so a chaos harness
 // can prove conservation: nothing the plane swallows goes unaccounted.
 #pragma once
@@ -28,6 +37,7 @@
 
 #include "net/ipv6.hpp"
 #include "obs/metrics.hpp"
+#include "simnet/prefix_index.hpp"
 #include "simnet/shard.hpp"
 #include "simnet/time.hpp"
 #include "util/rng.hpp"
@@ -95,9 +105,10 @@ struct FaultRule {
       case FaultDirection::kInbound:
         return prefix.contains(dst);
       case FaultDirection::kOutbound:
-        return prefix.contains(src);
+        return !src.is_unspecified() && prefix.contains(src);
       case FaultDirection::kBoth:
-        return prefix.contains(dst) || prefix.contains(src);
+        return prefix.contains(dst) ||
+               (!src.is_unspecified() && prefix.contains(src));
     }
     return false;
   }
@@ -196,6 +207,10 @@ class FaultPlane {
   void arm_windows(EventQueue& events);
 
   const FaultScenario& scenario() const { return scenario_; }
+  /// Footprint of the compiled rule and outage indexes.
+  std::size_t index_bytes() const {
+    return dst_rules_.bytes() + src_rules_.bytes() + outage_hosts_.bytes();
+  }
 
   std::uint64_t udp_dropped() const { return udp_dropped_.value(); }
   std::uint64_t udp_host_down() const { return udp_host_down_.value(); }
@@ -225,9 +240,10 @@ class FaultPlane {
   };
   enum class Transport : std::uint8_t { kUdp, kTcp };
   /// The one verdict walk both transports share: host outage first, then
-  /// the rules in declaration order. A UDP drop comes back as kBlackhole.
-  /// The transport is a template argument so each instantiation's rule
-  /// loop tests only its own flag, as fast as a walk written per transport.
+  /// the covering rules in declaration order. A UDP drop comes back as
+  /// kBlackhole. The transport is a template argument so each
+  /// instantiation's rule loop tests only its own flag, as fast as a walk
+  /// written per transport.
   template <Transport kTransport>
   TcpVerdict walk(const net::Ipv6Address& src, const net::Ipv6Address& dst,
                   std::uint16_t dst_port, SimTime now, DomainId domain);
@@ -244,6 +260,10 @@ class FaultPlane {
   }
 
   FaultScenario scenario_;
+  /// Ids index scenario_.rules / scenario_.outages.
+  PrefixIndex dst_rules_;     // kInbound + kBoth rules, matched on dst
+  PrefixIndex src_rules_;     // kOutbound + kBoth rules, matched on src
+  PrefixIndex outage_hosts_;  // one /128 per outage
   std::vector<util::Rng> rngs_;  // [0] = legacy "faultplane" stream
   obs::Registry* registry_;
   obs::FlightRecorder* flight_ = nullptr;

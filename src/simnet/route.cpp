@@ -21,22 +21,15 @@ RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
     std::size_t order;  // scenario position, the tie-break at equal times
   };
   std::vector<std::vector<Scripted>> per_route;
+  std::vector<PrefixIndex::Entry> entries;  // (prefix, index into routes_)
   for (std::size_t i = 0; i < scenario_.events.size(); ++i) {
     const RouteEvent& ev = scenario_.events[i];
     auto [it, inserted] = index_of.try_emplace(
         ev.prefix, static_cast<std::uint32_t>(routes_.size()));
     if (inserted) {
-      lpm_.announce(ev.prefix, it->second);
+      entries.emplace_back(ev.prefix, it->second);
       routes_.push_back(Route{ev.prefix, {}});
       per_route.emplace_back();
-      // Mark the prefix's top-16-bit coverage in the hot-path prefilter: a
-      // /16-or-longer prefix covers exactly one slot, a shorter one a run
-      // of 2^(16-len) slots.
-      auto base = static_cast<std::size_t>(ev.prefix.address().hi64() >> 48);
-      std::size_t slots = ev.prefix.length() >= 16
-                              ? 1
-                              : std::size_t{1} << (16 - ev.prefix.length());
-      for (std::size_t s = 0; s < slots; ++s) top16_.set(base + s);
     }
     // Overflow-safe effective time: an origination near the horizon of
     // representable time saturates instead of wrapping.
@@ -45,6 +38,8 @@ RoutePlane::RoutePlane(RouteScenario scenario, obs::Registry* registry)
                             : ev.at + scenario_.convergence;
     per_route[it->second].push_back(Scripted{effective, ev.op, i});
   }
+
+  index_ = PrefixIndex(std::move(entries));
 
   // Compile each prefix's events into sorted, non-overlapping down-windows.
   // Prefixes start announced; redundant events (withdraw while down,
@@ -111,9 +106,9 @@ void RoutePlane::set_flight_recorder(obs::FlightRecorder* recorder) {
 
 bool RoutePlane::withdrawn_scripted(const net::Ipv6Address& dst,
                                     SimTime now) const {
-  std::optional<net::AsNumber> route = lpm_.lookup(dst);
-  if (!route) return false;
-  const std::vector<DownWindow>& down = routes_[*route].down;
+  std::span<const std::uint32_t> route = index_.longest(dst);
+  if (route.empty()) return false;  // one route per prefix: route[0]
+  const std::vector<DownWindow>& down = routes_[route[0]].down;
   auto it = std::upper_bound(down.begin(), down.end(), now,
                              [](SimTime t, const DownWindow& w) {
                                return t < w.from;

@@ -11,12 +11,14 @@
 // blackholed: datagrams vanish, connects time out.
 //
 // Reachability is a pure function of (destination, now): all scripted
-// events compile at construction into per-prefix sorted down-windows over
-// a longest-prefix-match trie, so the data-path verdict takes no locks and
-// draws no randomness, making it safe to evaluate from any shard executor
-// and bit-identical at every shard count. A more-specific scripted prefix
-// shadows a covering one (an announced /48 keeps its addresses reachable
-// while the surrounding /32 is down) — standard LPM semantics.
+// events compile at construction into per-prefix sorted down-windows,
+// found through a read-only PrefixIndex (one hash probe per distinct
+// scripted prefix length, behind a top-16-bit coverage bit), so the
+// data-path verdict takes no locks and draws no randomness, making it safe
+// to evaluate from any shard executor and bit-identical at every shard
+// count. A more-specific scripted prefix shadows a covering one (an
+// announced /48 keeps its addresses reachable while the surrounding /32 is
+// down) — standard LPM semantics: the longest covering entry decides.
 //
 // Control-plane *transitions* — the moments the adaptive stack reacts to —
 // commit at window barriers: arm() schedules one domain-0 event per
@@ -27,15 +29,14 @@
 // so sharded runs stay bit-identical at shard counts 1/2/4.
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "net/ipv6.hpp"
-#include "net/routing_table.hpp"
 #include "obs/metrics.hpp"
+#include "simnet/prefix_index.hpp"
 #include "simnet/time.hpp"
 
 namespace tts::obs {
@@ -100,10 +101,10 @@ class RoutePlane {
   /// prefix is inside a down-window at `now`. Unscripted space is always
   /// routed. Lock-free and draw-free — callable from any shard executor.
   /// Inline fast path: scripted space is a sliver of the address space, so
-  /// almost every query resolves "routed" on one prefilter bit test (the
-  /// send/connect hot path pays no call and no LPM walk for it).
+  /// almost every query resolves "routed" on the index's coverage bit test
+  /// (the send/connect hot path pays no call and no table probe for it).
   bool withdrawn(const net::Ipv6Address& dst, SimTime now) const {
-    if (!top16_[static_cast<std::size_t>(dst.hi64() >> 48)]) return false;
+    if (!index_.may_cover(dst)) return false;
     return withdrawn_scripted(dst, now);
   }
 
@@ -160,20 +161,14 @@ class RoutePlane {
   // ttslint: barrier_only
   void commit(std::size_t index);
 
-  /// Slow half of withdrawn(): LPM walk + down-window probe, reached only
-  /// when the prefilter says some scripted prefix may cover `dst`.
+  /// Slow half of withdrawn(): longest match + down-window probe, reached
+  /// only when the coverage bit says some scripted prefix may cover `dst`.
   bool withdrawn_scripted(const net::Ipv6Address& dst, SimTime now) const;
 
   RouteScenario scenario_;
   std::vector<Route> routes_;  // first-appearance order (deterministic)
-  /// Coverage prefilter for the hot path: bit b set iff some scripted
-  /// prefix covers addresses whose top 16 bits equal b. Scripted space is
-  /// a sliver of the address space, so almost every verdict resolves to
-  /// "routed" with one bit test instead of an LPM walk.
-  std::bitset<1 << 16> top16_;
-  /// Longest-prefix match over scripted prefixes; the stored "AS number"
-  /// is the route's index into routes_.
-  net::RoutingTable lpm_;
+  /// Scripted prefixes; each entry's id is its route's index into routes_.
+  PrefixIndex index_;
   std::vector<Transition> transitions_;
   std::vector<TransitionFn> subscribers_;
   obs::Registry* registry_;

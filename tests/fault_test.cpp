@@ -152,6 +152,33 @@ TEST_F(FaultPlaneTest, OutboundScopeImpairsTrafficFromThePrefix) {
             FaultPlane::TcpAction::kBlackhole);
 }
 
+TEST_F(FaultPlaneTest, UnknownSourceNeverMatchesAnOutboundDefaultRoute) {
+  // ::/0 contains :: itself, yet the unknown source must not match an
+  // outbound scope however short its prefix.
+  const net::Ipv6Prefix everything(net::Ipv6Address{}, 0);
+  FaultScenario scenario;
+  scenario.rules.push_back({.prefix = everything,
+                            .kind = FaultKind::kBlackhole,
+                            .direction = FaultDirection::kOutbound});
+  FaultPlane plane = make_plane(scenario);
+
+  EXPECT_FALSE(scenario.rules[0].matches(net::Ipv6Address{},
+                                         addr(kCleanNet, 1), 0));
+  EXPECT_FALSE(plane.on_udp(addr(kCleanNet, 1), 0).drop);
+  EXPECT_EQ(plane.on_tcp_connect(addr(kCleanNet, 1), 0).action,
+            FaultPlane::TcpAction::kNone);
+  EXPECT_EQ(plane.udp_dropped() + plane.tcp_blackholed(), 0u);
+  // Any known source is inside ::/0.
+  EXPECT_TRUE(
+      plane.on_udp(addr(kCleanNet, 2), addr(kCleanNet, 1), 123, 0).drop);
+
+  // A kBoth ::/0 rule still matches the unknown source's packets through
+  // their destination.
+  FaultRule both = scenario.rules[0];
+  both.direction = FaultDirection::kBoth;
+  EXPECT_TRUE(both.matches(net::Ipv6Address{}, addr(kCleanNet, 1), 0));
+}
+
 TEST_F(FaultPlaneTest, BothScopeImpairsEitherDirection) {
   FaultScenario scenario;
   scenario.rules.push_back({.prefix = faulty_prefix(),

@@ -134,6 +134,45 @@ TEST(Ipv6Prefix, Containment) {
   EXPECT_TRUE(p48.contains(p48));
 }
 
+/// Flip bit `i` (0 = most significant) of an address.
+Ipv6Address flip_bit(const Ipv6Address& a, unsigned i) {
+  std::uint64_t hi = a.hi64(), lo = a.lo64();
+  if (i < 64)
+    hi ^= 1ULL << (63 - i);
+  else
+    lo ^= 1ULL << (127 - i);
+  return Ipv6Address::from_halves(hi, lo);
+}
+
+TEST(Ipv6Prefix, ContainmentAtBoundaryLengths) {
+  const Ipv6Address base =
+      *Ipv6Address::parse("2001:db8:abcd:ef12:3456:789a:bcde:f012");
+  util::Rng rng(0x1e7);
+  for (unsigned len : {0u, 1u, 63u, 64u, 65u, 127u, 128u}) {
+    Ipv6Prefix p(base, len);
+    EXPECT_TRUE(p.contains(base)) << "/" << len;
+    // The last network bit decides membership; the first host bit doesn't.
+    if (len > 0) {
+      EXPECT_FALSE(p.contains(flip_bit(base, len - 1))) << "/" << len;
+    }
+    if (len < 128) {
+      EXPECT_TRUE(p.contains(flip_bit(base, len))) << "/" << len;
+    }
+    // Agrees with the masked() definition on arbitrary addresses, including
+    // ones that share the prefix's network half.
+    for (int i = 0; i < 256; ++i) {
+      Ipv6Address a = Ipv6Address::from_halves(
+          i % 2 ? base.hi64() : rng.next(), rng.next());
+      EXPECT_EQ(p.contains(a), a.masked(len) == p.address())
+          << a.to_string() << " in " << p.to_string();
+    }
+  }
+  EXPECT_EQ(prefix_mask_hi(0), 0u);
+  EXPECT_EQ(prefix_mask_lo(64), 0u);
+  EXPECT_EQ(prefix_mask_hi(65), ~0ULL);
+  EXPECT_EQ(prefix_mask_lo(128), ~0ULL);
+}
+
 TEST(Ipv6Prefix, NetworkOfNormalizes) {
   auto a = *Ipv6Address::parse("2400:1:2:345:4:5:6:7");
   EXPECT_EQ(network_of(a, 48).to_string(), "2400:1:2::/48");
