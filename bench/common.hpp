@@ -171,12 +171,13 @@ inline core::Study& shared_study() {
       if (const auto* ntp = s->ntp_engine())
         std::cerr << ", ntp " << budget->grants(ntp->budget_client())
                   << " grants (" << budget->borrowed(ntp->budget_client())
-                  << " borrowed, " << ntp->pump_wakes() << " pump wakes)";
+                  << " borrowed)";
       if (const auto* hit = s->hitlist_engine())
         std::cerr << ", hitlist " << budget->grants(hit->budget_client())
                   << " grants (" << budget->borrowed(hit->budget_client())
-                  << " borrowed, " << hit->pump_wakes() << " pump wakes)";
-      std::cerr << ", " << s->overflow_dropped() << " overflow drops\n";
+                  << " borrowed)";
+      std::cerr << ", " << budget->wakes() << " pump wakes, "
+                << s->overflow_dropped() << " overflow drops\n";
     }
     const char* sample_name = std::getenv("TTS_BENCH_NAME");
     emit_bench_json(sample_name && *sample_name ? sample_name

@@ -97,7 +97,7 @@ Study::Study(StudyConfig config)
   // tests can attach a grant observer up front.
   if (config_.enable_ntp_scans || config_.enable_hitlist_scan)
     scan_budget_ = std::make_unique<scan::SharedBudget>(
-        scan::SharedBudgetConfig{config_.scan_pps, &metrics_});
+        events_, scan::SharedBudgetConfig{config_.scan_pps, &metrics_});
 }
 
 Study::~Study() { metrics_.drop_owner(this); }

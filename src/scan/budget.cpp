@@ -1,12 +1,17 @@
 #include "scan/budget.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace tts::scan {
 
-SharedBudget::SharedBudget(SharedBudgetConfig config)
-    : config_(config) {
+SharedBudget::SharedBudget(simnet::EventQueue& events,
+                           SharedBudgetConfig config)
+    : events_(events),
+      config_(config),
+      timer_(events, [this] { pump(); },
+             events.register_category("scan_pump")) {
   if (!(config_.max_pps > 0))
     throw std::invalid_argument("SharedBudget: max_pps must be positive");
   double exact = 1e6 / config_.max_pps;
@@ -36,132 +41,130 @@ SharedBudget::~SharedBudget() {
 }
 
 SharedBudget::ClientId SharedBudget::add_client(std::string name,
-                                                double weight, WakeFn wake) {
+                                                double weight,
+                                                PumpClient* client) {
   if (!(weight > 0) || !std::isfinite(weight))
     throw std::invalid_argument(
         "SharedBudget: client weight must be positive and finite");
-  auto client = std::make_unique<Client>();
-  client->name = std::move(name);
-  client->weight = weight;
-  client->wake = std::move(wake);
-  client->active = true;
+  auto c = std::make_unique<Client>();
+  c->weight = weight;
+  c->pump = client;
   // Late joiners enter at the current virtual time, same as an idle->busy
   // transition: no retroactive claim on capacity spent before they existed.
-  client->finish = vtime_;
+  c->finish = vtime_;
   if (config_.registry) {
-    obs::Labels labels{{"client", client->name}};
-    config_.registry->enroll(client->grants, "scan_budget_grants", labels,
-                             client.get());
-    config_.registry->enroll(client->borrowed, "scan_budget_borrowed_slots",
-                             labels, client.get());
-    config_.registry->enroll(client->reclaim, "scan_budget_reclaim_us",
-                             std::move(labels), client.get());
+    obs::Labels labels{{"client", std::move(name)}};
+    config_.registry->enroll(c->grants, "scan_budget_grants", labels,
+                             c.get());
+    config_.registry->enroll(c->borrowed, "scan_budget_borrowed_slots",
+                             labels, c.get());
+    config_.registry->enroll(c->reclaim, "scan_budget_reclaim_us",
+                             std::move(labels), c.get());
   }
-  clients_.push_back(std::move(client));
+  clients_.push_back(std::move(c));
   return clients_.size() - 1;
 }
 
 void SharedBudget::remove_client(ClientId id) {
   Client& c = *clients_[id];
-  if (!c.active) return;
-  c.active = false;
-  c.backlogged = false;
-  c.wanted_since = -1;
+  c.pump = nullptr;
   if (config_.registry) config_.registry->drop_owner(&c);
-  wake_waiting_peers(id);
+  // The armed deadline may have served this client: re-arm for the rest.
+  rearm();
 }
 
-void SharedBudget::set_backlog(ClientId id, bool backlogged,
-                               simnet::SimTime now) {
+void SharedBudget::report_due(ClientId id, std::optional<simnet::SimTime> due) {
   Client& c = *clients_[id];
-  if (backlogged && !c.backlogged) c.wanted_since = now;
-  if (!backlogged) c.wanted_since = -1;
-  bool was = c.backlogged;
-  c.backlogged = backlogged;
-  // A drained client frees its share immediately: peers armed for a
-  // contended (later) slot can now claim the next token.
-  if (was && !backlogged) wake_waiting_peers(id);
-}
-
-bool SharedBudget::deferred_to_peer(ClientId id) const {
-  double mine = start_tag(*clients_[id]);
-  for (ClientId j = 0; j < clients_.size(); ++j) {
-    if (j == id) continue;
-    const Client& peer = *clients_[j];
-    if (!peer.active || !peer.backlogged) continue;
-    double theirs = start_tag(peer);
-    if (theirs < mine || (theirs == mine && j < id)) return true;
-  }
-  return false;
-}
-
-std::optional<simnet::SimTime> SharedBudget::try_acquire(ClientId id,
-                                                         simnet::SimTime now) {
-  Client& c = *clients_[id];
-  simnet::SimTime bank_floor = now - kBurstSlots * gap_;
-  simnet::SimTime slot =
-      next_accrual_ > bank_floor ? next_accrual_ : bank_floor;
-  if (slot > now) return std::nullopt;  // next token not accrued yet
-  if (deferred_to_peer(id)) return std::nullopt;
-
-  double start = start_tag(c);
-  // Borrowing: this grant would have lost the arbitration to an idle peer
-  // (whose tag re-enters at vtime_) — i.e. it consumes lent capacity
-  // beyond the contended fair share.
-  bool peer_idle = false;
-  for (ClientId j = 0; j < clients_.size(); ++j) {
-    if (j == id) continue;
-    const Client& peer = *clients_[j];
-    if (!peer.active || peer.backlogged) continue;
-    double theirs = start_tag(peer);
-    if (theirs < start || (theirs == start && j < id)) peer_idle = true;
-  }
-
-  frac_acc_ += frac_step_;
-  next_accrual_ =
-      slot + gap_ + static_cast<simnet::SimDuration>(frac_acc_ >> 32);
-  frac_acc_ &= 0xffffffffULL;
-  vtime_ = start;
-  c.finish = start + 1.0 / c.weight;
-  c.grants.inc();
-  if (peer_idle) c.borrowed.inc();
-  if (c.wanted_since >= 0) {
-    c.reclaim.record(now - c.wanted_since);
+  const simnet::SimTime now = events_.now();
+  c.due = due.value_or(kIdle);
+  if (c.due > now)
     c.wanted_since = -1;
+  else if (c.wanted_since < 0)
+    c.wanted_since = now;
+  if (c.due == kIdle) return;
+  // No oversleep for work that just arrived: wake at its first token.
+  simnet::SimTime at = std::max(c.due, next_accrual_);
+  if (timer_.armed() && timer_.deadline() <= at) return;
+  timer_.arm(at);
+  armed_by_ = id;
+}
+
+void SharedBudget::settle(Client& c, simnet::SimTime now) {
+  c.due = c.pump->settle(now).value_or(kIdle);
+  if (c.due > now) c.wanted_since = -1;
+}
+
+void SharedBudget::pump() {
+  const simnet::SimTime now = events_.now();
+  ++wakes_;
+  // Clients with nothing due keep their reported time: their token-free
+  // step has nothing to do before it.
+  for (const auto& c : clients_)
+    if (c->pump && c->due <= now) settle(*c, now);
+
+  Client* counted = nullptr;
+  const ClientId none = clients_.size();
+  for (;;) {
+    simnet::SimTime slot = std::max(next_accrual_, now - kBurstSlots * gap_);
+    if (slot > now) break;  // the bank is empty
+    // The smallest start tag among clients with work due wins the token
+    // (ties: earliest registration). The smallest among idle clients says
+    // whether the win borrows: it would have lost to an idle peer, whose
+    // tag re-enters at vtime_, so it spends lent capacity.
+    ClientId winner = none, idle = none;
+    for (ClientId j = 0; j < clients_.size(); ++j) {
+      const Client& c = *clients_[j];
+      if (!c.pump) continue;
+      ClientId& best = c.due <= now ? winner : idle;
+      if (best == none || start_tag(c) < start_tag(*clients_[best])) best = j;
+    }
+    if (winner == none) break;  // nothing due
+    Client& c = *clients_[winner];
+    double start = start_tag(c);
+    if (idle != none) {
+      double theirs = start_tag(*clients_[idle]);
+      if (theirs < start || (theirs == start && idle < winner))
+        c.borrowed.inc();
+    }
+    frac_acc_ += frac_step_;
+    next_accrual_ =
+        slot + gap_ + static_cast<simnet::SimDuration>(frac_acc_ >> 32);
+    frac_acc_ &= 0xffffffffULL;
+    vtime_ = start;
+    c.finish = start + 1.0 / c.weight;
+    c.grants.inc();
+    if (c.wanted_since >= 0) {
+      c.reclaim.record(now - c.wanted_since);
+      c.wanted_since = -1;
+    }
+    if (on_grant_) on_grant_(winner, slot, now);
+    if (!counted) counted = &c;
+    c.pump->launch(slot, now);
+    settle(c, now);
   }
-  if (on_grant_) on_grant_(id, slot, now);
-  return slot;
+  (counted ? *counted : *clients_[armed_by_]).wakes.inc();
+  rearm();
 }
 
-simnet::SimTime SharedBudget::next_slot(ClientId id, simnet::SimTime now) const {
-  simnet::SimTime bank_floor = now - kBurstSlots * gap_;
-  simnet::SimTime accrue =
-      next_accrual_ > bank_floor ? next_accrual_ : bank_floor;
-  simnet::SimTime at = accrue > now ? accrue : now;
-  // Deferred to a peer: its grant(s) advance the virtual time; retry one
-  // gap later (the peer is backlogged, hence armed and consuming).
-  if (deferred_to_peer(id)) at += gap_;
-  return at;
-}
-
-simnet::SimTime SharedBudget::suggested_wake(ClientId id,
-                                             simnet::SimTime now) const {
-  simnet::SimTime at = next_slot(id, now);
+void SharedBudget::rearm() {
+  // Work due at or after the next token wakes exactly then; work blocked
+  // on tokens sleeps until the bank is full again, so one wake launches
+  // kBurstSlots + 1 grants.
+  const simnet::SimTime refilled = next_accrual_ + kBurstSlots * gap_;
+  simnet::SimTime best = kIdle;
   for (ClientId j = 0; j < clients_.size(); ++j) {
-    if (j == id) continue;
-    const Client& peer = *clients_[j];
-    if (peer.active && peer.backlogged) return at;  // contended: no slack
+    const Client& c = *clients_[j];
+    if (!c.pump || c.due == kIdle) continue;
+    simnet::SimTime at = c.due >= next_accrual_ ? c.due : refilled;
+    if (at < best) {
+      best = at;
+      armed_by_ = j;
+    }
   }
-  // Uncontended: oversleep by the bank and launch the batch in one wake.
-  return at + kBurstSlots * gap_;
-}
-
-void SharedBudget::wake_waiting_peers(ClientId except) {
-  for (ClientId j = 0; j < clients_.size(); ++j) {
-    if (j == except) continue;
-    Client& peer = *clients_[j];
-    if (peer.active && peer.backlogged && peer.wake) peer.wake();
-  }
+  if (best == kIdle)
+    timer_.cancel();
+  else
+    timer_.arm(best);
 }
 
 }  // namespace tts::scan

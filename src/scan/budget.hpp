@@ -1,12 +1,13 @@
-// Shared pacing budget across scan engines.
+// Shared pacing budget across scan engines, and the one scan pump.
 //
 // The paper's scanner shares one uplink between the real-time NTP feed and
 // the hitlist sweep (Section 3); the aggregate send rate is what passive
 // observers see and classify, so it must be a first-class invariant rather
 // than an emergent property of per-engine token buckets. SharedBudget is
-// that single token source: clients (scan engines) register with a weight,
-// and tokens are granted by start-time fair queuing over the *backlogged*
-// clients, which makes the budget
+// that single token source and the single scheduler that spends it:
+// clients (scan engines) register with a weight, and tokens are granted by
+// start-time fair queuing over the clients with work due, which makes the
+// budget
 //
 //   - work-conserving: an idle client's share is lendable — the sole busy
 //     client takes every token (counted in scan_budget_borrowed_slots);
@@ -19,25 +20,32 @@
 //     scan_budget_reclaim_us measures the realized latency.
 //
 // Tokens accrue one global gap (1e6/max_pps us) apart and at most
-// kBurstSlots gaps' worth may be banked; older tokens evaporate. The bank
-// is what lets a pump wake once per batch instead of once per grant (see
-// ScanEngine's coalesced pump) while bounding any burst to kBurstSlots + 1
-// launches.
+// kBurstSlots gaps' worth may be banked; older tokens evaporate.
 //
-// Clients pull: try_acquire() consumes a token or refuses (token not yet
-// accrued, or a backlogged peer's turn), suggested_wake() says when to try
-// again, and the budget nudges armed-and-waiting peers via their WakeFn
-// when capacity frees up early (a peer drained or deregistered).
+// The budget owns the only pump timer. Clients never ask for tokens: they
+// report their earliest due time when it may have moved (report_due), and
+// at each wake the budget runs every due client's token-free step
+// (PumpClient::settle), then hands out every banked token — at most
+// kBurstSlots + 1 — in fair order to the clients with work due, calling
+// PumpClient::launch once per grant and re-settling that client after it.
+// It then re-arms at the earlier of the next due time and, while work is
+// token-blocked, the time the bank refills (the next token plus kBurstSlots
+// gaps — the oversleep that batches a saturated sweep into one wake per
+// kBurstSlots + 1 grants, contended or not). A report that makes work due
+// mid-sleep pulls the wake forward to the next token, which is what keeps
+// a newly busy client's reclaim within a gap or two.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "simnet/event_queue.hpp"
 #include "simnet/time.hpp"
 
 namespace tts::scan {
@@ -56,97 +64,113 @@ struct SharedBudgetConfig {
   obs::Registry* registry = nullptr;
 };
 
+/// The two steps the budget's pump drives on each client.
+class PumpClient {
+ public:
+  /// Token-free work at `now`: stage what there is room for and clear due
+  /// heads that must not spend a token. Returns the earliest time a staged
+  /// head is launchable (<= now: launch() may follow at once), or nullopt
+  /// when nothing is staged.
+  virtual std::optional<simnet::SimTime> settle(simnet::SimTime now) = 0;
+  /// Launch the due head on the token accrued at `slot` (slot <= now).
+  virtual void launch(simnet::SimTime slot, simnet::SimTime now) = 0;
+
+ protected:
+  ~PumpClient() = default;
+};
+
 class SharedBudget {
  public:
   using ClientId = std::size_t;
-  /// Nudge: the client's earliest acquirable slot moved earlier (a peer
-  /// drained or left); re-arm the pump.
-  using WakeFn = std::function<void()>;
   /// Observer invoked on every grant: client, the consumed token's accrual
   /// time (slot <= at), and the grant time. Test harnesses and send-log
   /// style instrumentation hook here.
   using GrantFn = std::function<void(ClientId id, simnet::SimTime slot,
                                      simnet::SimTime at)>;
 
-  /// Throws std::invalid_argument on non-positive max_pps.
-  explicit SharedBudget(SharedBudgetConfig config);
+  /// The pump timer runs on `events` ("scan_pump" dispatch category), which
+  /// must outlive the budget. Throws std::invalid_argument on non-positive
+  /// max_pps.
+  SharedBudget(simnet::EventQueue& events, SharedBudgetConfig config);
   ~SharedBudget();
 
   SharedBudget(const SharedBudget&) = delete;
   SharedBudget& operator=(const SharedBudget&) = delete;
 
-  /// Register a client. Weight must be positive; ties in the fair-queue
-  /// arbitration break towards earlier registrations. The WakeFn may be
-  /// empty for clients that poll anyway (tests).
-  ClientId add_client(std::string name, double weight, WakeFn wake = {});
-  /// Deregister: drops the client's instruments and wakes waiting peers.
+  /// Register a client, which must stay alive until remove_client. Weight
+  /// must be positive; ties in the fair-queue arbitration break towards
+  /// earlier registrations. A null client holds a share that never has
+  /// work.
+  ClientId add_client(std::string name, double weight,
+                      PumpClient* client = nullptr);
+  /// Deregister: the budget never calls the client again and drops its
+  /// instruments.
   void remove_client(ClientId id);
 
-  /// Declare whether `id` has due work blocked only on tokens. Accurate
-  /// flags are what peers' fair shares are computed against; a client that
-  /// sets true must keep pumping (acquire or re-flag) until it sets false.
-  void set_backlog(ClientId id, bool backlogged, simnet::SimTime now);
-
-  /// Consume one token at `now`. Returns the token's accrual time
-  /// (in (now - kBurstSlots * gap, now]), or nullopt when the next token
-  /// has not accrued yet or a backlogged peer with an earlier fair-queue
-  /// tag owns it.
-  std::optional<simnet::SimTime> try_acquire(ClientId id, simnet::SimTime now);
-
-  /// Earliest future time a try_acquire(id) could succeed given current
-  /// state (>= now). Peers' grants can move it later; set_backlog(false) /
-  /// remove_client move it earlier and fire the waiters' WakeFns.
-  simnet::SimTime next_slot(ClientId id, simnet::SimTime now) const;
-  /// next_slot(), plus the burst-bank slack when no backlogged peer is
-  /// contending: an uncontended pump may oversleep by kBurstSlots gaps and
-  /// launch the banked batch in one wake (the coalescing that cuts pump
-  /// event counts); a contended pump must not, or banked tokens would
-  /// evaporate unused.
-  simnet::SimTime suggested_wake(ClientId id, simnet::SimTime now) const;
+  /// The client's earliest due time may have moved outside a pump wake
+  /// (work staged by a submission, a new source, a retry, a re-announced
+  /// route): record it and, if it is due before the pump's wake, wake at
+  /// the first token at or after it.
+  void report_due(ClientId id, std::optional<simnet::SimTime> due);
 
   simnet::SimDuration gap() const { return gap_; }
   double max_pps() const { return config_.max_pps; }
   std::int64_t burst_slots() const { return kBurstSlots; }
 
-  std::size_t clients() const { return clients_.size(); }
   std::uint64_t grants(ClientId id) const { return clients_[id]->grants.value(); }
   /// Grants taken beyond the client's contended share while some peer was
   /// idle — lent capacity actually used.
   std::uint64_t borrowed(ClientId id) const {
     return clients_[id]->borrowed.value();
   }
-  /// Virtual-time latency from a client turning busy (set_backlog true) to
-  /// its first grant.
+  /// Virtual-time latency from a client reporting due work to its first
+  /// grant.
   const obs::Histogram& reclaim(ClientId id) const {
     return clients_[id]->reclaim;
   }
+  /// Pump timer firings.
+  std::uint64_t wakes() const { return wakes_; }
+  /// Firings counted on `id`: each firing counts on exactly one client —
+  /// the first one served, or, when none is, the one whose due time armed
+  /// the timer — so the per-client counts sum to wakes().
+  const obs::Counter& wakes(ClientId id) const { return clients_[id]->wakes; }
 
   void set_grant_observer(GrantFn fn) { on_grant_ = std::move(fn); }
 
  private:
+  static constexpr simnet::SimTime kIdle =
+      std::numeric_limits<simnet::SimTime>::max();
+
   struct Client {
-    std::string name;
     double weight = 1.0;
-    WakeFn wake;
-    bool active = false;
-    bool backlogged = false;
+    /// Null once removed (or for a share that never has work); every
+    /// other field of a null client is ignored.
+    PumpClient* pump = nullptr;
+    /// Earliest launchable time of the client's staged work (kIdle: none).
+    simnet::SimTime due = kIdle;
     /// SFQ finish tag: advances 1/weight per grant; max(finish, vtime_) is
     /// the start tag arbitration compares.
     double finish = 0.0;
-    /// Time the client turned busy; -1 when idle or already served.
+    /// Time the client reported due work; -1 when idle or already served.
     simnet::SimTime wanted_since = -1;
     obs::Counter grants;
     obs::Counter borrowed;
+    obs::Counter wakes;
     obs::Histogram reclaim{obs::Histogram::exponential(100, 4.0, 12)};
   };
 
   double start_tag(const Client& c) const {
     return c.finish > vtime_ ? c.finish : vtime_;
   }
-  /// True when a backlogged peer of `id` holds an earlier (winning) tag.
-  bool deferred_to_peer(ClientId id) const;
-  void wake_waiting_peers(ClientId except);
+  /// One timer firing: settle, grant every banked token in fair order,
+  /// re-arm.
+  void pump();
+  /// Run `c`'s token-free step and store the due time it returns.
+  void settle(Client& c, simnet::SimTime now);
+  /// Arm the timer for the earliest client wake (or cancel it).
+  void rearm();
 
+  simnet::EventQueue& events_;
   SharedBudgetConfig config_;
   /// Whole-microsecond floor of the exact token gap 1e6/max_pps.
   simnet::SimDuration gap_;
@@ -164,6 +188,12 @@ class SharedBudget {
   double vtime_ = 0.0;
   std::vector<std::unique_ptr<Client>> clients_;
   GrantFn on_grant_;
+  std::uint64_t wakes_ = 0;
+  /// The client whose due time the armed deadline serves.
+  ClientId armed_by_ = 0;
+  /// The pump wake (declared last: destroyed first, so no firing can reach
+  /// a half-destroyed budget).
+  simnet::Timer timer_;
 };
 
 }  // namespace tts::scan

@@ -16,8 +16,6 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
       config_(std::move(config)),
       rng_(config_.seed),
       queue_(config_.max_pending),
-      pump_timer_(network.events(), [this] { pump(); },
-                  network.events().register_category("scan_pump")),
       probe_cat_(network.events().register_category("scan_probe")) {
   if (!config_.budget && config_.max_pps <= 0)
     throw std::invalid_argument("ScanEngine: max_pps must be positive");
@@ -65,7 +63,9 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
   // quarantined targets become launchable again.
   network_.subscribe_routes([this](const net::Ipv6Prefix& /*prefix*/,
                                    simnet::RouteOp op, simnet::SimTime at) {
-    if (op == simnet::RouteOp::kAnnounce) drain_quarantine(at);
+    if (op == simnet::RouteOp::kAnnounce &&
+        drain_quarantine(at, /*announced=*/true))
+      report_due();
   });
   if (breaker_ && config_.flight) {
     obs::FlightRecorder* flight = config_.flight;
@@ -102,12 +102,12 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
     budget_ = config_.budget;
   } else {
     own_budget_ = std::make_unique<SharedBudget>(
+        network_.events(),
         SharedBudgetConfig{config_.max_pps, config_.registry});
     budget_ = own_budget_.get();
   }
-  budget_id_ =
-      budget_->add_client(std::string(label(config_.dataset)),
-                          config_.budget_weight, [this] { arm_pump(); });
+  budget_id_ = budget_->add_client(std::string(label(config_.dataset)),
+                                   config_.budget_weight, this);
   enroll_metrics();
 }
 
@@ -126,8 +126,7 @@ void ScanEngine::enroll_metrics() {
   reg->enroll(backpressure_, "scan_backpressure_events", ds, this);
   reg->enroll(probes_launched_, "scan_probes_launched", ds, this);
   reg->enroll(probes_completed_, "scan_probes_completed", ds, this);
-  reg->enroll(pump_wakes_, "scan_pump_wakes", ds, this);
-  reg->enroll(refill_deferred_, "scan_refill_deferred", ds, this);
+  reg->enroll(budget_->wakes(budget_id_), "scan_pump_wakes", ds, this);
   reg->enroll(retries_, "scan_retries", ds, this);
   reg->enroll(retry_success_, "scan_retry_success_total", ds, this);
   reg->enroll(retry_dropped_, "scan_retry_dropped", ds, this);
@@ -167,7 +166,7 @@ SubmitResult ScanEngine::try_submit(const net::Ipv6Address& target,
   }
   last_scan_[target] = now;
   stage_target(target, lane);
-  arm_pump();
+  report_due();
   return SubmitResult::kAccepted;
 }
 
@@ -192,7 +191,7 @@ void ScanEngine::submit_bulk(const std::vector<net::Ipv6Address>& targets) {
 
 void ScanEngine::add_source(SourceFn fn, Dataset lane) {
   sources_.push_back(Source{std::move(fn), lane});
-  arm_pump();
+  report_due();
 }
 
 void ScanEngine::stage_target(const net::Ipv6Address& target, Dataset lane) {
@@ -206,8 +205,7 @@ void ScanEngine::stage_target(const net::Ipv6Address& target, Dataset lane) {
   assert(ok && "stage_target called on a full lane");
   (void)ok;
   submitted_.inc();
-  pending_gauge_.set(static_cast<std::int64_t>(queue_.size()));
-  pending_peak_gauge_.set(static_cast<std::int64_t>(queue_.peak()));
+  update_pending_gauges();
 }
 
 void ScanEngine::stage_successor(const ScanIntent& intent,
@@ -281,93 +279,63 @@ void ScanEngine::refill_from_sources() {
   }
 }
 
-std::optional<simnet::SimTime> ScanEngine::next_wake() const {
-  // A source with staging room wants a pull — but staging is useless
-  // before a token accrues, so wake at the budget's suggestion instead of
-  // immediately (budget-aware source scheduling: bulk feeds skip staging
-  // churn on wakes that cannot launch anything).
+std::optional<simnet::SimTime> ScanEngine::due() const {
   for (const Source& source : sources_)
-    if (queue_.free_slots(source.lane) > 0)
-      return budget_->suggested_wake(budget_id_, network_.now());
-  auto due = queue_.next_not_before();
-  if (!due) return std::nullopt;
-  simnet::SimTime now = network_.now();
-  if (*due > now) return *due;
-  // Due now but token-blocked: the budget says when to retry, folding in
-  // the burst-bank batching slack when no peer is contending.
-  return budget_->suggested_wake(budget_id_, now);
+    if (queue_.free_slots(source.lane) > 0) return network_.now();
+  return queue_.next_not_before();
 }
 
-void ScanEngine::arm_pump() {
-  // Keep the budget's view of this engine current on every (re-)arm: the
-  // backlog flag is what peers' fair shares and wake-ups key off.
-  simnet::SimTime now = network_.now();
-  budget_->set_backlog(budget_id_, queue_.has_due(now), now);
-  auto wake = next_wake();
-  if (!wake) {
-    pump_timer_.cancel();
-    return;
-  }
-  pump_timer_.arm(*wake);
-}
-
-void ScanEngine::pump() {
-  const simnet::SimTime now = network_.now();
-  pump_wakes_.inc();
-  // Budget-aware source scheduling: staging from a bulk source is wasted
-  // work on a wake that cannot launch (no token accrued — e.g. a peer's
-  // wake-up nudge landed early). Skip the refill and let next_wake() re-arm
-  // at the budget's suggestion; already-staged due intents still launch
-  // below when a token turns out to be available.
-  bool token_ready = budget_->next_slot(budget_id_, now) <= now;
-  if (token_ready)
-    refill_from_sources();
-  else if (!sources_.empty())
-    refill_deferred_.inc();
-  // Launch every due intent the budget grants a token for, inline: one
-  // timer wake covers the whole banked batch (up to kBurstSlots + 1), so a
-  // saturated sweep pays ~1 event per batch instead of one per probe.
-  drain_quarantine(now);
-  while (const ScanIntent* next = queue_.peek_due(now)) {
-    if (network_.route_withdrawn(next->target, now)) {
-      // Withdrawn route: the target is *unreachable*, not unresponsive.
-      // Park the intent (no token spent, no record synthesized) until the
-      // route's re-announcement re-stages it.
-      ScanIntent intent = *queue_.pull_due(now);
-      end_stage_span(intent, quarantine_name_);
-      route_deferred_.inc();
-      parked_lanes_ |= lane_bit(intent.dataset);
-      quarantine_.push_back(std::move(intent));
-      continue;
-    }
-    if (breaker_ && !breaker_->would_admit(next->target, now)) {
-      // Open breaker: shed before spending a token, so a dead prefix costs
-      // no budget and the freed slots go to responsive space.
-      ScanIntent intent = *queue_.pull_due(now);
-      end_stage_span(intent, shed_name_);
-      shed_probe(intent, now);
-      continue;
-    }
-    std::optional<simnet::SimTime> slot = budget_->try_acquire(budget_id_, now);
-    if (!slot) break;  // next token not accrued, or a contending peer's turn
-    ScanIntent intent = *queue_.pull_due(now);
-    if (breaker_) breaker_->note_launch(intent.target, now);
-    token_wait_.record(now - *slot);
-    queue_delay_.record(now - intent.not_before);
-    end_stage_span(intent, grant_name_);
-    // Only a first attempt advances the protocol chain: a retry's
-    // predecessor already staged the successor when it first launched.
-    if (intent.attempt == 0) stage_successor(intent, now);
-    launch(intent, now);
-  }
-  if (token_ready)
-    refill_from_sources();  // freed lane slots admit the next bulk chunk
+void ScanEngine::update_pending_gauges() {
   pending_gauge_.set(static_cast<std::int64_t>(queue_.size()));
   pending_peak_gauge_.set(static_cast<std::int64_t>(queue_.peak()));
-  arm_pump();
 }
 
-void ScanEngine::launch(const ScanIntent& intent, simnet::SimTime at) {
+std::optional<simnet::SimTime> ScanEngine::settle(simnet::SimTime now) {
+  // Parking or shedding a head frees its staging slot, so repeat until a
+  // pass moves nothing: the freed room admits the next bulk chunk or a
+  // parked intent whose route is back.
+  for (bool moved = true; moved;) {
+    refill_from_sources();
+    drain_quarantine(now, /*announced=*/false);
+    moved = false;
+    while (const ScanIntent* next = queue_.peek_due(now)) {
+      if (network_.route_withdrawn(next->target, now)) {
+        // Withdrawn route: the target is *unreachable*, not unresponsive.
+        // Park the intent (no token spent, no record synthesized) until
+        // the route's re-announcement re-stages it.
+        ScanIntent intent = *queue_.pull_due(now);
+        end_stage_span(intent, quarantine_name_);
+        route_deferred_.inc();
+        quarantine_.push_back(std::move(intent));
+      } else if (breaker_ && !breaker_->would_admit(next->target, now)) {
+        // Open breaker: shed before spending a token, so a dead prefix
+        // costs no budget and the freed slots go to responsive space.
+        ScanIntent intent = *queue_.pull_due(now);
+        end_stage_span(intent, shed_name_);
+        shed_probe(intent, now);
+      } else {
+        break;  // launchable: the budget decides when
+      }
+      moved = true;
+    }
+  }
+  update_pending_gauges();
+  return due();
+}
+
+void ScanEngine::launch(simnet::SimTime slot, simnet::SimTime now) {
+  ScanIntent intent = *queue_.pull_due(now);
+  if (breaker_) breaker_->note_launch(intent.target, now);
+  token_wait_.record(now - slot);
+  queue_delay_.record(now - intent.not_before);
+  end_stage_span(intent, grant_name_);
+  // Only a first attempt advances the protocol chain: a retry's
+  // predecessor already staged the successor when it first launched.
+  if (intent.attempt == 0) stage_successor(intent, now);
+  launch_probe(intent, now);
+}
+
+void ScanEngine::launch_probe(const ScanIntent& intent, simnet::SimTime at) {
   // A target's protocol chain runs in Protocol order: the chain position
   // is the protocol.
   auto proto = static_cast<Protocol>(intent.chain_pos);
@@ -429,9 +397,8 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
       if (config_.flight)
         config_.flight->record(obs::FlightKind::kRetryStaged, /*detail=*/0,
                                intent.trace, attempt, delay);
-      pending_gauge_.set(static_cast<std::int64_t>(queue_.size()));
-      pending_peak_gauge_.set(static_cast<std::int64_t>(queue_.peak()));
-      arm_pump();
+      update_pending_gauges();
+      report_due();
       return;
     }
     retry_dropped_.inc();  // lane full: give up, record the timeout
@@ -447,22 +414,27 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
   results_.add(std::move(record));
 }
 
-void ScanEngine::drain_quarantine(simnet::SimTime now) {
-  // Nothing can leave while every lane holding a parked intent is full.
-  bool room = false;
+bool ScanEngine::drain_quarantine(simnet::SimTime now, bool announced) {
+  // Only an announce can route a parked target again; between announces
+  // only intents that found their lane full can leave, once it has room.
+  bool room = announced;
   for (std::size_t d = 0; d < kDatasetCount; ++d)
-    room |= (parked_lanes_ >> d & 1u) != 0 &&
+    room |= (full_lanes_ >> d & 1u) != 0 &&
             !queue_.full(static_cast<Dataset>(d));
-  if (!room) return;
+  if (!room) return false;
   std::size_t kept = 0;
-  std::uint8_t parked_lanes = 0;
+  std::uint8_t full_lanes = 0;
   bool staged = false;
   for (ScanIntent& intent : quarantine_) {
-    // Still unrouted, or its lane has no room: keep it parked (FIFO), with
-    // no staging span; the next announce commit or pump wake retries.
-    if (queue_.full(intent.dataset) ||
-        network_.route_withdrawn(intent.target, now)) {
-      parked_lanes |= lane_bit(intent.dataset);
+    // Its lane has no room, or still unrouted: keep it parked (FIFO), with
+    // no staging span. A full lane is retried when it frees a slot, a
+    // withdrawn route at the next announce.
+    if (queue_.full(intent.dataset)) {
+      full_lanes |= lane_bit(intent.dataset);
+      quarantine_[kept++] = std::move(intent);
+      continue;
+    }
+    if (network_.route_withdrawn(intent.target, now)) {
       quarantine_[kept++] = std::move(intent);
       continue;
     }
@@ -478,12 +450,9 @@ void ScanEngine::drain_quarantine(simnet::SimTime now) {
     staged = true;
   }
   quarantine_.resize(kept);
-  parked_lanes_ = parked_lanes;
-  if (staged) {
-    pending_gauge_.set(static_cast<std::int64_t>(queue_.size()));
-    pending_peak_gauge_.set(static_cast<std::int64_t>(queue_.peak()));
-    arm_pump();
-  }
+  full_lanes_ = full_lanes;
+  if (staged) update_pending_gauges();
+  return staged;
 }
 
 void ScanEngine::shed_probe(const ScanIntent& intent, simnet::SimTime now) {

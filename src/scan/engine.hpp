@@ -10,21 +10,20 @@
 // one dialogue per protocol over a client stream that owns its TLS framing)
 // and records one ScanRecord.
 //
-// Pacing is pull-based: submissions only stage *intents* in a bounded
-// PendingQueue; a single coalesced pump timer (simnet::Timer — one
-// re-schedulable wake slot per engine, not one heap entry per grant) wakes
-// at token-availability time, pulls the due intents, and launches them
-// inline against tokens acquired from the budget. An engine running alone
-// on its budget oversleeps by the burst bank and launches the banked batch
-// in one wake, which cuts a saturated sweep's event count by
-// ~kBurstSlots x versus a per-grant wake. Engines contending for one
-// budget (the full study's two) get no such batching and wake about once
-// per grant. A full lane applies backpressure to the submitter, and
-// registered bulk sources are pulled chunk-by-chunk as staging room frees
-// up, so the pending depth stays O(max_pending) instead of O(total
-// targets) and `scan_token_wait_us` measures the real pacing delay (launch
-// minus token accrual, bounded by the burst bank) rather than the position
-// of a probe in a bulk backlog.
+// Pacing is pull-based and the engine owns no timer: submissions only
+// stage *intents* in a bounded PendingQueue and report the engine's
+// earliest due time to its budget, whose single pump timer drives the
+// engine through two steps (PumpClient). settle() does the token-free work
+// — pull bulk sources into free staging room, re-stage quarantined intents
+// whose lane has room, park due heads whose route is withdrawn and shed
+// those an open breaker refuses — and launch() starts the due head on a
+// granted token, inline. The budget re-settles the engine after every
+// launch, so a slot the launch frees is refilled (or taken by a parked
+// intent) at once. A full lane applies backpressure to the submitter, so
+// the pending depth stays O(max_pending) instead of O(total targets) and
+// `scan_token_wait_us` measures the real pacing delay (launch minus token
+// accrual, bounded by the burst bank) rather than the position of a probe
+// in a bulk backlog.
 //
 // All campaign counters (submitted / skipped / launched / completed, the
 // per-protocol splits, the token-bucket wait and queue-delay histograms,
@@ -108,7 +107,7 @@ enum class SubmitResult : std::uint8_t {
               ///< target is NOT blackout-marked and may be resubmitted)
 };
 
-class ScanEngine {
+class ScanEngine : private PumpClient {
  public:
   /// A target accepted for scanning is skipped for this long afterwards
   /// (the paper's ethical-scanning rule, Section 4.1).
@@ -200,14 +199,13 @@ class ScanEngine {
   const CircuitBreakerSet* breaker() const {
     return breaker_ ? &*breaker_ : nullptr;
   }
-  /// Pump wake-ups (coalesced timer firings). A saturated sweep on an
-  /// uncontended budget launches ~(kBurstSlots + 1) probes per wake, so
-  /// this stays well under probes_launched(); under contention it is ~one
-  /// wake per grant.
-  std::uint64_t pump_wakes() const { return pump_wakes_.value(); }
-  /// Pump wakes that skipped source refill because the budget had no token
-  /// accrued — bulk staging work deferred to a wake that can launch.
-  std::uint64_t refills_deferred() const { return refill_deferred_.value(); }
+  /// Budget pump wakes counted on this engine (SharedBudget::wakes(id)):
+  /// summed over a budget's engines they equal its timer firings. A
+  /// saturated sweep launches ~(kBurstSlots + 1) probes per wake, so this
+  /// stays well under probes_launched().
+  std::uint64_t pump_wakes() const {
+    return budget_->wakes(budget_id_).value();
+  }
 
   /// The budget this engine draws tokens from (shared or private).
   const SharedBudget& budget() const { return *budget_; }
@@ -251,7 +249,7 @@ class ScanEngine {
   void end_stage_span(const ScanIntent& intent, obs::Tracer::NameId how);
   /// Stage the next protocol of `intent`'s chain after a launch at `slot`.
   void stage_successor(const ScanIntent& intent, simnet::SimTime slot);
-  void launch(const ScanIntent& intent, simnet::SimTime at);
+  void launch_probe(const ScanIntent& intent, simnet::SimTime at);
   /// Probe completion callback: invoked exactly once per launched probe.
   using ProbeDoneFn = std::function<void(ScanRecord)>;
   /// The TCP probes (probe.cpp): connect, TLS handshake for the TLS
@@ -265,17 +263,26 @@ class ScanEngine {
   /// record (conserving the one-outcome-per-probe tally) and keep the
   /// protocol chain going so later probes can close the breaker again.
   void shed_probe(const ScanIntent& intent, simnet::SimTime now);
-  /// Re-stage quarantined intents whose routes have been re-announced
-  /// (runs at route-announce commits and at every pump wake, so lane-full
-  /// parks retry). A no-op while every lane holding a parked intent is
-  /// full; an intent its lane cannot take gets no staging span.
-  void drain_quarantine(simnet::SimTime now);
+  /// Re-stage quarantined intents whose routes have been re-announced.
+  /// Runs at route-announce commits (`announced`: every parked intent is
+  /// checked) and in every settle(), where it is a no-op unless a lane an
+  /// intent found full has room again — so a lane-full park re-stages as
+  /// soon as a slot frees. An intent its lane cannot take gets no staging
+  /// span. True when it staged any.
+  bool drain_quarantine(simnet::SimTime now, bool announced);
   /// Probe completion: breaker feedback, retry re-staging, result tally.
   void finish_probe(const ScanIntent& intent, ScanRecord record);
   void refill_from_sources();
-  void arm_pump();
-  void pump();
-  std::optional<simnet::SimTime> next_wake() const;
+  /// The budget's token-free step: refill, drain the quarantine, park or
+  /// shed due heads until the head (if due) is launchable.
+  std::optional<simnet::SimTime> settle(simnet::SimTime now) override;
+  /// The budget's launch step: start the due head on the token at `slot`.
+  void launch(simnet::SimTime slot, simnet::SimTime now) override;
+  /// Earliest time the engine has work: now while a source has staging
+  /// room, else the first staged not-before time.
+  std::optional<simnet::SimTime> due() const;
+  void report_due() { budget_->report_due(budget_id_, due()); }
+  void update_pending_gauges();
   void enroll_metrics();
 
   simnet::Network& network_;
@@ -290,8 +297,9 @@ class ScanEngine {
   /// Intents pulled due while their target sat in withdrawn space: parked
   /// FIFO here (no token, no record) until re-announcement re-stages them.
   std::vector<ScanIntent> quarantine_;
-  /// Bit d set: a quarantined intent waits for room in Dataset lane d.
-  std::uint8_t parked_lanes_ = 0;
+  /// Bit d set: a quarantined intent found Dataset lane d full and waits
+  /// for room there.
+  std::uint8_t full_lanes_ = 0;
   static std::uint8_t lane_bit(Dataset lane) {
     return static_cast<std::uint8_t>(1u << static_cast<unsigned>(lane));
   }
@@ -305,8 +313,6 @@ class ScanEngine {
   std::unique_ptr<SharedBudget> own_budget_;
   SharedBudget* budget_ = nullptr;
   SharedBudget::ClientId budget_id_ = 0;
-  /// The coalesced wake slot: every pump wake re-arms this one timer.
-  simnet::Timer pump_timer_;
   /// Dispatch category of the per-probe guard timers.
   simnet::EventQueue::CategoryId probe_cat_;
   std::uint64_t next_ephemeral_ = 40000;
@@ -317,8 +323,6 @@ class ScanEngine {
   obs::Counter backpressure_;
   obs::Counter probes_launched_;
   obs::Counter probes_completed_;
-  obs::Counter pump_wakes_;
-  obs::Counter refill_deferred_;
   obs::Counter retries_;
   obs::Counter retry_success_;
   obs::Counter retry_dropped_;

@@ -33,12 +33,6 @@ std::optional<simnet::SimTime> PendingQueue::next_not_before() const {
   return earliest;
 }
 
-bool PendingQueue::has_due(simnet::SimTime now) const {
-  for (const Lane& lane : lanes_)
-    if (!lane.empty() && lane.top().intent.not_before <= now) return true;
-  return false;
-}
-
 const ScanIntent* PendingQueue::peek_due(simnet::SimTime now) const {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     std::size_t li = (rr_next_ + i) % lanes_.size();

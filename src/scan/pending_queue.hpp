@@ -1,10 +1,10 @@
 // Bounded, dataset-fair staging for scan probe intents.
 //
-// The pull-based pacing pump (ScanEngine::pump, woken by one coalesced
-// simnet::Timer per engine) stores *intents* here — (target, position in
-// the protocol chain, not-before time) — instead of pre-reserving
-// rate-limiter slots at submission; slots come from the engine's
-// scan::SharedBudget at launch time. Each dataset gets its own
+// The pull-based pacing pump (scan::SharedBudget's one timer driving each
+// ScanEngine's settle and launch steps) stores *intents* here — (target,
+// position in the protocol chain, not-before time) — instead of
+// pre-reserving rate-limiter slots at submission; slots come from the
+// engine's scan::SharedBudget at launch time. Each dataset gets its own
 // lane with its own capacity, so a bulk hitlist sweep can never crowd out
 // the real-time NTP feed: pulls round-robin across lanes with due work, and
 // a full lane pushes back on the submitter instead of growing without
@@ -60,7 +60,6 @@ class PendingQueue {
 
   /// Earliest not_before across all lanes (nullopt when empty).
   std::optional<simnet::SimTime> next_not_before() const;
-  bool has_due(simnet::SimTime now) const;
   /// Pop one intent with not_before <= now, round-robin across lanes with
   /// due work so no dataset starves another. nullopt when nothing is due.
   std::optional<ScanIntent> pull_due(simnet::SimTime now);

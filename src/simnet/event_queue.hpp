@@ -269,7 +269,8 @@ class EventQueue {
 /// re-arming earlier pushes one new entry and invalidates the old by
 /// generation; re-arming *later* pushes nothing — the existing entry fires,
 /// notices the deadline moved, and re-schedules itself. This is what lets
-/// the scan pump coalesce its per-grant wake-ups into one slot per engine.
+/// the scan pump (scan::SharedBudget) coalesce every engine's wake-ups into
+/// one slot.
 ///
 /// The callback only runs when the armed deadline is actually reached;
 /// cancel() and destruction make any in-flight heap entries inert. The

@@ -67,7 +67,7 @@ TEST(BudgetHarness, RandomisedScenariosNeverExceedCapInAnyWindow) {
   for (int iter = 0; iter < 12; ++iter) {
     Scenario s = random_scenario(rng);
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
+    SharedBudget budget(events, SharedBudgetConfig{s.pps, nullptr});
     auto grants = run_scenario(s, budget, events);
 
     std::uint64_t total = 0;
@@ -94,7 +94,7 @@ TEST(BudgetHarness, SaturatedSharesConvergeToWeightsAndNobodyStarves) {
   for (int iter = 0; iter < 12; ++iter) {
     Scenario s = random_scenario(rng);
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
+    SharedBudget budget(events, SharedBudgetConfig{s.pps, nullptr});
     auto grants = run_scenario(s, budget, events);
 
     // All clients are backlogged until the earliest last-grant time; the
@@ -134,7 +134,7 @@ TEST(BudgetHarness, SameScenarioGivesBitIdenticalGrantSequences) {
   Scenario s = random_scenario(rng);
   auto run_once = [&] {
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{s.pps, nullptr});
+    SharedBudget budget(events, SharedBudgetConfig{s.pps, nullptr});
     return run_scenario(s, budget, events);
   };
   auto a = run_once();
@@ -145,7 +145,7 @@ TEST(BudgetHarness, SameScenarioGivesBitIdenticalGrantSequences) {
 
 TEST(BudgetHarness, IdleShareIsLentAndReclaimedWithinOneGap) {
   simnet::EventQueue events;
-  SharedBudget budget(SharedBudgetConfig{1000, nullptr});  // gap = 1 ms
+  SharedBudget budget(events, SharedBudgetConfig{1000, nullptr});  // gap = 1 ms
   GrantLog log;
   log.attach(budget);
   FakePacer a(events, budget, "a", 1.0);
@@ -181,7 +181,7 @@ TEST(BudgetHarness, FractionalGapRateIsExactOverLongWindows) {
   // [0, 600 s).
   auto run_once = [] {
     simnet::EventQueue events;
-    SharedBudget budget(SharedBudgetConfig{4096, nullptr});
+    SharedBudget budget(events, SharedBudgetConfig{4096, nullptr});
     GrantLog log;
     log.attach(budget);
     FakePacer pacer(events, budget, "solo", 1.0);
@@ -203,11 +203,12 @@ TEST(BudgetHarness, FractionalGapRateIsExactOverLongWindows) {
 }
 
 TEST(BudgetHarness, ConfigValidation) {
-  EXPECT_THROW(SharedBudget(SharedBudgetConfig{0, nullptr}),
+  simnet::EventQueue events;
+  EXPECT_THROW(SharedBudget(events, SharedBudgetConfig{0, nullptr}),
                std::invalid_argument);
-  EXPECT_THROW(SharedBudget(SharedBudgetConfig{-5, nullptr}),
+  EXPECT_THROW(SharedBudget(events, SharedBudgetConfig{-5, nullptr}),
                std::invalid_argument);
-  SharedBudget ok(SharedBudgetConfig{100, nullptr});
+  SharedBudget ok(events, SharedBudgetConfig{100, nullptr});
   EXPECT_THROW(ok.add_client("bad", 0.0), std::invalid_argument);
   EXPECT_THROW(ok.add_client("bad", -1.0), std::invalid_argument);
 }

@@ -4,14 +4,15 @@
 // GrantLog taps SharedBudget's grant observer and answers the questions the
 // invariants are phrased in (how many grants in the worst 1-second window,
 // how many per client before some cutoff, is the whole sequence
-// bit-identical between runs), FakePacer is a minimal budget client that
-// follows the pump protocol (backlog flag, try_acquire loop, re-arm at
-// suggested_wake) without dragging the full scan stack in, and Fnv64 folds
-// arbitrary run artifacts into one fingerprint for determinism checks.
+// bit-identical between runs), FakePacer is a plain budget client (its
+// work is due while any is left; each grant launches one unit) that needs
+// none of the scan stack, and Fnv64 folds arbitrary run artifacts into one
+// fingerprint for determinism checks.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -117,23 +118,20 @@ class Fnv64 {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// Minimal SharedBudget client: `work` abstract sends, paced through the
-/// same protocol the scan pump uses (one re-armable Timer, backlog flag
-/// kept current, try_acquire until refused, sleep to suggested_wake).
-class FakePacer {
+/// Minimal SharedBudget client: `work` abstract sends, each launched on a
+/// token the budget's pump grants.
+class FakePacer : private scan::PumpClient {
  public:
   FakePacer(simnet::EventQueue& events, scan::SharedBudget& budget,
             std::string name, double weight)
-      : events_(events),
-        budget_(budget),
-        timer_(events, [this] { pump(); }) {
-    id_ = budget_.add_client(std::move(name), weight, [this] { arm(); });
+      : events_(events), budget_(budget) {
+    id_ = budget_.add_client(std::move(name), weight, this);
   }
   ~FakePacer() { budget_.remove_client(id_); }
 
   void add_work(std::uint64_t n) {
     work_ += n;
-    arm();
+    budget_.report_due(id_, events_.now());
   }
 
   scan::SharedBudget::ClientId id() const { return id_; }
@@ -141,27 +139,17 @@ class FakePacer {
   std::uint64_t work_left() const { return work_; }
 
  private:
-  void arm() {
-    simnet::SimTime now = events_.now();
-    budget_.set_backlog(id_, work_ > 0, now);
-    if (work_ == 0) {
-      timer_.cancel();
-      return;
-    }
-    timer_.arm(budget_.suggested_wake(id_, now));
+  std::optional<simnet::SimTime> settle(simnet::SimTime now) override {
+    if (work_ == 0) return std::nullopt;
+    return now;
   }
-  void pump() {
-    simnet::SimTime now = events_.now();
-    while (work_ > 0 && budget_.try_acquire(id_, now)) {
-      --work_;
-      ++done_;
-    }
-    arm();
+  void launch(simnet::SimTime /*slot*/, simnet::SimTime /*now*/) override {
+    --work_;
+    ++done_;
   }
 
   simnet::EventQueue& events_;
   scan::SharedBudget& budget_;
-  simnet::Timer timer_;
   scan::SharedBudget::ClientId id_;
   std::uint64_t work_ = 0;
   std::uint64_t done_ = 0;

@@ -3,8 +3,9 @@
 // shared cap (and sustains >= 95% of it), weighted shares converge under
 // two-way saturation, a newly busy engine reclaims its share within a
 // token gap or two, the aggregate launch rate never exceeds the cap in any
-// 1-second window, and the coalesced pump keeps its wake-up count well
-// under one event per probe.
+// 1-second window, the budget's one pump timer keeps its wake-up count well
+// under one event per probe (contended or not), and an engine destroyed
+// mid-run leaves its peer the whole cap.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -76,7 +77,7 @@ class PacingHarness : public ::testing::Test {
 };
 
 TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
-  SharedBudget budget(SharedBudgetConfig{1000, nullptr});
+  SharedBudget budget(events_, SharedBudgetConfig{1000, nullptr});
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,
@@ -110,7 +111,7 @@ TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
 }
 
 TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
-  SharedBudget budget(SharedBudgetConfig{2000, nullptr});
+  SharedBudget budget(events_, SharedBudgetConfig{2000, nullptr});
   ScanEngine ntp(network_, results_,
                  engine_config(Dataset::kNtp, 0xb1, &budget, 3.0));
   ScanEngine hitlist(network_, results_,
@@ -131,7 +132,7 @@ TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
 }
 
 TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
-  SharedBudget budget(SharedBudgetConfig{1000, nullptr});
+  SharedBudget budget(events_, SharedBudgetConfig{1000, nullptr});
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,
@@ -162,6 +163,76 @@ TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
   // them.
   EXPECT_EQ(ntp.probes_launched() + hitlist.probes_launched(),
             900 * scan::kProtocolCount);
+}
+
+TEST_F(PacingHarness, ContendedEnginesShareBatchedWakes) {
+  SharedBudget budget(events_, SharedBudgetConfig{2000, nullptr});
+  ScanEngine ntp(network_, results_,
+                 engine_config(Dataset::kNtp, 0xd1, &budget, 3.0));
+  ScanEngine hitlist(network_, results_,
+                     engine_config(Dataset::kHitlist, 0xd2, &budget, 1.0));
+  feed(ntp, 2500, 10000);
+  feed(hitlist, 1500, 50000);
+
+  events_.run_until(simnet::sec(5));
+
+  std::uint64_t grants = budget.grants(ntp.budget_client()) +
+                         budget.grants(hitlist.budget_client());
+  ASSERT_GT(grants, 9000u);  // both engines saturated the shared cap
+  // Every timer firing is counted on exactly one engine.
+  EXPECT_EQ(ntp.pump_wakes() + hitlist.pump_wakes(), budget.wakes());
+  // One wake hands the whole bank out across both engines, so contention
+  // costs no extra wakes: at most half a wake per grant.
+  EXPECT_LE(budget.wakes() * 2, grants);
+}
+
+TEST_F(PacingHarness, RemovingAnEngineMidRunLeavesItsPeerTheCap) {
+  SharedBudget budget(events_, SharedBudgetConfig{1000, nullptr});
+  GrantLog log;
+  log.attach(budget);
+  // A five-minute protocol stagger: once its first probes conclude, the
+  // NTP engine holds only intents due minutes later, so destroying it
+  // leaves no probe in flight but a due time the budget must forget.
+  ScanEngineConfig ntp_config =
+      engine_config(Dataset::kNtp, 0xe1, &budget, 1.0);
+  ntp_config.min_protocol_delay = simnet::minutes(5);
+  ntp_config.max_protocol_delay = simnet::minutes(5);
+  auto ntp = std::make_unique<ScanEngine>(network_, results_, ntp_config);
+  ScanEngine hitlist(network_, results_,
+                     engine_config(Dataset::kHitlist, 0xe2, &budget, 1.0));
+  const SharedBudget::ClientId ntp_id = ntp->budget_client();
+  for (std::uint64_t i = 0; i < 20; ++i)
+    ASSERT_TRUE(ntp->submit(addr(70000 + i)));
+  hitlist.submit_bulk(targets(2000, 5000));  // ~16 s at the full cap
+
+  const simnet::SimTime cut = simnet::sec(10);
+  std::uint64_t ntp_wakes = 0;
+  events_.schedule_at(cut, [&] {
+    EXPECT_GT(hitlist.pending_depth(), 0u);  // the peer is still backlogged
+    ntp_wakes = ntp->pump_wakes();
+    ntp.reset();
+  });
+  events_.run();
+
+  // The NTP engine was granted its first probes and nothing after removal.
+  EXPECT_EQ(budget.grants(ntp_id), 20u);
+  EXPECT_EQ(log.first_at_or_after(ntp_id, cut), -1);
+  EXPECT_EQ(ntp_wakes + hitlist.pump_wakes(), budget.wakes());
+  ASSERT_EQ(hitlist.probes_launched(), 2000 * scan::kProtocolCount);
+
+  // The survivor sustains >= 95% of the cap from the removal on.
+  std::uint64_t after = 0;
+  simnet::SimTime first = -1, last = -1;
+  for (const Grant& g : log.grants()) {
+    if (g.at < cut) continue;
+    ++after;
+    if (first < 0) first = g.at;
+    last = g.at;
+  }
+  ASSERT_GT(after, 1000u);
+  double achieved_pps = static_cast<double>(after - 1) * 1e6 /
+                        static_cast<double>(last - first);
+  EXPECT_GE(achieved_pps, 0.95 * budget.max_pps());
 }
 
 }  // namespace

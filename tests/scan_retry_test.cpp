@@ -436,6 +436,37 @@ TEST_F(RetryEngineTest, ReParkingAQuarantinedIntentOpensNoStageSpan) {
   EXPECT_EQ(stage_spans, 2);
 }
 
+TEST_F(RetryEngineTest, ParkedIntentReStagesWhenTheLastLaunchFreesItsLane) {
+  // kNetA is withdrawn from t=0 to 30 s: its target parks in the route
+  // quarantine. One routed chain (kNetB, 10 s between protocols) holds the
+  // only staging slot from t=1 s to its last launch at 71 s, across the
+  // announce. Nothing else is due after that launch, so only the token-free
+  // step that follows it can hand the freed slot to the parked intent.
+  simnet::RouteScenario routes;
+  routes.convergence = 0;
+  routes.withdraw(net::Ipv6Prefix(addr(kNetA, 0), 32), 0);
+  routes.announce(net::Ipv6Prefix(addr(kNetA, 0), 32), simnet::sec(30));
+  network_.install_routes(std::move(routes));
+
+  auto config = fast_config();
+  config.min_protocol_delay = simnet::sec(10);
+  config.max_protocol_delay = simnet::sec(10);
+  config.max_pending = 1;
+  ScanEngine engine(network_, results_, config);
+  ASSERT_TRUE(engine.submit(addr(kNetA, 1)));
+  events_.schedule_at(simnet::sec(1),
+                      [&] { EXPECT_TRUE(engine.submit(addr(kNetB, 1))); });
+  events_.schedule_at(simnet::sec(31), [&] {
+    EXPECT_EQ(engine.quarantine_depth(), 1u);  // routed, but no room
+  });
+  events_.run();
+
+  EXPECT_EQ(engine.route_deferred(), 1u);
+  EXPECT_EQ(engine.route_requeued(), 1u);
+  EXPECT_EQ(engine.quarantine_depth(), 0u);
+  EXPECT_EQ(results_.total(config.dataset), 2 * kProtocolCount);
+}
+
 TEST_F(RetryEngineTest, ValidatesTimeoutAndRetryConfig) {
   auto bad_connect = fast_config();
   bad_connect.connect_timeout = simnet::sec(30);  // exceeds probe guard
