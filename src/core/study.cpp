@@ -272,15 +272,6 @@ void Study::run() {
   simnet::NetworkConfig net_config = config_.network;
   net_config.seed = rng_.stream("network").root_seed();
   network_ = std::make_unique<simnet::Network>(events_, net_config);
-  if (!config_.faults.empty()) {
-    simnet::FaultScenario scenario = config_.faults;
-    scenario.seed = rng_.stream("faults").root_seed() ^ scenario.seed;
-    network_->install_faults(std::move(scenario), &metrics_, &flight_);
-  }
-  // The route plane is draw-free (pure scripted windows), so no seed
-  // mixing; transitions commit at barriers, counters enroll as route_*.
-  if (!config_.routes.empty())
-    network_->install_routes(config_.routes, &metrics_, &flight_);
 
   {
     auto span = tracer_.span("study/build_internet");

@@ -73,14 +73,6 @@ struct StudyConfig {
   /// single-queue dispatcher. A zero lookahead defaults to the network's
   /// minimum latency.
   simnet::ShardPlan shards;
-  /// Scripted impairments installed into the network before traffic starts
-  /// (empty = pristine). See simnet/fault.hpp for the scenario grammar.
-  simnet::FaultScenario faults;
-  /// Scripted BGP-style reachability plane (empty = everything routed).
-  /// Consulted before the fault plane on every send/connect; see
-  /// simnet/route.hpp. Scenarios needing generated artifacts can instead
-  /// install from on_built via network().install_routes(...).
-  simnet::RouteScenario routes;
 
   /// Countries hosting our capture servers (default: the paper's 11).
   std::vector<std::string> server_countries;
@@ -121,9 +113,10 @@ struct StudyConfig {
   ntp::PoolMonitorConfig pool_monitor;
 
   /// Runs after every component is built (registry, population, pool,
-  /// engines), right before the event loop: fault-injection scenarios that
-  /// need generated artifacts (an eyeball prefix, our servers' addresses)
-  /// script themselves here via Study::network().install_faults(...).
+  /// engines), right before the event loop. Scripted impairments install
+  /// here, scripted against generated artifacts (an eyeball prefix, our
+  /// servers' addresses), via Study::network().install_faults(...) and
+  /// install_routes(...).
   std::function<void(class Study&)> on_built;
 
   /// Virtual time allowed after the collection window for in-flight scans

@@ -46,8 +46,9 @@ enum class FlightKind : std::uint8_t {
   /// the kind, a = the rule/outage index, b = its prefix/host hi64).
   kFaultWindowOpen,
   kFaultWindowClose,
-  /// A RoutePlane transition committed at a barrier (a/b = the prefix
-  /// address halves); bursts of withdrawals feed the route-flap trigger.
+  /// An ImpairmentPlane route transition committed at a barrier (a/b =
+  /// the prefix address halves); bursts of withdrawals feed the
+  /// route-flap trigger.
   kRouteWithdrawn,
   kRouteAnnounced,
 };

@@ -1,7 +1,6 @@
 #include "simnet/network.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tts::simnet {
 
@@ -66,7 +65,7 @@ void TcpConnection::send(Side from, std::vector<std::uint8_t> data) {
   if (stalled_) {
     // Fault-injected stall: the connection looks established, but payload
     // bytes silently vanish in both directions (counted by the plane).
-    if (net_->fault_) net_->fault_->note_stalled_data();
+    net_->plane_.note_stalled_data();
     return;
   }
   int to = 1 - f;
@@ -162,7 +161,7 @@ void Network::set_shard_map(const ShardMap* map) {
   for (DomainId d = static_cast<DomainId>(rngs_.size());
        d < map_->domain_count(); ++d)
     rngs_.push_back(root.stream("net-domain").stream(d));
-  if (fault_) fault_->configure_domains(map_->domain_count());
+  plane_.configure_domains(map_->domain_count());
 }
 
 util::Rng& Network::domain_rng() {
@@ -249,19 +248,15 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
   udp_sent_.fetch_add(1, std::memory_order_relaxed);
   run_taps(TransportProto::kUdp, src, dst, payload.size());
   const SimTime now = events_.now();
-  // Reachability before impairment (route -> outage -> rules): a datagram
-  // into withdrawn space vanishes before any stochastic draw, so the
-  // RNG stream is untouched and route-plane-off runs draw identically.
-  if (route_ && route_->blackholes(dst.addr, now)) return;
-  util::Rng& rng = domain_rng();
-  if (config_.loss_rate > 0.0 && rng.chance(config_.loss_rate)) return;
-  SimDuration lat = sample_latency(src.addr, dst.addr, rng);
-  if (fault_) {
-    FaultPlane::UdpVerdict verdict = fault_->on_udp(
-        src.addr, dst.addr, dst.port, now, events_.current_domain());
-    if (verdict.drop) return;
-    lat += verdict.extra_latency;
-  }
+  // An unrouted datagram vanishes before any draw, so route-free runs draw
+  // identically; every other one draws its jitter, even when a rule then
+  // drops it.
+  ImpairmentPlane::UdpVerdict verdict = plane_.on_udp(
+      src.addr, dst.addr, dst.port, now, events_.current_domain());
+  if (verdict.unrouted) return;
+  SimDuration lat = sample_latency(src.addr, dst.addr, domain_rng());
+  if (verdict.drop) return;
+  lat += verdict.extra_latency;
   DomainId dst_dom = map_ ? map_->domain_of(dst.addr) : 0;
   events_.schedule_on(
       dst_dom, now + lat, packet_cat_,
@@ -319,33 +314,24 @@ void Network::connect_tcp(const Endpoint& src, const Endpoint& dst,
   run_taps(TransportProto::kTcp, src, dst, 0);
 
   SimDuration timeout = connect_timeout.value_or(config_.connect_timeout);
-  const SimTime now = events_.now();
-  // Reachability before impairment: a SYN into withdrawn space times out
-  // exactly like a blackhole, before any stochastic draw.
-  if (route_ && route_->blackholes(dst.addr, now)) {
+  // A SYN into withdrawn space times out like a blackhole, before any
+  // draw; every other connect draws its jitter.
+  ImpairmentPlane::TcpVerdict verdict = plane_.on_tcp_connect(
+      src.addr, dst.addr, dst.port, events_.now(), events_.current_domain());
+  SimDuration lat = verdict.extra_latency;
+  if (!verdict.unrouted)
+    lat += sample_latency(src.addr, dst.addr, domain_rng());
+  if (verdict.action == ImpairmentPlane::TcpAction::kBlackhole) {
     events_.schedule_in(timeout, packet_cat_,
                         [result] { result(nullptr, /*refused=*/false); });
     return;
   }
-  util::Rng& rng = domain_rng();
-  SimDuration lat = sample_latency(src.addr, dst.addr, rng);
-  FaultPlane::TcpVerdict verdict;
-  if (fault_) {
-    verdict = fault_->on_tcp_connect(src.addr, dst.addr, dst.port, now,
-                                     events_.current_domain());
-    lat += verdict.extra_latency;
-    if (verdict.action == FaultPlane::TcpAction::kBlackhole) {
-      events_.schedule_in(timeout, packet_cat_,
-                          [result] { result(nullptr, /*refused=*/false); });
-      return;
-    }
-    if (verdict.action == FaultPlane::TcpAction::kRst) {
-      events_.schedule_in(2 * lat, packet_cat_,
-                          [result] { result(nullptr, /*refused=*/true); });
-      return;
-    }
+  if (verdict.action == ImpairmentPlane::TcpAction::kRst) {
+    events_.schedule_in(2 * lat, packet_cat_,
+                        [result] { result(nullptr, /*refused=*/true); });
+    return;
   }
-  bool stalled = verdict.action == FaultPlane::TcpAction::kStall;
+  bool stalled = verdict.action == ImpairmentPlane::TcpAction::kStall;
   if (map_) {
     connect_tcp_sharded(src, dst, std::move(result), timeout, lat, stalled);
     return;
@@ -420,31 +406,16 @@ void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
 
 void Network::install_faults(FaultScenario scenario, obs::Registry* registry,
                              obs::FlightRecorder* flight) {
-  fault_ = std::make_unique<FaultPlane>(std::move(scenario), registry);
-  if (flight) {
-    fault_->set_flight_recorder(flight);
-    fault_->arm_windows(events_);
-  }
-  if (map_) fault_->configure_domains(map_->domain_count());
+  plane_.install(std::move(scenario), registry);
+  if (flight) plane_.set_flight_recorder(flight);
+  plane_.arm(events_);
 }
 
 void Network::install_routes(RouteScenario scenario, obs::Registry* registry,
                              obs::FlightRecorder* flight) {
-  // Install-once: arming schedules transition events capturing the plane,
-  // so a replacement would dangle them.
-  assert(!route_ && "route plane may only be installed once");
-  route_ = std::make_unique<RoutePlane>(std::move(scenario), registry);
-  if (flight) route_->set_flight_recorder(flight);
-  for (auto& fn : route_subs_) route_->subscribe(std::move(fn));
-  route_subs_.clear();
-  route_->arm(events_);
-}
-
-void Network::subscribe_routes(RoutePlane::TransitionFn fn) {
-  if (route_)
-    route_->subscribe(std::move(fn));
-  else
-    route_subs_.push_back(std::move(fn));
+  plane_.install(std::move(scenario), registry);
+  if (flight) plane_.set_flight_recorder(flight);
+  plane_.arm(events_);
 }
 
 void Network::track_connection(const TcpConnectionPtr& conn) {

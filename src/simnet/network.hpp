@@ -2,17 +2,20 @@
 //
 // Endpoints bind UDP ports or TCP listeners on addresses; senders address
 // datagrams / connections to (address, port). Delivery is scheduled on the
-// shared EventQueue with a deterministic per-pair latency plus jitter, and
-// optional loss. Addresses must be brought online (`attach`) before they
-// accept anything; traffic to offline addresses times out silently, traffic
-// to online addresses without a matching listener is refused (RST/ICMP) —
-// exactly the distinction an Internet scanner observes.
+// shared EventQueue with a deterministic per-pair latency plus jitter.
+// Scripted impairments (route withdrawals, host outages, loss, delay, RST,
+// stall) come from one ImpairmentPlane, asked once per send and once per
+// connect (see simnet/impairment.hpp). Addresses must be brought online
+// (`attach`) before they accept anything; traffic to offline addresses
+// times out silently, traffic to online addresses without a matching
+// listener is refused (RST/ICMP) — exactly the distinction an Internet
+// scanner observes.
 //
 // Sharded runs (set_shard_map): deliveries are scheduled on the destination
-// address's domain, stochastic draws (loss, jitter, fault verdicts) come
-// from the sending domain's own RNG stream, and the per-address host table
-// is mutex-guarded. The minimum one-way latency is the cross-shard lookahead the EventQueue's barrier
-// protocol relies on.
+// address's domain, stochastic draws (jitter, fault verdicts) come from
+// the sending domain's own RNG stream, and the per-address host table is
+// mutex-guarded. The minimum one-way latency is the cross-shard lookahead
+// the EventQueue's barrier protocol relies on.
 //
 // Taps: a tap observes every UDP datagram and TCP connection attempt whose
 // destination falls inside a prefix, whether or not anything is bound there.
@@ -33,8 +36,7 @@
 #include "net/ipv6.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/event_queue.hpp"
-#include "simnet/fault.hpp"
-#include "simnet/route.hpp"
+#include "simnet/impairment.hpp"
 #include "simnet/shard.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +95,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   const Endpoint& client() const { return client_; }
   const Endpoint& server() const { return server_; }
 
-  /// True when a FaultPlane stall rule hit this connection at establishment:
+  /// True when a stall rule hit this connection at establishment:
   /// it looks open to both sides, but no data (or close notification) ever
   /// crosses it.
   bool stalled() const { return stalled_; }
@@ -136,7 +138,6 @@ struct NetworkConfig {
   SimDuration min_latency = msec(5);
   SimDuration max_latency = msec(150);
   SimDuration jitter = msec(3);
-  double loss_rate = 0.0;  // applied to UDP datagrams only
   /// How long a blackholed TCP connect waits before giving up — the
   /// network-wide default for connect_tcp callers that do not override it.
   SimDuration connect_timeout = sec(5);
@@ -199,39 +200,36 @@ class Network {
                    ConnectResult result,
                    std::optional<SimDuration> connect_timeout = std::nullopt);
 
-  // -- fault injection --------------------------------------------------------
-  /// Install (or replace) the fault plane driving scripted impairments; see
-  /// simnet/fault.hpp. Instruments enroll into `registry` when given;
-  /// injections are reported to `flight` when given (see
-  /// FaultPlane::set_flight_recorder).
+  // -- scripted impairments -------------------------------------------------
+  /// Install the fault part or the route part of the one impairment plane
+  /// (see simnet/impairment.hpp), at setup time, before traffic flows.
+  /// Instruments enroll into `registry` when given; injections, route
+  /// transitions and window edges are reported to `flight` when given.
+  /// Each part installs once: a second install throws std::logic_error.
   void install_faults(FaultScenario scenario,
                       obs::Registry* registry = nullptr,
                       obs::FlightRecorder* flight = nullptr);
-  /// The installed plane (nullptr when no scenario is active).
-  const FaultPlane* faults() const { return fault_.get(); }
-
-  // -- routing signal plane ---------------------------------------------------
-  /// Install the scripted BGP-style reachability plane (see
-  /// simnet/route.hpp). Consulted before the FaultPlane on every UDP send
-  /// and TCP connect — verdict precedence route -> outage -> rules — and
-  /// its transitions commit at window barriers. Install-once, at setup
-  /// time (before traffic flows); buffered subscribe_routes() callbacks
-  /// attach here.
   void install_routes(RouteScenario scenario,
                       obs::Registry* registry = nullptr,
                       obs::FlightRecorder* flight = nullptr);
-  /// The installed plane (nullptr when no route scenario is active).
-  const RoutePlane* routes() const { return route_.get(); }
-  /// True when `dst` sits in withdrawn (unrouted) space at `now`; always
-  /// false without an installed plane. Pure — no counting, no draws.
-  bool route_withdrawn(const net::Ipv6Address& dst, SimTime now) const {
-    return route_ && route_->withdrawn(dst, now);
+  /// The plane when its fault / route part is installed, else nullptr.
+  const ImpairmentPlane* faults() const {
+    return plane_.has_faults() ? &plane_ : nullptr;
   }
-  /// Observe route transitions at their barrier commits. Callable before
-  /// install_routes (components subscribe at construction; the scenario
-  /// often installs later, e.g. from Study on_built): subscriptions made
-  /// early are buffered and attached on install.
-  void subscribe_routes(RoutePlane::TransitionFn fn);
+  const ImpairmentPlane* routes() const {
+    return plane_.has_routes() ? &plane_ : nullptr;
+  }
+  /// True when `dst` sits in withdrawn (unrouted) space at `now`; always
+  /// false without a route part. Pure — no counting, no draws.
+  bool route_withdrawn(const net::Ipv6Address& dst, SimTime now) const {
+    return plane_.withdrawn(dst, now);
+  }
+  /// Observe route transitions at their barrier commits; callable before
+  /// install_routes (components subscribe at construction, the scenario
+  /// often installs later, from Study on_built).
+  void subscribe_routes(ImpairmentPlane::TransitionFn fn) {
+    plane_.subscribe(std::move(fn));
+  }
 
   // -- wildcard (aliased-region) listeners ------------------------------------
   /// Accept TCP to *every* address inside `prefix` on `port`. Models fully
@@ -288,14 +286,10 @@ class Network {
   /// Dispatch category for every delivery the network schedules (UDP
   /// deliveries, TCP connect outcomes, connection data/close).
   EventQueue::CategoryId packet_cat_;
-  /// Scripted impairments (null = pristine network). Consulted on every
-  /// UDP send and TCP connect; stalled connections swallow data through it.
-  std::unique_ptr<FaultPlane> fault_;
-  /// Scripted reachability (null = everything routed). Consulted before
-  /// the fault plane; withdrawn destinations blackhole regardless of rules.
-  std::unique_ptr<RoutePlane> route_;
-  /// Transition subscriptions made before install_routes, attached then.
-  std::vector<RoutePlane::TransitionFn> route_subs_;
+  /// Scripted impairments (no part installed = pristine network). Asked
+  /// once per UDP send and TCP connect; stalled connections swallow data
+  /// through it.
+  ImpairmentPlane plane_;
 
   /// Everything the data plane knows about one address: its attach
   /// refcount (a device may attach an address it already owns; 0 means

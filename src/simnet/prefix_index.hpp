@@ -1,13 +1,13 @@
-// Read-only prefix index for the impairment planes.
+// Read-only prefix index for the impairment plane.
 //
 // Compiled once from a list of (prefix, id) entries, it answers "which
 // entries cover this address?" in O(distinct prefix lengths), whatever the
 // entry count: one open-addressed hash table per distinct length, keyed on
 // the address masked to that length (hi64, lo64), fronted by a top-16-bit
 // coverage bitset so an address no entry can cover resolves on one bit
-// test. RoutePlane takes the longest covering entry (standard LPM);
-// FaultPlane takes every covering rule and re-sorts the hits into
-// declaration order.
+// test. ImpairmentPlane's route check takes the longest covering entry
+// (standard LPM); its rule walk takes every covering rule and re-sorts
+// the hits into declaration order.
 //
 // The index never changes after construction, so concurrent shard
 // executors read it without locks.

@@ -1,17 +1,22 @@
-// The prefix index behind the impairment planes, and the equivalence
-// property that makes it safe: over seeded generated scenarios, FaultPlane
-// verdicts through the index equal those of a linear walk over every
-// outage and rule, with identical counters and RNG streams.
+// The prefix index behind the impairment plane, and the equivalence
+// property that makes it safe: over seeded generated scenarios, plane
+// verdicts through the index equal those of a linear walk — the route
+// check by longest match, then every outage and rule — with identical
+// counters and RNG streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "net/ipv6.hpp"
+#include "simnet/event_queue.hpp"
 #include "simnet/fault.hpp"
+#include "simnet/network.hpp"
 #include "simnet/prefix_index.hpp"
+#include "simnet/route.hpp"
 #include "util/rng.hpp"
 
 namespace tts::simnet {
@@ -164,23 +169,50 @@ TEST(FaultIndex, EveryCoveringRuleIsVisitedOnceInDeclarationOrder) {
 
 // ---- FaultPlane equivalence --------------------------------------------
 
-/// The linear walk the index replaced: every outage, then every rule in
+/// The linear walk the index replaced: with `routes`, first the route
+/// check (the longest scripted prefix covering the destination, its events
+/// replayed up to now; no draw), then every outage, then every rule in
 /// declaration order, scoped by FaultRule::matches, with the plane's RNG
 /// streams and counters.
 class LinearOracle {
  public:
   struct Counts {
     std::uint64_t udp_dropped = 0, udp_host_down = 0, tcp_blackholed = 0,
-                  tcp_rst = 0, tcp_stalled = 0, delays_injected = 0;
+                  tcp_rst = 0, tcp_stalled = 0, delays_injected = 0,
+                  route_blackholed = 0;
   };
 
-  LinearOracle(const FaultScenario& scenario, DomainId domains)
-      : scenario_(scenario) {
+  LinearOracle(const FaultScenario& scenario, DomainId domains,
+               const RouteScenario* routes = nullptr)
+      : scenario_(scenario), routes_(routes) {
     util::Rng root(scenario.seed);
     rngs_.push_back(root.stream("faultplane"));
     for (DomainId d = 1; d < domains; ++d)
       rngs_.push_back(
           root.stream("faultplane-domain").stream(std::uint64_t{d}));
+  }
+
+  /// Is `dst` unrouted at `now`? Every event of the longest scripted
+  /// prefix covering it, in (effective time, script order), up to now.
+  bool withdrawn(const Ipv6Address& dst, SimTime now) const {
+    if (!routes_) return false;
+    int best = -1;
+    for (const RouteEvent& ev : routes_->events)
+      if (ev.prefix.contains(dst))
+        best = std::max(best, static_cast<int>(ev.prefix.length()));
+    std::vector<std::pair<SimTime, RouteOp>> script;
+    for (const RouteEvent& ev : routes_->events)
+      if (ev.prefix.contains(dst) &&
+          static_cast<int>(ev.prefix.length()) == best)
+        script.emplace_back(ev.at + routes_->convergence, ev.op);
+    std::stable_sort(script.begin(), script.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    bool down = false;
+    for (const auto& [effective, op] : script)
+      if (effective <= now) down = op == RouteOp::kWithdraw;
+    return down;
   }
 
   FaultPlane::TcpVerdict verdict(bool tcp, const Ipv6Address& src,
@@ -189,6 +221,12 @@ class LinearOracle {
     using Action = FaultPlane::TcpAction;
     util::Rng& rng = rngs_[domain];
     FaultPlane::TcpVerdict v;
+    if (withdrawn(dst, now)) {
+      ++counts.route_blackholed;
+      v.action = Action::kBlackhole;
+      v.unrouted = true;
+      return v;
+    }
     auto drop = [&] {
       ++(tcp ? counts.tcp_blackholed : counts.udp_dropped);
       v.action = Action::kBlackhole;
@@ -239,6 +277,7 @@ class LinearOracle {
 
  private:
   const FaultScenario& scenario_;
+  const RouteScenario* routes_;
   std::vector<util::Rng> rngs_;
 };
 
@@ -399,6 +438,139 @@ TEST(FaultIndexEquivalence, VerdictsCountersAndDrawsMatchTheLinearWalk) {
   // The generator really reaches both outcomes.
   EXPECT_GT(terminal, 10'000u);
   EXPECT_GT(delayed, 10'000u);
+}
+
+// ---- the plane with both parts ----------------------------------------
+
+/// Route events over the same anchors as the fault rules: /16../64
+/// prefixes (several per anchor, so they nest; never short enough to cover
+/// the sentinel) withdrawn and announced at random times, with a random
+/// convergence delay.
+RouteScenario generate_routes(const std::vector<Ipv6Address>& anchors,
+                              util::Rng& rng) {
+  RouteScenario routes;
+  routes.convergence = static_cast<SimDuration>(
+      rng.below(static_cast<std::uint64_t>(sec(10))));
+  std::vector<Ipv6Prefix> prefixes;
+  auto count = 1 + rng.below(8);
+  for (std::uint64_t i = 0; i < count; ++i)
+    prefixes.emplace_back(anchors[rng.below(anchors.size())],
+                          static_cast<unsigned>(16 + rng.below(49)));
+  auto events = 1 + rng.below(30);
+  for (std::uint64_t i = 0; i < events; ++i) {
+    const Ipv6Prefix& prefix = prefixes[rng.below(prefixes.size())];
+    if (rng.chance(0.5))
+      routes.withdraw(prefix, window_edge(rng));
+    else
+      routes.announce(prefix, window_edge(rng));
+  }
+  return routes;
+}
+
+TEST(ImpairmentEquivalence, RoutePrecedesOutagesAndRulesOnGeneratedScenarios) {
+  constexpr int kScenarios = 150;
+  constexpr int kVerdicts = 1500;
+  std::uint64_t unrouted = 0, terminal = 0;
+  for (std::uint64_t seed = 1; seed <= kScenarios; ++seed) {
+    util::Rng rng(seed * 0xd1b54a32d192ed03ULL);
+    std::vector<Ipv6Address> anchors = make_anchors(rng);
+    FaultScenario faults = generate(seed, anchors, rng);
+    RouteScenario routes = generate_routes(anchors, rng);
+    ImpairmentPlane plane;
+    plane.configure_domains(kDomains);  // before the fault part, as Network
+    plane.install(routes, nullptr);
+    plane.install(faults, nullptr);
+    LinearOracle oracle(faults, kDomains, &routes);
+
+    auto endpoint = [&] {
+      switch (rng.below(8)) {
+        case 0: return Ipv6Address{};  // unknown source / wildcard
+        case 1:
+          return Ipv6Address::from_halves(rng.next() | (1ULL << 61),
+                                          rng.next());
+        case 2:
+          if (!faults.outages.empty())
+            return faults.outages[rng.below(faults.outages.size())].host;
+          [[fallthrough]];
+        default: return near(anchors[rng.below(anchors.size())], rng);
+      }
+    };
+    constexpr std::uint16_t kQueryPorts[] = {0, 53, 80, 123, 443};
+    for (int q = 0; q < kVerdicts; ++q) {
+      Ipv6Address src = endpoint(), dst = endpoint();
+      if (dst.is_unspecified()) dst = near(anchors[0], rng);
+      std::uint16_t port = kQueryPorts[rng.below(5)];
+      // Route flips themselves are the likeliest off-by-one.
+      SimTime now =
+          rng.chance(0.2)
+              ? routes.events[rng.below(routes.events.size())].at +
+                    routes.convergence
+              : window_edge(rng);
+      auto domain = static_cast<DomainId>(rng.below(kDomains));
+      bool tcp = rng.chance(0.5);
+      ImpairmentPlane::TcpVerdict want =
+          oracle.verdict(tcp, src, dst, port, now, domain);
+      if (tcp) {
+        ImpairmentPlane::TcpVerdict got =
+            plane.on_tcp_connect(src, dst, port, now, domain);
+        ASSERT_EQ(got.action, want.action)
+            << "seed " << seed << " verdict " << q;
+        ASSERT_EQ(got.unrouted, want.unrouted)
+            << "seed " << seed << " verdict " << q;
+        ASSERT_EQ(got.extra_latency, want.extra_latency)
+            << "seed " << seed << " verdict " << q;
+      } else {
+        ImpairmentPlane::UdpVerdict got =
+            plane.on_udp(src, dst, port, now, domain);
+        ASSERT_EQ(got.drop, want.action != ImpairmentPlane::TcpAction::kNone)
+            << "seed " << seed << " verdict " << q;
+        ASSERT_EQ(got.unrouted, want.unrouted)
+            << "seed " << seed << " verdict " << q;
+        ASSERT_EQ(got.extra_latency, want.extra_latency)
+            << "seed " << seed << " verdict " << q;
+      }
+      unrouted += want.unrouted;
+      terminal += !want.unrouted &&
+                  want.action != ImpairmentPlane::TcpAction::kNone;
+    }
+
+    EXPECT_EQ(plane.blackholed(), oracle.counts.route_blackholed);
+    EXPECT_EQ(plane.udp_dropped(), oracle.counts.udp_dropped);
+    EXPECT_EQ(plane.udp_host_down(), oracle.counts.udp_host_down);
+    EXPECT_EQ(plane.tcp_blackholed(), oracle.counts.tcp_blackholed);
+    EXPECT_EQ(plane.tcp_rst(), oracle.counts.tcp_rst);
+    EXPECT_EQ(plane.tcp_stalled(), oracle.counts.tcp_stalled);
+    EXPECT_EQ(plane.delays_injected(), oracle.counts.delays_injected);
+    EXPECT_EQ(plane.domain_fallbacks(), 0u);
+    // Each stream's next draw, read through the sentinel rule: unrouted
+    // verdicts drew nothing.
+    Ipv6Address probe = Ipv6Address::from_halves(
+        sentinel_prefix().address().hi64(), 1);
+    for (DomainId d = 0; d < kDomains; ++d)
+      EXPECT_EQ(plane.on_udp(probe, 0, d).extra_latency,
+                oracle.verdict(false, {}, probe, 0, 0, d).extra_latency)
+          << "seed " << seed << " domain " << d;
+  }
+  // The generator really reaches route kills and fault verdicts behind
+  // them.
+  EXPECT_GT(unrouted, 10'000u);
+  EXPECT_GT(terminal, 10'000u);
+}
+
+TEST(ImpairmentPlane, NetworkRejectsASecondFaultInstall) {
+  EventQueue events;
+  Network network(events);
+  network.install_faults(FaultScenario{});
+  EXPECT_THROW(network.install_faults(FaultScenario{}), std::logic_error);
+}
+
+TEST(ImpairmentPlane, NetworkRejectsASecondRouteInstall) {
+  EventQueue events;
+  Network network(events);
+  RouteScenario routes;
+  routes.withdraw(*Ipv6Prefix::parse("2001:db8::/32"), sec(1));
+  network.install_routes(routes);
+  EXPECT_THROW(network.install_routes(routes), std::logic_error);
 }
 
 }  // namespace

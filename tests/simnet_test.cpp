@@ -214,17 +214,6 @@ TEST_F(NetworkTest, UdpToUnboundIsSilent) {
   EXPECT_EQ(network_.udp_sent(), 1u);
 }
 
-TEST_F(NetworkTest, UdpLoss) {
-  NetworkConfig lossy = config();
-  lossy.loss_rate = 1.0;
-  Network drop_net(events_, lossy);
-  bool got = false;
-  drop_net.bind_udp({addr(1), 9000}, [&](const Datagram&) { got = true; });
-  drop_net.send_udp({addr(2), 1}, {addr(1), 9000}, {1});
-  events_.run();
-  EXPECT_FALSE(got);
-}
-
 TEST_F(NetworkTest, TcpConnectRefusedWhenOnlineNoListener) {
   network_.attach(addr(1));
   bool called = false;
