@@ -1,8 +1,12 @@
 // Shard-scaling bench: the same seed, the same study, at shard counts
 // 1/2/4 — events are bit-identical (the equivalence harness enforces it;
 // this bench re-asserts the executed-event count), only the wall clock may
-// move. Emits a schema-1 perf sample with events/sec-wall per shard count
-// and the wall-rate speedups; the perf-smoke lane diffs it against
+// move. The same study on the legacy single-queue dispatcher (shards=0)
+// is timed too, as the cost one shard is measured against; it runs fewer
+// events (no per-device churn or device-start events), so its count is
+// not compared. Emits a schema-1 perf sample with events/sec-wall per
+// shard count, the wall-rate speedups, and the legacy rate and one-shard
+// wall ratio (reporting only); the perf-smoke lane diffs it against
 // bench/baselines/BENCH_shard_scaling.json.
 //
 // The 4-shard speedup is hard-gated at >= 1.5x only when the host actually
@@ -33,6 +37,7 @@ struct ShardSample {
 ShardSample run_at(std::uint32_t shards) {
   auto config = core::make_study_config(bench::bench_scale());
   config.shards.shards = shards;  // workers default to min(shards, hw)
+                                  // 0 = the legacy dispatcher
   core::Study study(std::move(config));
   std::int64_t t0 = bench::bench_wall_ns();
   study.run();
@@ -61,23 +66,29 @@ int main() {
             << bench::scale_label(bench::bench_scale()) << ", hw_threads="
             << hw << ")...\n";
 
-  std::vector<ShardSample> samples;
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    samples.push_back(run_at(shards));
-    const ShardSample& s = samples.back();
+  auto timed = [](std::uint32_t shards) {
+    ShardSample s = run_at(shards);
     std::cerr << "[bench] shards=" << s.shards << ": " << s.events
               << " events in " << fmt(s.wall_seconds) << " s ("
               << fmt(s.events_per_sec) << " events/s)\n";
-  }
+    return s;
+  };
+  const ShardSample legacy = timed(0);
+  std::vector<ShardSample> samples;
+  for (std::uint32_t shards : {1u, 2u, 4u}) samples.push_back(timed(shards));
 
   util::TextTable table("Shard scaling (same seed, bit-identical events)");
   table.set_header({"shards", "events", "wall s", "events/s", "speedup"});
+  table.add_row({"legacy", std::to_string(legacy.events),
+                 fmt(legacy.wall_seconds), fmt(legacy.events_per_sec), "-"});
   for (const ShardSample& s : samples)
     table.add_row({std::to_string(s.shards), std::to_string(s.events),
                    fmt(s.wall_seconds), fmt(s.events_per_sec),
                    fmt(s.events_per_sec / samples.front().events_per_sec)});
   table.add_note("shard count is a perf knob: executed events (and every");
   table.add_note("report/checkpoint byte) are identical at every count.");
+  table.add_note("legacy is the unsharded dispatcher, the default run; it");
+  table.add_note("executes fewer events, so compare wall time, not rates.");
   table.render(std::cout);
 
   int rc = 0;
@@ -91,6 +102,9 @@ int main() {
     }
   }
 
+  double wall_ratio1 = samples[0].wall_seconds / legacy.wall_seconds;
+  std::cerr << "[bench] one shard takes " << fmt(wall_ratio1)
+            << "x the legacy wall time\n";
   double speedup2 = samples[1].events_per_sec / samples[0].events_per_sec;
   double speedup4 = samples[2].events_per_sec / samples[0].events_per_sec;
   if (hw >= 4) {
@@ -112,6 +126,8 @@ int main() {
       {"events_per_sec_wall_shards4", fmt(samples[2].events_per_sec)},
       {"events_per_sec_wall_speedup_2x", fmt(speedup2)},
       {"events_per_sec_wall_speedup_4x", fmt(speedup4)},
+      {"events_per_sec_wall_legacy", fmt(legacy.events_per_sec)},
+      {"wall_ratio_shards1_vs_legacy", fmt(wall_ratio1)},
   });
   return rc;
 }

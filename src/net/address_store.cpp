@@ -192,12 +192,14 @@ void AddressStore::save(util::ByteWriter& w) const {
 AddressStore AddressStore::load(util::ByteReader& r) {
   AddressStore store;
   std::uint64_t total = r.u64();
-  std::uint64_t nbuckets = r.u64();
+  // A bucket encodes at least its block and count (12 bytes), an entry
+  // its rem, iid and seq (16 bytes).
+  std::uint64_t nbuckets = r.count(r.u64(), 12);
   store.buckets_.reserve(nbuckets);
   for (std::uint64_t i = 0; i < nbuckets; ++i) {
     Bucket b;
     b.block = r.u32();
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(r.u64(), 16);
     b.rems.reserve(n);
     b.iids.reserve(n);
     b.seqs.reserve(n);

@@ -150,15 +150,28 @@ void save_record(util::ByteWriter& w, const ScanRecord& r) {
   for (const auto& res : r.coap_resources) w.str(res);
 }
 
+// The fewest bytes save_record writes: the fixed fields, four empty
+// strings, and a zero CoAP resource count.
+constexpr std::size_t kMinRecordBytes = 55;
+
+template <typename Enum>
+Enum load_enum(util::ByteReader& rd, std::size_t count, const char* what) {
+  std::uint8_t v = rd.u8();
+  if (v >= count)
+    throw util::SerializeError(std::string("ResultStore: bad ") + what +
+                               " byte " + std::to_string(v));
+  return static_cast<Enum>(v);
+}
+
 ScanRecord load_record(util::ByteReader& rd) {
   ScanRecord r;
-  r.dataset = static_cast<Dataset>(rd.u8());
-  r.protocol = static_cast<Protocol>(rd.u8());
+  r.dataset = load_enum<Dataset>(rd, kDatasetCount, "dataset");
+  r.protocol = load_enum<Protocol>(rd, kProtocolCount, "protocol");
   std::uint64_t hi = rd.u64();
   std::uint64_t lo = rd.u64();
   r.target = net::Ipv6Address::from_halves(hi, lo);
   r.at = rd.i64();
-  r.outcome = static_cast<Outcome>(rd.u8());
+  r.outcome = load_enum<Outcome>(rd, kOutcomeCount, "outcome");
   if (rd.u8()) {
     proto::Certificate cert;
     cert.fingerprint = rd.u64();
@@ -176,9 +189,10 @@ ScanRecord load_record(util::ByteReader& rd) {
   if (rd.u8()) r.ssh_hostkey = rd.u64();
   std::uint8_t broker = rd.u8();
   if (broker) r.broker_auth_required = broker == 2;
-  std::uint32_t ncoap = rd.u32();
+  // Each resource is at least its 4-byte length.
+  std::uint64_t ncoap = rd.count(rd.u32(), 4);
   r.coap_resources.reserve(ncoap);
-  for (std::uint32_t i = 0; i < ncoap; ++i)
+  for (std::uint64_t i = 0; i < ncoap; ++i)
     r.coap_resources.push_back(rd.str());
   return r;
 }
@@ -199,9 +213,9 @@ ResultStore ResultStore::decode_state(util::ByteReader& r) {
     for (std::size_t p = 0; p < kProtocolCount; ++p)
       for (std::size_t o = 0; o < kOutcomeCount; ++o)
         store.counts_[d][p][o] = r.u64();
-  std::uint32_t n = r.u32();
+  std::uint64_t n = r.count(r.u32(), kMinRecordBytes);
   store.records_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
+  for (std::uint64_t i = 0; i < n; ++i)
     store.records_.push_back(load_record(r));
   return store;
 }

@@ -50,6 +50,7 @@ enum class Outcome : std::uint8_t {
   kTlsFailed,    // TCP connected but the TLS handshake was rejected
   kMalformed,    // peer answered with bytes the protocol parser rejected
 };
+inline constexpr std::size_t kOutcomeCount = 5;
 std::string_view to_string(Outcome o);
 
 struct ScanRecord {
@@ -108,8 +109,6 @@ class ResultStore {
   static ResultStore decode_state(util::ByteReader& r);
 
  private:
-  static constexpr std::size_t kOutcomeCount = 5;
-
   std::vector<ScanRecord> records_;
   std::uint64_t counts_[kDatasetCount][kProtocolCount][kOutcomeCount] = {};
 };

@@ -12,8 +12,6 @@ namespace tts::simnet {
 
 namespace {
 
-constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
-
 /// Which queue+domain the calling thread is executing for. Set around
 /// every domain's window slice; outside event execution it points nowhere
 /// and every call resolves to domain 0.
@@ -24,6 +22,20 @@ struct TlsCtx {
 thread_local TlsCtx tls_ctx;
 
 constexpr std::size_t kMaxCategories = 256;
+
+/// Concatenate every shard's `member` list into `out`, ascending and
+/// without duplicates, and empty the lists.
+template <typename Lists, typename Member>
+void merge_lists(Lists& lists, Member member, std::vector<DomainId>& out) {
+  out.clear();
+  for (auto& l : lists) {
+    std::vector<DomainId>& list = l.*member;
+    out.insert(out.end(), list.begin(), list.end());
+    list.clear();
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
 
 }  // namespace
 
@@ -75,7 +87,7 @@ void EventQueue::configure_shards(const ShardPlan& plan,
   lookahead_ = plan.lookahead;
   if (domain_count < 1) domain_count = 1;
   while (domains_.size() < domain_count) domains_.emplace_back();
-  shard_wall_.assign(shards_, 0);
+  lists_.assign(shards_ + 1, ShardLists{});
   std::uint32_t hw = std::thread::hardware_concurrency();
   std::uint32_t w = plan.workers
                         ? plan.workers
@@ -228,8 +240,17 @@ void EventQueue::schedule_on(DomainId domain, SimTime at, CategoryId category,
   // The (at, src, seq) key is allocated on the sender, so the merged order
   // is a function of content, not of inbox arrival interleaving.
   Domain& target = domains_[domain];
-  std::lock_guard<std::mutex> lk(target.inbox_mu);
-  target.inbox.push_back(Entry{at, src, seq, category, std::move(fn)});
+  bool was_empty;
+  {
+    std::lock_guard<std::mutex> lk(target.inbox_mu);
+    was_empty = target.inbox.empty();
+    target.inbox.push_back(Entry{at, src, seq, category, std::move(fn)});
+  }
+  // Whoever turns the inbox non-empty lists it for the barrier: the
+  // sending shard's list mid-window, the driver's list otherwise.
+  if (was_empty)
+    lists_[tls_ctx.queue == this ? src % shards_ : shards_]
+        .inbox_targets.push_back(domain);
 }
 
 void EventQueue::run_at_barrier(Callback fn) {
@@ -237,7 +258,10 @@ void EventQueue::run_at_barrier(Callback fn) {
     fn();
     return;
   }
-  domains_[current_domain()].commits.push_back(std::move(fn));
+  DomainId d = tls_ctx.domain;
+  Domain& dom = domains_[d];
+  if (dom.commits.empty()) lists_[d % shards_].commit_domains.push_back(d);
+  dom.commits.push_back(std::move(fn));
 }
 
 void EventQueue::dispatch(Domain& dom, Entry e) {
@@ -286,38 +310,120 @@ std::size_t EventQueue::pending() const {
   return n;
 }
 
-SimTime EventQueue::global_min() const {
-  SimTime tmin = kNoEvent;
-  for (const Domain& dom : domains_)
-    if (!dom.heap.empty() && dom.heap.top().at < tmin)
-      tmin = dom.heap.top().at;
-  return tmin;
+// ------------------------------------------------------- NextEvents
+
+void EventQueue::NextEvents::reset(std::size_t domains) {
+  heap_.clear();
+  pos_.assign(domains, kAbsent);
+}
+
+void EventQueue::NextEvents::place(std::uint32_t i, Slot slot) {
+  heap_[i] = slot;
+  pos_[slot.domain] = i;
+}
+
+void EventQueue::NextEvents::sift(std::uint32_t i) {
+  Slot slot = heap_[i];
+  while (i > 0) {
+    std::uint32_t parent = (i - 1) / 2;
+    if (!before(slot, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  for (;;) {
+    std::uint32_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], slot)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, slot);
+}
+
+void EventQueue::NextEvents::set(DomainId domain, SimTime at) {
+  std::uint32_t i = pos_[domain];
+  if (i == kAbsent) {
+    i = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(Slot{at, domain});
+  } else {
+    heap_[i].at = at;
+  }
+  sift(i);
+}
+
+void EventQueue::NextEvents::erase(DomainId domain) {
+  std::uint32_t i = pos_[domain];
+  if (i == kAbsent) return;
+  pos_[domain] = kAbsent;
+  Slot last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  place(i, last);
+  sift(i);
+}
+
+DomainId EventQueue::NextEvents::pop() {
+  DomainId d = heap_.front().domain;
+  erase(d);
+  return d;
+}
+
+// ------------------------------------------------------- windows
+
+void EventQueue::refresh(DomainId d) {
+  const Domain& dom = domains_[d];
+  if (dom.heap.empty())
+    next_.erase(d);
+  else
+    next_.set(d, dom.heap.top().at);
+}
+
+void EventQueue::ingest(Domain& dom, SimTime committed_bound) {
+  {
+    std::lock_guard<std::mutex> lk(dom.inbox_mu);
+    batch_.swap(dom.inbox);
+  }
+  for (Entry& e : batch_) {
+    if (e.at < committed_bound) {
+      // Lookahead violation: the sender undercut the configured
+      // lookahead and this event's time is already inside a committed
+      // window. Count it and clamp — determinism over strict causality.
+      violations_ctr_.inc();
+      e.at = committed_bound;
+    }
+    dom.heap.push(std::move(e));
+  }
+  batch_.clear();
+}
+
+void EventQueue::open_windows() {
+  // The one pass over every domain per run()/run_until() call. Events
+  // scheduled at setup or between calls (and the previous call's clock
+  // floor) are folded in here, so no window has to scan.
+  next_.reset(domains_.size());
+  for (ShardLists& lists : lists_) lists.inbox_targets.clear();
+  reached_ = std::numeric_limits<SimTime>::min();
+  for (DomainId d = 0; d < domains_.size(); ++d) {
+    Domain& dom = domains_[d];
+    dom.now = std::max(dom.now, clock_floor_);
+    reached_ = std::max(reached_, dom.now);
+    ingest(dom, committed_bound_);
+    refresh(d);
+  }
 }
 
 void EventQueue::ingest_inboxes(SimTime committed_bound) {
-  std::vector<Entry> batch;
-  for (Domain& dom : domains_) {
-    {
-      std::lock_guard<std::mutex> lk(dom.inbox_mu);
-      batch.swap(dom.inbox);
-    }
-    for (Entry& e : batch) {
-      if (e.at < committed_bound) {
-        // Lookahead violation: the sender undercut the configured
-        // lookahead and this event's time is already inside a committed
-        // window. Count it and clamp — determinism over strict causality.
-        violations_ctr_.inc();
-        e.at = committed_bound;
-      }
-      dom.heap.push(std::move(e));
-    }
-    batch.clear();
+  merge_lists(lists_, &ShardLists::inbox_targets, order_);
+  for (DomainId d : order_) {
+    ingest(domains_[d], committed_bound);
+    refresh(d);
   }
 }
 
 void EventQueue::exec_domain(DomainId d, SimTime bound) {
   Domain& dom = domains_[d];
-  if (dom.heap.empty() || dom.heap.top().at >= bound) return;
   TlsCtx saved = tls_ctx;
   tls_ctx = TlsCtx{this, d};
   while (!dom.heap.empty() && dom.heap.top().at < bound) {
@@ -330,10 +436,19 @@ void EventQueue::exec_domain(DomainId d, SimTime bound) {
 }
 
 void EventQueue::exec_shard(std::uint32_t shard, SimTime bound) {
-  std::int64_t t0 = time_dispatch_ ? obs::Tracer::wall_clock_ns() : 0;
-  for (DomainId d = shard; d < domains_.size(); d += shards_)
-    exec_domain(d, bound);
-  if (time_dispatch_) shard_wall_[shard] = obs::Tracer::wall_clock_ns() - t0;
+  for (DomainId d : lists_[shard].active) exec_domain(d, bound);
+}
+
+void EventQueue::exec_claimed_shards(SimTime bound) {
+  for (;;) {
+    std::uint32_t i = next_shard_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= busy_shards_.size()) return;
+    std::uint32_t s = busy_shards_[i];
+    std::int64_t t0 = time_dispatch_ ? obs::Tracer::wall_clock_ns() : 0;
+    exec_shard(s, bound);
+    if (time_dispatch_)
+      lists_[s].wall_ns = obs::Tracer::wall_clock_ns() - t0;
+  }
 }
 
 void EventQueue::worker_loop() {
@@ -347,11 +462,7 @@ void EventQueue::worker_loop() {
       seen = epoch_;
       bound = window_bound_;
     }
-    for (;;) {
-      std::uint32_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards_) break;
-      exec_shard(s, bound);
-    }
+    exec_claimed_shards(bound);
     bool last;
     {
       std::lock_guard<std::mutex> lk(pool_mu_);
@@ -362,8 +473,23 @@ void EventQueue::worker_loop() {
 }
 
 void EventQueue::run_window(SimTime bound) {
-  if (workers_.empty()) {
-    for (std::uint32_t s = 0; s < shards_; ++s) exec_shard(s, bound);
+  // Claim every domain with an event below the bound. No other domain can
+  // gain one during the window: a domain's heap grows mid-window only
+  // from its own events (cross-domain sends wait in inboxes).
+  busy_shards_.clear();
+  while (!next_.empty() && next_.earliest() < bound) {
+    DomainId d = next_.pop();
+    std::uint32_t s = d % shards_;
+    if (lists_[s].active.empty()) busy_shards_.push_back(s);
+    lists_[s].active.push_back(d);
+  }
+  std::sort(busy_shards_.begin(), busy_shards_.end());
+  for (std::uint32_t s : busy_shards_)
+    std::sort(lists_[s].active.begin(), lists_[s].active.end());
+
+  if (busy_shards_.size() < 2 || workers_.empty()) {
+    // Nobody to wait for: the driver runs the window itself.
+    for (std::uint32_t s : busy_shards_) exec_shard(s, bound);
   } else {
     {
       std::lock_guard<std::mutex> lk(pool_mu_);
@@ -373,40 +499,47 @@ void EventQueue::run_window(SimTime bound) {
       ++epoch_;
     }
     pool_cv_.notify_all();
-    // The driver is an executor too.
-    for (;;) {
-      std::uint32_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards_) break;
-      exec_shard(s, bound);
+    exec_claimed_shards(bound);  // the driver is an executor too
+    {
+      std::unique_lock<std::mutex> lk(pool_mu_);
+      done_cv_.wait(lk, [&] { return busy_executors_ == 0; });
     }
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    done_cv_.wait(lk, [&] { return busy_executors_ == 0; });
+    if (time_dispatch_) {
+      std::int64_t slowest = 0;
+      for (std::uint32_t s : busy_shards_)
+        slowest = std::max(slowest, lists_[s].wall_ns);
+      for (std::uint32_t s : busy_shards_)
+        barrier_stall_.record(slowest - lists_[s].wall_ns);
+    }
   }
-  if (time_dispatch_) {
-    std::int64_t slowest = 0;
-    for (std::uint32_t s = 0; s < shards_; ++s)
-      slowest = std::max(slowest, shard_wall_[s]);
-    for (std::uint32_t s = 0; s < shards_; ++s)
-      barrier_stall_.record(slowest - shard_wall_[s]);
+  for (std::uint32_t s : busy_shards_) {
+    for (DomainId d : lists_[s].active) {
+      reached_ = std::max(reached_, domains_[d].now);
+      refresh(d);
+    }
+    lists_[s].active.clear();
   }
 }
 
 void EventQueue::run_commits() {
   // Driver-thread, domains quiescent: the deterministic commit point.
-  for (Domain& dom : domains_) {
-    if (dom.commits.empty()) continue;
-    std::vector<Callback> commits;
-    commits.swap(dom.commits);
+  merge_lists(lists_, &ShardLists::commit_domains, order_);
+  if (order_.empty()) return;
+  std::vector<Callback> commits;
+  for (DomainId d : order_) {
+    commits.swap(domains_[d].commits);
     for (Callback& fn : commits) fn();
+    commits.clear();
   }
+  // Commits run as domain 0 and may have scheduled onto its heap.
+  refresh(0);
 }
 
 std::uint64_t EventQueue::run_windows(bool bounded, SimTime until) {
   std::uint64_t before = executed_ctr_.value();
-  ingest_inboxes(committed_bound_);
-  for (;;) {
-    SimTime tmin = global_min();
-    if (tmin == kNoEvent) break;
+  open_windows();
+  while (!next_.empty()) {
+    SimTime tmin = next_.earliest();
     if (bounded && tmin > until) break;
     // The conservative window bound: the first lookahead-grid point past
     // the earliest pending event. bound <= tmin + lookahead, so any
@@ -421,7 +554,16 @@ std::uint64_t EventQueue::run_windows(bool bounded, SimTime until) {
     ingest_inboxes(bound);
     run_commits();
   }
-  pending_gauge_.set(static_cast<std::int64_t>(pending()));
+  // Every non-empty heap has an entry in next_, and only the driver's
+  // list (the last commits' sends) names non-empty inboxes.
+  std::size_t pending = 0;
+  for (const NextEvents::Slot& slot : next_.slots())
+    pending += domains_[slot.domain].heap.size();
+  for (DomainId d : lists_[shards_].inbox_targets) {
+    std::lock_guard<std::mutex> lk(domains_[d].inbox_mu);
+    pending += domains_[d].inbox.size();
+  }
+  pending_gauge_.set(static_cast<std::int64_t>(pending));
   return executed_ctr_.value() - before;
 }
 
@@ -432,9 +574,8 @@ std::uint64_t EventQueue::run() {
     return n;
   }
   std::uint64_t n = run_windows(/*bounded=*/false, 0);
-  SimTime end = now_;
-  for (Domain& dom : domains_) end = std::max(end, dom.now);
-  now_ = end;
+  now_ = std::max(now_, reached_);
+  clock_floor_ = std::numeric_limits<SimTime>::min();
   return n;
 }
 
@@ -450,7 +591,11 @@ std::uint64_t EventQueue::run_until(SimTime until) {
     return n;
   }
   std::uint64_t n = run_windows(/*bounded=*/true, until);
-  for (Domain& dom : domains_) dom.now = std::max(dom.now, until);
+  // Every domain's clock reaches `until`. Outside its own events only
+  // domain 0's clock is read (the driver schedules as domain 0); the rest
+  // are raised when the next call opens.
+  domains_[0].now = std::max(domains_[0].now, until);
+  clock_floor_ = until;
   now_ = std::max(now_, until);
   return n;
 }

@@ -16,12 +16,23 @@
 // barrier bound (a lookahead violation: only possible when a cross-domain
 // delay undercuts the configured lookahead) are counted and clamped.
 //
+// A window costs what its active domains cost. An indexed heap holds one
+// (next event time, domain) entry per non-empty domain and yields both the
+// window bound and the domains that run in it; each shard lists the
+// inboxes it turned non-empty and the domains that queued barrier commits,
+// so the barrier visits only those. Every domain is visited once, when a
+// run()/run_until() call opens, to fold in what was scheduled at setup or
+// between calls. A window whose active domains all sit on one shard runs
+// inline on the driving thread; only windows spanning two or more shards
+// are handed to the executors.
+//
 // Observability: the executed counter and pending-depth gauge are always
 // live (they are the queue's own state); attach_metrics() additionally
 // enrols them in an obs::Registry and can enable a wall-clock dispatch
 // histogram (how long each callback runs) — wall readings are
 // observational only and never influence the virtual clock. Sharded runs
-// add window/violation counters and a per-shard barrier-stall histogram.
+// add window/violation counters and a barrier-stall histogram over the
+// windows handed to the executors.
 #pragma once
 
 #include <atomic>
@@ -29,6 +40,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -129,8 +141,10 @@ class EventQueue {
   /// the whole observability overhead.
   void set_dispatch_sampling(std::uint32_t every);
   const obs::Histogram& dispatch_wall_ns() const { return dispatch_wall_; }
-  /// Wall nanoseconds each shard spent waiting at window barriers for the
-  /// slowest shard of its window (empty in legacy mode / timing off).
+  /// Wall nanoseconds each busy shard of a handed-off window spent waiting
+  /// at the barrier for the slowest one. Windows run inline on the driver
+  /// (one busy shard, or a single executor) wait for nobody and record
+  /// nothing; empty in legacy mode / timing off.
   const obs::Histogram& barrier_stall_ns() const { return barrier_stall_; }
 
   /// Register (or look up — idempotent by name) a dispatch category.
@@ -206,13 +220,58 @@ class EventQueue {
     std::vector<Callback> commits;
   };
 
+  /// Indexed binary min-heap of (next event time, domain) with at most one
+  /// entry per domain, so it is bounded by the domain count however many
+  /// events are pushed. Ties order by domain.
+  class NextEvents {
+   public:
+    struct Slot {
+      SimTime at;
+      DomainId domain;
+    };
+    void reset(std::size_t domains);
+    bool empty() const { return heap_.empty(); }
+    SimTime earliest() const { return heap_.front().at; }
+    const std::vector<Slot>& slots() const { return heap_; }
+    /// Remove and return the domain with the earliest entry.
+    DomainId pop();
+    /// Insert `domain` at `at`, or move its entry there.
+    void set(DomainId domain, SimTime at);
+    void erase(DomainId domain);
+
+   private:
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    static bool before(const Slot& a, const Slot& b) {
+      return a.at != b.at ? a.at < b.at : a.domain < b.domain;
+    }
+    void place(std::uint32_t i, Slot slot);
+    void sift(std::uint32_t i);
+
+    std::vector<Slot> heap_;
+    std::vector<std::uint32_t> pos_;  // domain -> index in heap_, or kAbsent
+  };
+
+  /// Per-shard window bookkeeping, plus one more entry for the driving
+  /// thread. The driver fills `active` between windows; mid-window only
+  /// the executor running a shard writes its entry, so none needs a lock.
+  /// Cache-line aligned so executors never share a line.
+  struct alignas(64) ShardLists {
+    std::vector<DomainId> active;         // this window's domains, ascending
+    std::vector<DomainId> inbox_targets;  // inboxes turned non-empty
+    std::vector<DomainId> commit_domains; // domains that queued commits
+    std::int64_t wall_ns = 0;             // handed-off windows only
+  };
+
   void enroll_category(Category& cat);
   void note_slow_dispatch(SimTime at, std::int64_t wall, CategoryId cat);
   void dispatch(Domain& dom, Entry e);
 
-  SimTime global_min() const;
+  void refresh(DomainId d);
+  void ingest(Domain& dom, SimTime committed_bound);
+  void open_windows();
   void ingest_inboxes(SimTime committed_bound);
   void run_window(SimTime bound);
+  void exec_claimed_shards(SimTime bound);
   void exec_shard(std::uint32_t shard, SimTime bound);
   void exec_domain(DomainId d, SimTime bound);
   void run_commits();
@@ -228,6 +287,15 @@ class EventQueue {
   std::uint32_t workers_n_ = 0;
   SimDuration lookahead_ = 0;
   SimTime committed_bound_ = 0;
+  // The last run_until's horizon, raised into every domain's clock when
+  // the next call opens (only domain 0's is read in between).
+  SimTime clock_floor_ = std::numeric_limits<SimTime>::min();
+  SimTime reached_ = 0;  // latest domain clock of the current call
+  NextEvents next_;
+  std::vector<ShardLists> lists_;       // shards_ + 1; [shards_] = driver
+  std::vector<std::uint32_t> busy_shards_;  // this window's, ascending
+  std::vector<DomainId> order_;         // scratch: merged domain lists
+  std::vector<Entry> batch_;            // scratch: one inbox being ingested
   std::vector<std::thread> workers_;
   std::mutex pool_mu_;
   std::condition_variable pool_cv_;
@@ -235,9 +303,8 @@ class EventQueue {
   std::uint64_t epoch_ = 0;
   bool shutdown_ = false;
   SimTime window_bound_ = 0;
-  std::atomic<std::uint32_t> next_shard_{0};
+  std::atomic<std::uint32_t> next_shard_{0};  // index into busy_shards_
   std::uint32_t busy_executors_ = 0;  // guarded by pool_mu_
-  std::vector<std::int64_t> shard_wall_;  // per-shard wall ns of the window
 
   obs::Counter executed_ctr_;
   obs::Gauge pending_gauge_;

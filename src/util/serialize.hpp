@@ -76,6 +76,17 @@ class ByteReader {
   bool done() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 
+  /// `n`, once the unread bytes are known to hold `n` elements of at least
+  /// `min_bytes` each: a corrupt count is rejected here, before anything
+  /// is reserved for it.
+  std::uint64_t count(std::uint64_t n, std::size_t min_bytes) const {
+    if (n > remaining() / min_bytes)
+      throw SerializeError("snapshot count " + std::to_string(n) +
+                           " exceeds the " + std::to_string(remaining()) +
+                           " bytes left");
+    return n;
+  }
+
  private:
   void need(std::size_t n) const {
     if (data_.size() - pos_ < n)

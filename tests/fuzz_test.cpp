@@ -2,10 +2,12 @@
 // arbitrary bytes either parse into a coherent value or are rejected;
 // nothing crashes, loops, or reads out of bounds. Two generators: pure
 // random buffers, and single/multi-byte mutations of valid messages (the
-// nastier case: almost-valid input).
+// nastier case: almost-valid input). Snapshot decoders reject with
+// util::SerializeError and nothing else.
 #include <gtest/gtest.h>
 
 #include "net/address_io.hpp"
+#include "net/address_store.hpp"
 #include "net/ipv6.hpp"
 #include "net/mac.hpp"
 #include "ntp/ntp_packet.hpp"
@@ -15,7 +17,9 @@
 #include "proto/mqtt.hpp"
 #include "proto/sshwire.hpp"
 #include "proto/tlslite.hpp"
+#include "scan/results.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 #include <sstream>
 
@@ -183,6 +187,123 @@ TEST(Fuzz, AddressListReader) {
     net::AddressReadStats stats;
     auto addrs = net::read_address_list(in, &stats);
     EXPECT_EQ(addrs.size(), stats.parsed);
+  }
+}
+
+// ---- snapshot decoders
+
+std::vector<std::uint8_t> bytes_of(const std::string& s) {
+  return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+/// A parser for fuzz_random/fuzz_mutations: `decode` may succeed or throw
+/// util::SerializeError; any other exception escapes and fails the test.
+template <typename Decode>
+auto decodes_or_rejects(Decode decode) {
+  return [decode](const std::vector<std::uint8_t>& b) {
+    util::ByteReader r(
+        std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+    try {
+      decode(r);
+    } catch (const util::SerializeError&) {
+    }
+  };
+}
+
+std::string saved_address_store() {
+  net::AddressStore store;
+  util::Rng rng(7);
+  for (int i = 0; i < 40; ++i)
+    store.insert(net::Ipv6Address::from_halves(
+        0x20010db800000000ULL | rng.below(4) << 16 | rng.below(3),
+        rng.next()));
+  util::ByteWriter w;
+  store.save(w);
+  return w.take();
+}
+
+std::string saved_result_store() {
+  scan::ResultStore store;
+  scan::ScanRecord tls;
+  tls.dataset = scan::Dataset::kHitlist;
+  tls.protocol = scan::Protocol::kHttps;
+  tls.outcome = scan::Outcome::kSuccess;
+  tls.certificate = proto::Certificate{42, "CN=device", true, 1, 2};
+  tls.http_status = 200;
+  tls.http_title = "router";
+  tls.http_has_title = true;
+  store.add(tls);
+  scan::ScanRecord coap;
+  coap.protocol = scan::Protocol::kCoap;
+  coap.outcome = scan::Outcome::kSuccess;
+  coap.coap_resources = {"/.well-known/core", "/sensors/temp"};
+  coap.broker_auth_required = true;
+  store.add(coap);
+  scan::ScanRecord timeout;
+  timeout.protocol = scan::Protocol::kSsh;
+  store.add(timeout);  // tallied only
+  util::ByteWriter w;
+  store.save_state(w);
+  return w.take();
+}
+
+/// `bytes` with the little-endian u64 at `pos` replaced by `value`.
+std::string with_u64(std::string bytes, std::size_t pos, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i)
+    bytes[pos + i] = static_cast<char>(value >> (8 * i));
+  return bytes;
+}
+
+TEST(Fuzz, AddressStoreLoad) {
+  auto parse = decodes_or_rejects([](util::ByteReader& r) {
+    net::AddressStore store = net::AddressStore::load(r);
+    util::ByteWriter w;
+    store.save(w);  // a decoded store must re-encode
+  });
+  fuzz_random(parse);
+  fuzz_mutations(bytes_of(saved_address_store()), parse);
+}
+
+TEST(Fuzz, ResultStoreDecode) {
+  auto parse = decodes_or_rejects([](util::ByteReader& r) {
+    scan::ResultStore store = scan::ResultStore::decode_state(r);
+    util::ByteWriter w;
+    store.save_state(w);
+  });
+  fuzz_random(parse, 3000, 1200);
+  fuzz_mutations(bytes_of(saved_result_store()), parse);
+}
+
+TEST(Fuzz, SnapshotCountsAreBoundedBeforeAllocation) {
+  // AddressStore: [u64 total][u64 buckets][u32 block][u64 entries]...
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const std::string store = saved_address_store();
+  for (std::size_t pos : {std::size_t{8}, std::size_t{20}}) {
+    const std::string bytes = with_u64(store, pos, huge);
+    util::ByteReader r(bytes);
+    EXPECT_THROW(net::AddressStore::load(r), util::SerializeError) << pos;
+  }
+  // ResultStore: the outcome tensor, then a u32 record count.
+  const std::size_t tensor =
+      scan::kDatasetCount * scan::kProtocolCount * scan::kOutcomeCount * 8;
+  std::string results = saved_result_store();
+  for (std::size_t i = 0; i < 4; ++i) results[tensor + i] = '\xff';
+  util::ByteReader r(results);
+  EXPECT_THROW(scan::ResultStore::decode_state(r), util::SerializeError);
+}
+
+TEST(Fuzz, SnapshotEnumBytesAreRangeChecked) {
+  const std::size_t first_record =
+      scan::kDatasetCount * scan::kProtocolCount * scan::kOutcomeCount * 8 +
+      4;
+  // Record layout: dataset u8, protocol u8, target 16 bytes, at i64,
+  // outcome u8.
+  for (std::size_t field : {std::size_t{0}, std::size_t{1}, std::size_t{26}}) {
+    std::string bytes = saved_result_store();
+    bytes[first_record + field] = '\x7f';
+    util::ByteReader r(bytes);
+    EXPECT_THROW(scan::ResultStore::decode_state(r), util::SerializeError)
+        << field;
   }
 }
 

@@ -2,7 +2,8 @@
 // rely on: IID classification boundaries, Levenshtein threshold geometry,
 // NTP timestamp conversion across the whole study window, CoAP option
 // encoding around its length boundaries, device-catalogue sanity, and the
-// sharded event queue's conservative-barrier safety property.
+// sharded event queue's conservative-barrier safety property and window
+// bookkeeping.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -12,6 +13,7 @@
 #include "inet/device.hpp"
 #include "net/ipv6.hpp"
 #include "ntp/ntp_packet.hpp"
+#include "obs/metrics.hpp"
 #include "proto/coap.hpp"
 #include "simnet/event_queue.hpp"
 #include "util/levenshtein.hpp"
@@ -285,6 +287,138 @@ INSTANTIATE_TEST_SUITE_P(ShardSweep, BarrierMesh,
                                            MeshConfig{3, 2},
                                            MeshConfig{4, 2},
                                            MeshConfig{5, 2}));
+
+// The mesh over many sparse domains, aimed at the window bookkeeping: of
+// ~200 domains only the few on a live chain have work at any time. Hops
+// queue barrier commits, which append to a driver-side log and sometimes
+// carry the chain on from domain 0; the run advances in bounded run_until
+// segments, and the driver seeds a fresh chain between them. Dispatch
+// timing is on, so handed-off windows record barrier stalls.
+constexpr simnet::DomainId kSparseDomains = 203;
+constexpr int kSparseHops = 40;
+constexpr int kSparseSegments = 12;
+constexpr simnet::SimDuration kSparseSegment = simnet::msec(60);
+constexpr int kSparseFirstChains = 3;
+
+struct SparseRun {
+  MeshRun mesh;
+  std::vector<std::uint64_t> commits;
+  simnet::SimTime end = 0;
+  std::size_t pending = 0;
+  std::uint64_t stalls = 0;  // barrier-stall samples
+};
+
+SparseRun run_sparse_mesh(std::uint32_t shards, std::uint32_t workers,
+                          std::uint64_t seed) {
+  obs::Registry registry;  // outlives the queue enrolled in it
+  simnet::EventQueue queue;
+  queue.attach_metrics(registry);
+  simnet::ShardPlan plan;
+  plan.shards = shards;
+  plan.workers = workers;
+  plan.lookahead = kMeshLookahead;
+  queue.configure_shards(plan, kSparseDomains);
+
+  SparseRun out;
+  std::vector<std::uint64_t> acc(kSparseDomains, 0);
+  std::vector<util::Rng> rngs;
+  for (simnet::DomainId d = 0; d < kSparseDomains; ++d)
+    rngs.push_back(util::Rng(seed).stream("sparse-mesh").stream(d));
+  util::Rng driver = util::Rng(seed).stream("sparse-driver");
+
+  std::function<void(simnet::DomainId, std::uint64_t, int)> hop =
+      [&](simnet::DomainId d, std::uint64_t token, int depth) {
+        simnet::SimTime now = queue.now();
+        std::uint64_t& a = acc[d];
+        a ^= token + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2);
+        a = (a ^ (static_cast<std::uint64_t>(now) + depth)) *
+            0x100000001b3ULL;
+        if (depth >= kSparseHops) return;
+        util::Rng& rng = rngs[d];
+        std::uint64_t tok = token * 0xbf58476d1ce4e5b9ULL ^ d;
+        if (rng.chance(0.2)) {
+          // Two commits from this domain. The second carries the chain on
+          // from domain 0 and sends one last cross-domain hop 10 s on, well
+          // past the chains' work, through the driver's inbox list.
+          queue.run_at_barrier([&out, d, tok] { out.commits.push_back(tok ^ d); });
+          queue.run_at_barrier([&, tok, depth] {
+            simnet::SimTime at = queue.now();
+            out.commits.push_back((tok << 1) ^ static_cast<std::uint64_t>(at));
+            queue.schedule_on(0, at + kMeshLookahead, 0,
+                              [&hop, tok, depth] { hop(0, tok, depth + 1); });
+            auto far = static_cast<simnet::DomainId>(tok % kSparseDomains);
+            queue.schedule_on(far, at + simnet::sec(10), 0, [&hop, far, tok] {
+              hop(far, ~tok, kSparseHops);
+            });
+          });
+          return;
+        }
+        auto next = static_cast<simnet::DomainId>(rng.below(kSparseDomains));
+        auto jitter = static_cast<simnet::SimDuration>(
+            rng.below(static_cast<std::uint64_t>(4 * kMeshLookahead)));
+        queue.schedule_on(next, now + kMeshLookahead + jitter, 0,
+                          [&hop, next, tok, depth] {
+                            hop(next, tok, depth + 1);
+                          });
+      };
+  auto seed_chain = [&](simnet::SimTime at) {
+    auto d = static_cast<simnet::DomainId>(driver.below(kSparseDomains));
+    std::uint64_t tok = driver.next();
+    queue.schedule_on(d, at, 0, [&hop, d, tok] { hop(d, tok, 0); });
+  };
+
+  for (int c = 0; c < kSparseFirstChains; ++c) seed_chain(/*at=*/c + 1);
+  for (int s = 1; s <= kSparseSegments; ++s) {
+    queue.run_until(s * kSparseSegment);
+    seed_chain(queue.now() + 1 +
+               static_cast<simnet::SimDuration>(driver.below(
+                   static_cast<std::uint64_t>(kSparseSegment))));
+  }
+  queue.run();
+
+  for (simnet::DomainId d = 0; d < kSparseDomains; ++d)
+    out.mesh.digest = (out.mesh.digest ^ acc[d]) * 0x100000001b3ULL;
+  out.mesh.executed = queue.executed();
+  out.mesh.windows = queue.shard_windows();
+  out.mesh.violations = queue.shard_violations();
+  out.end = queue.now();
+  out.pending = queue.pending();
+  out.stalls = queue.barrier_stall_ns().count();
+  return out;
+}
+
+class SparseMesh : public ::testing::TestWithParam<MeshConfig> {};
+
+TEST_P(SparseMesh, WindowBookkeepingMatchesOneShard) {
+  const auto& p = GetParam();
+  SparseRun ref = run_sparse_mesh(1, 0, 0x5a17ULL);
+  SparseRun run = run_sparse_mesh(p.shards, p.workers, 0x5a17ULL);
+
+  // Every chain runs kSparseHops + 1 hops, and every commit pair adds one
+  // far hop: nothing is lost in an unlisted inbox or a stale entry.
+  constexpr std::uint64_t kChains = kSparseFirstChains + kSparseSegments;
+  EXPECT_GT(ref.commits.size(), 10u);
+  EXPECT_EQ(ref.mesh.executed,
+            kChains * (kSparseHops + 1) + ref.commits.size() / 2);
+  EXPECT_EQ(ref.pending, 0u);
+
+  EXPECT_EQ(run.mesh.digest, ref.mesh.digest);
+  EXPECT_EQ(run.mesh.executed, ref.mesh.executed);
+  EXPECT_EQ(run.mesh.windows, ref.mesh.windows);
+  EXPECT_EQ(run.commits, ref.commits);
+  EXPECT_EQ(run.end, ref.end);
+  EXPECT_EQ(run.mesh.violations, 0u);
+  // Only windows handed to two or more executors wait at the barrier.
+  const bool hands_off = p.shards > 1 && p.workers != 1;
+  EXPECT_EQ(run.stalls > 0, hands_off);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardSweep, SparseMesh,
+                         ::testing::Values(MeshConfig{1, 0},
+                                           MeshConfig{2, 2},
+                                           MeshConfig{4, 1},
+                                           MeshConfig{4, 4},
+                                           MeshConfig{7, 3}));
 
 TEST(BarrierSafety, UndercutLookaheadIsCountedAndClamped) {
   // Latencies drawn below the configured lookahead: cross-domain events
