@@ -3,8 +3,8 @@
 // row per virtual day), the final metrics table (per-protocol scan
 // counters, per-server collection counts, event-queue dispatch histogram),
 // the span aggregates, machine-readable JSONL / Prometheus dumps, a
-// Perfetto-loadable causal trace of probe lifecycles, and the anomaly
-// flight recorder's ring.
+// Perfetto-loadable causal trace of probe lifecycles, and a flight-recorder
+// dump of the same telemetry ring.
 #include <fstream>
 #include <iostream>
 
@@ -90,12 +90,14 @@ int main() {
   std::ofstream("tts_trace.json") << trace;
   std::cout << "\nWrote tts_trace.json (" << trace.size()
             << " bytes, " << study.tracer().completed()
-            << " spans completed; ring keeps the most recent "
+            << " ring entries committed, " << study.tracer().dropped()
+            << " overwritten; the ring keeps the most recent "
             << study.tracer().capacity() << ")\n";
 
-  // The anomaly flight recorder appends typed, trace-linked events
-  // (breaker transitions, sheds, retries, fault injections, slow
-  // dispatches) into a bounded ring and dumps itself on trigger rules.
+  // The anomaly flight recorder appends typed, trace-linked marks (breaker
+  // transitions, sheds, dropped retries, fault injections, slow
+  // dispatches) to the same ring as the spans and dumps the ring's tail on
+  // trigger rules, so a dump shows the probe spans around the anomaly.
   // Nothing anomalous happens in the pristine tiny study, so trigger a
   // dump by hand — scan_campaign's fault scenarios show the automatic
   // breaker-open and fault-burst dumps.
@@ -106,9 +108,8 @@ int main() {
     // ttslint: allow(barrier-only) reason=post-run walkthrough: the study finished before this report
     const auto& [reason, text] = flight.dumps().back();
     std::ofstream("tts_flight.txt") << text;
-    std::cout << "Wrote tts_flight.txt (trigger: " << reason << ", "
-              << flight.recorded() << " events recorded, "
-              << flight.overwritten() << " overwritten)\n";
+    std::cout << "Wrote tts_flight.txt (trigger: " << reason << ", the "
+              << "newest 64 ring entries)\n";
   }
   return 0;
 }

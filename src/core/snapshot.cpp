@@ -36,9 +36,10 @@ StudySnapshot StudySnapshot::parse(std::string_view bytes) {
   StudySnapshot snap;
   snap.seed = r.u64();
   snap.at = r.i64();
-  std::uint32_t n = r.u32();
+  // A section is at least its two string lengths.
+  const std::uint64_t n = r.count(r.u32(), 8);
   snap.sections.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0; i < n; ++i) {
     SnapshotSection s;
     s.name = r.str();
     s.bytes = r.str();

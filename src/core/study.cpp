@@ -13,17 +13,16 @@ namespace tts::core {
 
 namespace {
 
-/// Anomaly flight-recorder ring capacity (typed events, trace-linked).
-constexpr std::size_t kFlightCapacity = 2048;
 /// Fault-injection burst trigger: this many injections inside the window
-/// dump the flight ring (a scenario's impairment wave in full context).
+/// dump the ring (a scenario's impairment wave in full context).
 constexpr std::uint32_t kFaultBurst = 64;
 constexpr simnet::SimDuration kFaultBurstWindow = simnet::sec(1);
 /// Route-flap burst trigger: this many route withdrawals inside the window
-/// dump the flight ring (a flap storm in full context).
+/// dump the ring (a flap storm in full context).
 constexpr std::uint32_t kRouteFlapBurst = 8;
 constexpr simnet::SimDuration kRouteFlapWindow = simnet::minutes(1);
-/// Completed-span ring capacity (aggregates cover all spans regardless).
+/// Telemetry ring capacity: spans, instants and flight marks (aggregates
+/// cover every entry regardless).
 constexpr std::size_t kTraceCapacity = 4096;
 /// Virtual time between heartbeat snapshots, and the timeline's row cap.
 constexpr simnet::SimDuration kHeartbeatInterval = simnet::hours(24);
@@ -67,17 +66,12 @@ Study::Study(StudyConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       tracer_(kTraceCapacity),
-      flight_(kFlightCapacity),
+      flight_(tracer_),
       collector_(&metrics_) {
   if (config_.server_countries.empty())
     config_.server_countries = ntp::deployment_countries();
   tracer_.set_sim_clock(&events_);
   tracer_.set_enabled(config_.obs.enabled);
-  // The flight recorder shares the virtual clock; its wall stamps come
-  // from the tracer's sanctioned clock (data only, never rendered).
-  flight_.set_sim_clock(&events_);
-  flight_.set_wall_clock(&obs::Tracer::wall_clock_ns);
-  flight_.set_enabled(config_.obs.enabled);
   flight_.add_trigger(obs::FlightKind::kFaultInjected, kFaultBurst,
                       kFaultBurstWindow, "fault-burst");
   flight_.add_trigger(obs::FlightKind::kRouteWithdrawn, kRouteFlapBurst,
@@ -647,11 +641,9 @@ std::string Study::observability_report() const {
     out += "\n";
     out += table.to_string();
   }
-  if (flight_.recorded() > 0 || flight_.triggers() > 0) {
-    out += util::cat("\nflight recorder: ", flight_.recorded(),
-                     " events recorded (", flight_.overwritten(),
-                     " overwritten), ", flight_.triggers(), " triggers (",
-                     flight_.suppressed(), " suppressed), ",
+  if (flight_.triggers() > 0) {
+    out += util::cat("\nflight recorder: ", flight_.triggers(),
+                     " triggers (", flight_.suppressed(), " suppressed), ",
                      flight_.dumps().size(), " dumps");  // ttslint: allow(barrier-only) reason=post-run report: run() has returned, appends quiesced
     // ttslint: allow(barrier-only) reason=post-run report: run() has returned, appends quiesced
     for (const auto& d : flight_.dumps())

@@ -51,8 +51,8 @@ namespace tts::core {
 /// dispatch histogram, span tracing, and the heartbeat timeline.
 struct ObservabilityConfig {
   bool enabled = false;
-  /// A timed dispatch whose wall time exceeds this is recorded in the
-  /// flight ring and triggers a dump (the known ~9 ms tail trips this).
+  /// A timed dispatch whose wall time exceeds this is marked in the
+  /// telemetry ring and triggers a dump (the known ~9 ms tail trips this).
   std::int64_t slow_dispatch_ns = 1'000'000;
 };
 
@@ -213,8 +213,9 @@ class Study {
   const obs::Registry& metrics() const { return metrics_; }
   obs::Registry& metrics() { return metrics_; }
   const obs::Tracer& tracer() const { return tracer_; }
-  /// Anomaly flight recorder (disabled unless config().obs.enabled).
-  /// Non-const so tests and tools can trigger an on-demand dump.
+  /// Anomaly flight recorder: triggers and dumps over tracer()'s ring
+  /// (disabled unless config().obs.enabled). Non-const so tests and tools
+  /// can trigger an on-demand dump.
   const obs::FlightRecorder& flight() const { return flight_; }
   obs::FlightRecorder& flight() { return flight_; }
   /// Heartbeat timeline (nullptr unless config().obs.enabled).

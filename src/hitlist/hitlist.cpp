@@ -41,9 +41,10 @@ Hitlist Hitlist::decode_state(util::ByteReader& r) {
   // full is derived: the store's snapshot is exactly first-contribution
   // order, which is how build() populated it.
   list.full = list.seen.snapshot();
-  std::uint32_t npublic = r.u32();
+  // A public address is its two u64 halves.
+  const std::uint64_t npublic = r.count(r.u32(), 16);
   list.public_list.reserve(npublic);
-  for (std::uint32_t i = 0; i < npublic; ++i) {
+  for (std::uint64_t i = 0; i < npublic; ++i) {
     std::uint64_t hi = r.u64();
     std::uint64_t lo = r.u64();
     list.public_list.push_back(net::Ipv6Address::from_halves(hi, lo));

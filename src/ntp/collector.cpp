@@ -94,9 +94,10 @@ void AddressCollector::save_state(util::ByteWriter& w) const {
 CollectorState AddressCollector::decode_state(util::ByteReader& r) {
   CollectorState state;
   state.store = net::AddressStore::load(r);
-  std::uint32_t nservers = r.u32();
+  // A server entry is its u32 id and u64 count.
+  const std::uint64_t nservers = r.count(r.u32(), 12);
   state.per_server.reserve(nservers);
-  for (std::uint32_t i = 0; i < nservers; ++i) {
+  for (std::uint64_t i = 0; i < nservers; ++i) {
     ServerId id = r.u32();
     std::uint64_t count = r.u64();
     state.per_server.emplace_back(id, count);

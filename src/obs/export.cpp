@@ -87,10 +87,20 @@ std::int64_t parse_int(Cursor& c) {
     c.ok = false;
     return 0;
   }
-  std::int64_t v = 0;
-  while (c.p < c.end && std::isdigit(static_cast<unsigned char>(*c.p)))
-    v = v * 10 + (*c.p++ - '0');
-  return neg ? -v : v;
+  // Accumulate the magnitude unsigned: a number outside int64 is
+  // malformed input, not signed overflow.
+  const std::uint64_t limit =
+      neg ? std::uint64_t{1} << 63 : (std::uint64_t{1} << 63) - 1;
+  std::uint64_t v = 0;
+  while (c.p < c.end && std::isdigit(static_cast<unsigned char>(*c.p))) {
+    const auto digit = static_cast<std::uint64_t>(*c.p++ - '0');
+    if (v > (limit - digit) / 10) {
+      c.ok = false;
+      return 0;
+    }
+    v = v * 10 + digit;
+  }
+  return static_cast<std::int64_t>(neg ? 0 - v : v);
 }
 
 Labels parse_labels(Cursor& c) {
@@ -557,8 +567,15 @@ std::string to_chrome_trace(const Tracer& tracer,
                        util::hex64(rec.trace), "\"");
     if (options.include_wall && !rec.instant)
       out += util::cat(",\"args\":{\"wall_ns\":", rec.wall_ns, "}");
+    if (rec.flight) {
+      out += ",\"args\":{\"detail\":";
+      append_json_string(out, rec.detail);
+      out += util::cat(",\"a\":", rec.a, ",\"b\":", rec.b, "}");
+    }
     out += '}';
   };
+  // Flight marks are instants like any other: a trace-linked one (a shed,
+  // a dropped retry) lands on its probe's async track.
   for (const SpanRecord& rec : tracer.records()) {
     if (rec.trace != 0 && !rec.instant) {
       // Async pair on the TraceId's track: stages of one probe lifecycle

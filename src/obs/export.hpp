@@ -105,7 +105,8 @@ struct ChromeTraceOptions {
 /// lifecycle lands on a single named track and nested stages stack;
 /// trace-linked instants become async instants ("n") on the same track.
 /// Untraced spans render as complete events ("X") and untraced instants
-/// as thread instants ("i").
+/// as thread instants ("i"). Flight marks are instants named by their
+/// FlightKind, with "args" {"detail","a","b"}.
 std::string to_chrome_trace(const Tracer& tracer,
                             const ChromeTraceOptions& options = {});
 

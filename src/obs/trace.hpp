@@ -9,15 +9,23 @@
 // aggregates (count / total / max in each clock, plus a log-scale
 // sim-duration histogram) are a flat vector indexed by NameId.
 //
-// Completed spans land in a bounded ring buffer, so long runs keep the
-// recent detail and never grow unbounded. Scoped spans handle synchronous
-// stages; the open()/close() pair handles stages that finish in a later
-// event-queue callback (probe launch -> completion).
+// The Tracer owns the run's one telemetry ring: completed spans, instants
+// and the FlightRecorder's typed anomaly marks (FlightKind) land in the
+// same bounded ring of plain entries, so an anomaly sits on the timeline
+// of the probe spans around it and long runs never grow unbounded. Scoped
+// spans handle synchronous stages; the open()/close() pair handles stages
+// that finish in a later event-queue callback (probe launch -> completion).
+//
+// Threading: open()/close() and the span slots are domain-0 only. Marks
+// also come from shard executors (fault injections, slow dispatches), so
+// one mutex guards the ring, the aggregates and the interner.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -26,6 +34,31 @@
 #include "simnet/event_queue.hpp"
 
 namespace tts::obs {
+
+/// Typed anomaly marks (FlightRecorder::record), stored in the Tracer's
+/// ring next to the spans.
+enum class FlightKind : std::uint8_t {
+  kBreakerOpen,
+  kBreakerHalfOpen,
+  kBreakerClose,
+  kBreakerShed,
+  kFaultInjected,
+  kSlowDispatch,
+  kRetryDropped,
+  /// A scripted fault rule/outage window opened or closed (detail names
+  /// the kind, a = the rule/outage index, b = its prefix/host hi64).
+  kFaultWindowOpen,
+  kFaultWindowClose,
+  /// An ImpairmentPlane route transition committed at a barrier (a/b =
+  /// the prefix address halves); bursts of withdrawals feed the
+  /// route-flap trigger.
+  kRouteWithdrawn,
+  kRouteAnnounced,
+};
+inline constexpr std::size_t kFlightKindCount = 11;
+
+/// The mark's name in the ring, dumps and trace exports ("breaker_open").
+std::string_view to_string(FlightKind kind);
 
 struct SpanRecord {
   std::string name;
@@ -37,8 +70,15 @@ struct SpanRecord {
   /// of one probe lifecycle carry the same TraceId, so an exporter can
   /// group stage/grant/launch/retry/record onto one timeline.
   std::uint64_t trace = 0;
-  /// Zero-duration marker (Tracer::instant) rather than an open/close pair.
+  /// Zero-duration marker (Tracer::instant or a flight mark) rather than
+  /// an open/close pair.
   bool instant = false;
+  /// Set on flight marks only: the anomaly's kind (`name` is its
+  /// to_string), its interned detail text and kind-specific payload.
+  std::optional<FlightKind> flight;
+  std::string detail;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
 
   simnet::SimDuration sim_duration() const { return sim_end - sim_begin; }
 };
@@ -69,27 +109,31 @@ class Tracer {
   /// clock), 0 means "no trace".
   using TraceId = std::uint64_t;
   static constexpr SpanId kNoSpan = 0;
+  /// NameId of the empty name: a mark without detail text.
+  static constexpr NameId kNoName = 0;
 
   explicit Tracer(std::size_t capacity = 4096);
 
   /// The wall clock every obs component and the event queue's dispatch
   /// profiler share (steady_clock, ns). This is the one sanctioned
-  /// ambient-time read: callers (EventQueue, FlightRecorder, bench
-  /// emitters) take the value as data instead of reading clocks
-  /// themselves, keeping the ttslint wall-clock allowlist at this file.
+  /// ambient-time read: callers (EventQueue, bench emitters) take the
+  /// value as data instead of reading clocks themselves, keeping the
+  /// ttslint wall-clock allowlist at this file.
   static std::int64_t wall_clock_ns();
 
   /// Virtual-time source; without one, spans record sim times of 0.
   void set_sim_clock(const simnet::EventQueue* events) { events_ = events; }
 
   /// A disabled tracer's open() is a no-op returning kNoSpan (no wall-clock
-  /// reads on the hot path).
+  /// reads on the hot path); instants and flight marks are dropped too.
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  /// Intern a span name once (idempotent); open(NameId) is then free of
-  /// string hashing entirely. Enrol at setup time, trace on the hot path.
+  /// Intern a span name or mark detail once (idempotent); open(NameId) is
+  /// then free of string hashing entirely. Enrol at setup time, trace on
+  /// the hot path.
   NameId intern(std::string_view name);
+  /// A reference into the interner: read once interning has quiesced.
   const std::string& name_of(NameId name) const { return names_[name]; }
 
   SpanId open(NameId name) { return open(name, /*trace=*/0); }
@@ -123,21 +167,53 @@ class Tracer {
   Scope span(std::string_view name) { return Scope(*this, name); }
   Scope span(NameId name) { return Scope(*this, name); }
 
-  /// The most recent completed spans in completion order (ring contents).
+  /// The ring's contents in commit order: completed spans, instants and
+  /// flight marks, oldest first.
   std::vector<SpanRecord> records() const;
-  /// Aggregates over *all* completed spans, keyed by span name (an ordered
+  /// Aggregates over *all* committed entries, keyed by name (an ordered
   /// map, so report output is stable). Built on demand from the per-id
   /// vector; bind it to a local when reading more than one entry.
   std::map<std::string, SpanStats> stats() const;
-  /// Aggregate for one interned name (hot-path-shaped accessor).
+  /// Aggregate for one interned name (hot-path-shaped accessor; read once
+  /// appends have quiesced).
   const SpanStats& stats_of(NameId name) const { return stats_[name]; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t dropped() const { return dropped_; }
-  /// Completed-span ring capacity.
+  /// Entries committed to the ring (spans, instants and marks).
+  std::uint64_t completed() const {
+    auto lock = lock_ring();
+    return completed_;
+  }
+  /// Entries the bounded ring has overwritten.
+  std::uint64_t dropped() const {
+    auto lock = lock_ring();
+    return dropped_;
+  }
+  /// Ring capacity.
   std::size_t capacity() const { return capacity_; }
   std::size_t open_spans() const { return open_count_; }
 
  private:
+  // The FlightRecorder appends marks and renders dumps under mu_, so its
+  // trigger state shares the ring's lock.
+  friend class FlightRecorder;
+
+  /// What a ring entry is: a FlightKind value for a mark, or one of these.
+  static constexpr std::uint8_t kSpanEntry = 0xfe;
+  static constexpr std::uint8_t kInstantEntry = 0xff;
+
+  /// One ring slot: names are interned ids, so a commit copies no string.
+  struct Entry {
+    simnet::SimTime sim_begin = 0;
+    simnet::SimTime sim_end = 0;
+    std::int64_t wall_ns = 0;
+    TraceId trace = 0;
+    std::int64_t a = 0;
+    std::int64_t b = 0;
+    NameId name = 0;
+    NameId detail = 0;
+    std::uint32_t depth = 0;
+    std::uint8_t kind = kSpanEntry;
+  };
+
   // Open spans live in reusable slots (no per-span node allocation on the
   // hot path); a SpanId packs the slot index and a generation counter so a
   // stale close of a recycled slot is ignored.
@@ -151,16 +227,28 @@ class Tracer {
     bool in_use = false;
   };
 
-  void commit(SpanRecord rec, NameId name);
+  /// Hold the ring lock (the FlightRecorder's trigger state shares it).
+  std::unique_lock<std::mutex> lock_ring() const {
+    return std::unique_lock<std::mutex>(mu_);
+  }
+  void commit(const Entry& entry);
+  void commit_locked(const Entry& entry);
+  /// Append a flight mark at the current sim time; returns that time.
+  simnet::SimTime mark_locked(FlightKind kind, NameId detail, TraceId trace,
+                              std::int64_t a, std::int64_t b);
+  /// The newest `max_entries` ring entries, oldest first.
+  std::vector<SpanRecord> records_locked(std::size_t max_entries) const;
   simnet::SimTime sim_now() const { return events_ ? events_->now() : 0; }
 
   const simnet::EventQueue* events_ = nullptr;
   bool enabled_ = true;
   std::size_t capacity_;
-  std::vector<SpanRecord> ring_;
+  /// Guards the ring, its counters, the aggregates and the interner.
+  mutable std::mutex mu_;
+  std::vector<Entry> ring_;
   std::size_t ring_next_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t dropped_ = 0;  // records overwritten in the ring
+  std::uint64_t dropped_ = 0;  // entries overwritten in the ring
   std::vector<Active> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t open_count_ = 0;
@@ -173,6 +261,7 @@ class Tracer {
   std::unordered_map<std::string, NameId, StringHash, std::equal_to<>> ids_;
   std::vector<std::string> names_;     // NameId -> name
   std::vector<SpanStats> stats_;       // NameId -> aggregate
+  std::array<NameId, kFlightKindCount> flight_names_{};
 };
 
 }  // namespace tts::obs

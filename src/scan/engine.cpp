@@ -85,7 +85,7 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
           if (kind == obs::FlightKind::kBreakerOpen)
             flight->trigger("breaker-open");
         });
-    obs::FlightRecorder::NoteId as_note = flight->note("as");
+    obs::Tracer::NameId as_note = flight->tracer().intern("as");
     breaker_->set_as_transition_observer(
         [flight, as_note](const net::Ipv6Address& as_key, bool open,
                           simnet::SimTime /*now*/) {
@@ -394,9 +394,6 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
       // suppressed — each probe chain slot tallies exactly one outcome.
       retries_.inc();
       retry_delay_.record(delay);
-      if (config_.flight)
-        config_.flight->record(obs::FlightKind::kRetryStaged, /*detail=*/0,
-                               intent.trace, attempt, delay);
       update_pending_gauges();
       report_due();
       return;

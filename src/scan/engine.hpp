@@ -93,9 +93,9 @@ struct ScanEngineConfig {
   /// TraceId at submission and threads it through staging, budget grant,
   /// launch, retry re-stage, breaker shed and the final record. Optional.
   obs::Tracer* tracer = nullptr;
-  /// Anomaly flight recorder: breaker transitions, sheds and retry events
-  /// are appended as typed events (trace-linked); a breaker opening
-  /// triggers a dump. Optional; must outlive the engine.
+  /// Anomaly flight recorder: breaker transitions, sheds and dropped
+  /// retries land as typed marks (trace-linked) in its Tracer's ring; a
+  /// breaker opening triggers a dump. Optional; must outlive the engine.
   obs::FlightRecorder* flight = nullptr;
 };
 

@@ -139,7 +139,7 @@ EventQueue::CategoryId EventQueue::register_category(std::string_view name) {
   cat.wall = std::make_unique<obs::Histogram>(
       obs::Histogram::exponential(250, 4.0, 12));
   if (registry_) enroll_category(cat);
-  if (flight_) cat.flight_note = flight_->note(cat.name);
+  if (flight_) cat.flight_note = flight_->tracer().intern(cat.name);
   categories_.push_back(std::move(cat));
   return static_cast<CategoryId>(categories_.size() - 1);
 }
@@ -161,7 +161,7 @@ void EventQueue::set_flight_recorder(obs::FlightRecorder* recorder,
   flight_threshold_ns_ = threshold_ns;
   if (!flight_) return;
   for (Category& cat : categories_)
-    cat.flight_note = flight_->note(cat.name);
+    cat.flight_note = flight_->tracer().intern(cat.name);
 }
 
 std::vector<EventQueue::SlowDispatch> EventQueue::slowest() const {
@@ -200,7 +200,7 @@ void EventQueue::note_slow_dispatch(SimTime at, std::int64_t wall,
     flight_->record(obs::FlightKind::kSlowDispatch,
                     categories_[cat].flight_note,
                     /*trace=*/0, /*a=*/wall,
-                    /*b=*/static_cast<std::int64_t>(cat), /*wall_ns=*/0);
+                    /*b=*/static_cast<std::int64_t>(cat));
     flight_->trigger("slow-dispatch");
   }
 }

@@ -176,8 +176,9 @@ class EventQueue {
   std::vector<SlowDispatch> slowest() const;
 
   /// Report timed dispatches over `threshold_ns` wall time to `recorder`
-  /// (FlightKind::kSlowDispatch, detail = category name) and trigger a
-  /// flight dump. nullptr detaches.
+  /// (FlightKind::kSlowDispatch, detail = category name, a = the measured
+  /// wall ns, b = the category id) and trigger a flight dump. nullptr
+  /// detaches.
   void set_flight_recorder(obs::FlightRecorder* recorder,
                            std::int64_t threshold_ns = 1'000'000);
 
@@ -205,7 +206,7 @@ class EventQueue {
     std::string name;
     std::unique_ptr<obs::Counter> executed;
     std::unique_ptr<obs::Histogram> wall;
-    std::uint32_t flight_note = 0;  // interned category name, lazily set
+    std::uint32_t flight_note = 0;  // category name, interned on attach
   };
 
   /// One deterministic execution domain: its own heap, clock, sender

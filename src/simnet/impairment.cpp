@@ -206,7 +206,7 @@ void ImpairmentPlane::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_ = recorder;
   if (!flight_) return;
   for (std::size_t n = 0; n < kNoteCount; ++n)
-    notes_[n] = flight_->note(kNoteText[n]);
+    notes_[n] = flight_->tracer().intern(kNoteText[n]);
 }
 
 void ImpairmentPlane::inject(obs::Counter& counter, Note which) {

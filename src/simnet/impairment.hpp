@@ -208,7 +208,8 @@ class ImpairmentPlane {
   std::uint64_t blackholed() const { return blackholed_.value(); }
 
  private:
-  /// Flight-recorder details, interned once (indexes notes_).
+  /// Flight-mark details, interned once in the recorder's Tracer (indexes
+  /// notes_).
   enum Note : std::size_t {
     kNoteUdpDrop, kNoteUdpHostDown, kNoteTcpBlackhole, kNoteTcpRst,
     kNoteTcpStall, kNoteWithdraw, kNoteAnnounce, kNoteRuleWindow,

@@ -295,8 +295,9 @@ TEST_F(FaultPlaneTest, WindowEdgesRecordFlightEvents) {
   scenario.outages.push_back(
       {.host = addr(kCleanNet, 9), .from = sec(30)});  // never closes
   EventQueue events;
-  obs::FlightRecorder flight;
-  flight.set_sim_clock(&events);
+  obs::Tracer tracer;
+  tracer.set_sim_clock(&events);
+  obs::FlightRecorder flight(tracer);
   FaultPlane plane = make_plane(scenario);
   plane.set_flight_recorder(&flight);
   plane.arm_windows(events);

@@ -6,11 +6,16 @@
 // util::SerializeError and nothing else.
 #include <gtest/gtest.h>
 
+#include "core/snapshot.hpp"
+#include "hitlist/hitlist.hpp"
 #include "net/address_io.hpp"
 #include "net/address_store.hpp"
 #include "net/ipv6.hpp"
 #include "net/mac.hpp"
+#include "ntp/collector.hpp"
 #include "ntp/ntp_packet.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "proto/amqp.hpp"
 #include "proto/coap.hpp"
 #include "proto/http.hpp"
@@ -305,6 +310,104 @@ TEST(Fuzz, SnapshotEnumBytesAreRangeChecked) {
     EXPECT_THROW(scan::ResultStore::decode_state(r), util::SerializeError)
         << field;
   }
+}
+
+std::string_view view_of(const std::vector<std::uint8_t>& b) {
+  return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+core::StudySnapshot sample_snapshot() {
+  core::StudySnapshot snap;
+  snap.seed = 20240720;
+  snap.at = simnet::days(2);
+  snap.sections.push_back({"clock", std::string(16, '\x01')});
+  snap.sections.push_back({"store", saved_address_store()});
+  snap.sections.push_back({"results", saved_result_store()});
+  return snap;
+}
+
+TEST(Fuzz, StudySnapshotParse) {
+  auto parse = [](const std::vector<std::uint8_t>& b) {
+    try {
+      core::StudySnapshot snap = core::StudySnapshot::parse(view_of(b));
+      // A parsed snapshot re-serializes to the bytes it came from.
+      EXPECT_EQ(snap.serialize(), std::string(view_of(b)));
+    } catch (const util::SerializeError&) {
+    }
+  };
+  fuzz_random(parse);
+  fuzz_mutations(bytes_of(sample_snapshot().serialize()), parse);
+
+  // A header claiming 0xffffffff sections is rejected before anything is
+  // reserved for them.
+  core::StudySnapshot empty;
+  std::string bytes = empty.serialize();
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i)
+    bytes[i] = '\xff';
+  EXPECT_THROW(core::StudySnapshot::parse(bytes), util::SerializeError);
+}
+
+TEST(Fuzz, CollectorAndHitlistCountsAreBoundedBeforeAllocation) {
+  // Collector: the store, then a u32 per-server count.
+  util::ByteWriter collector;
+  net::AddressStore().save(collector);
+  collector.u32(0xffffffffu);
+  std::string bytes = collector.take();
+  util::ByteReader cr(bytes);
+  EXPECT_THROW(ntp::AddressCollector::decode_state(cr), util::SerializeError);
+  // Hitlist: the store, its (empty) sources, then a u32 public count.
+  util::ByteWriter hitlist;
+  net::AddressStore().save(hitlist);
+  hitlist.u32(0);
+  hitlist.u32(0xffffffffu);
+  bytes = hitlist.take();
+  util::ByteReader hr(bytes);
+  EXPECT_THROW(hitlist::Hitlist::decode_state(hr), util::SerializeError);
+}
+
+// ---- obs JSONL
+
+std::string sample_jsonl() {
+  obs::Registry reg;
+  obs::Counter requests;
+  obs::Gauge depth;
+  obs::Histogram wait({10, 1000});
+  reg.enroll(requests, "ntp_requests", {{"zone", "DE"}, {"ours", "1"}});
+  reg.enroll(depth, "scan_pending_depth");
+  reg.enroll(wait, "wait_us", {{"quote", "a\"b\\c"}});
+  requests.inc(12345);
+  depth.set(-42);
+  wait.record(7);
+  wait.record(500);
+  wait.record(99999);
+  return obs::to_jsonl(reg.snapshot(987654321));
+}
+
+TEST(Fuzz, ObsJsonlParser) {
+  const std::string valid = sample_jsonl();
+  auto reparsed = obs::parse_jsonl(valid);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(obs::to_jsonl(*reparsed), valid);
+
+  auto parse = [](const std::vector<std::uint8_t>& b) {
+    auto snap = obs::parse_jsonl(std::string(view_of(b)));
+    if (!snap) return;
+    // Whatever parses re-exports to a dump that parses to itself.
+    std::string jsonl = obs::to_jsonl(*snap);
+    auto again = obs::parse_jsonl(jsonl);
+    ASSERT_TRUE(again.has_value()) << jsonl;
+    EXPECT_EQ(obs::to_jsonl(*again), jsonl);
+  };
+  fuzz_random(parse);
+  fuzz_mutations(bytes_of(valid), parse);
+
+  // Numbers outside int64 are malformed, not an overflow.
+  EXPECT_FALSE(obs::parse_jsonl("{\"at\":99999999999999999999,\"name\":"
+                                "\"x\",\"kind\":\"counter\"}\n")
+                   .has_value());
+  EXPECT_TRUE(obs::parse_jsonl("{\"at\":-9223372036854775808,\"name\":"
+                               "\"x\",\"kind\":\"gauge\"}\n")
+                  .has_value());
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "harness.hpp"
+#include "inet/as_registry.hpp"
+#include "simnet/fault.hpp"
 
 namespace tts::harness {
 namespace {
@@ -121,6 +123,50 @@ TEST(ShardEquivalence, ObservabilityOnKeepsReportsBitIdentical) {
     return config;
   };
   EXPECT_EQ(run_study(observed(1)).report, run_study(observed(2)).report);
+}
+
+TEST(ShardEquivalence, OneRingTakesExecutorMarksAndDomainZeroSpans) {
+  // Outbound loss from every eyeball AS: devices' NTP queries and probe
+  // replies die on the shard executors, which append fault marks to the
+  // Tracer's ring while domain 0 commits probe spans to it, under the one
+  // ring lock.
+  auto faulted = [](std::uint32_t shards) {
+    auto config = shard_config(shards);
+    config.obs.enabled = true;
+    config.obs.slow_dispatch_ns = std::numeric_limits<std::int64_t>::max();
+    config.on_built = [](core::Study& study) {
+      auto eyeballs =
+          study.registry().by_category(inet::AsCategory::kCableDslIsp);
+      ASSERT_FALSE(eyeballs.empty());
+      simnet::FaultScenario faults;
+      for (const inet::AsInfo* as : eyeballs)
+        for (const net::Ipv6Prefix& prefix : as->prefixes)
+          faults.rules.push_back(
+              {.prefix = prefix,
+               .kind = simnet::FaultKind::kLoss,
+               .probability = 0.5,
+               .direction = simnet::FaultDirection::kOutbound});
+      study.network().install_faults(std::move(faults), &study.metrics(),
+                                     &study.flight());
+    };
+    return config;
+  };
+  auto report = [](const core::Study& study) {
+    return core::render_markdown(core::build_report(study));
+  };
+  core::Study one(faulted(1));
+  one.run();
+  core::Study two(faulted(2));
+  two.run();
+  EXPECT_EQ(report(one), report(two));
+
+  std::size_t fault_marks = 0, probe_spans = 0;
+  for (const obs::SpanRecord& rec : two.tracer().records()) {
+    if (rec.flight == obs::FlightKind::kFaultInjected) ++fault_marks;
+    if (!rec.instant && rec.name.rfind("probe/", 0) == 0) ++probe_spans;
+  }
+  EXPECT_GT(fault_marks, 0u);
+  EXPECT_GT(probe_spans, 0u);
 }
 
 TEST(ShardEquivalence, ShardedRunsStaySeedSensitive) {

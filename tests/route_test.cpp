@@ -114,8 +114,9 @@ TEST(RoutePlane, BlackholesCountsDataPathKills) {
 
 TEST(RoutePlane, ArmedTransitionsCommitCountersSubscribersAndFlight) {
   EventQueue events;
-  obs::FlightRecorder flight;
-  flight.set_sim_clock(&events);
+  obs::Tracer tracer;
+  tracer.set_sim_clock(&events);
+  obs::FlightRecorder flight(tracer);
   RouteScenario scenario;
   scenario.convergence = sec(30);
   scenario.withdraw(as_prefix(), sec(10));   // effective 40

@@ -182,14 +182,64 @@ TEST(ChromeTraceExport, EmitsBalancedAsyncPairsAndValidShape) {
             0u);
 }
 
+TEST(ChromeTraceExport, FlightMarksShareTheProbeTimeline) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  scan::ResultStore results;
+  obs::Tracer tracer(4096);
+  tracer.set_sim_clock(&events);
+  obs::FlightRecorder flight(tracer);
+
+  // Blackholed /48: the breaker opens and sheds the later probes.
+  simnet::FaultScenario scenario;
+  scenario.rules.push_back({.prefix = net::Ipv6Prefix(addr(kNetA, 0), 48),
+                            .kind = simnet::FaultKind::kBlackhole});
+  network.install_faults(scenario, /*registry=*/nullptr, &flight);
+  for (std::uint64_t i = 1; i <= 6; ++i) network.attach(addr(kNetA, i));
+
+  auto config = fast_config();
+  config.min_protocol_delay = simnet::sec(10);
+  config.max_protocol_delay = simnet::sec(20);
+  config.breaker.enabled = true;
+  config.breaker.prefix_len = 48;
+  config.breaker.open_after = 3;
+  config.breaker.open_for = simnet::sec(30);
+  config.tracer = &tracer;
+  config.flight = &flight;
+  scan::ScanEngine engine(network, results, config);
+  for (std::uint64_t i = 1; i <= 6; ++i) engine.submit(addr(kNetA, i));
+  events.run();
+  ASSERT_GE(engine.breaker_shed(), 1u);
+
+  // One ring, one timeline: the breaker's marks export next to the probe
+  // spans they interrupted.
+  std::string json = obs::to_chrome_trace(tracer);
+  EXPECT_NE(json.find("{\"name\":\"breaker_open\",\"ph\":\"i\""),
+            std::string::npos);
+  // A shed is trace-linked: an async instant on its probe's track, which
+  // also carries that probe's spans.
+  std::size_t shed =
+      json.find("{\"name\":\"breaker_shed\",\"ph\":\"n\"");
+  ASSERT_NE(shed, std::string::npos);
+  std::size_t id = json.find("\"id\":\"0x", shed);
+  ASSERT_NE(id, std::string::npos);
+  const std::string track = json.substr(id, json.find('"', id + 6) - id);
+  std::size_t on_track = 0;
+  for (std::size_t at = json.find(track); at != std::string::npos;
+       at = json.find(track, at + 1))
+    ++on_track;
+  EXPECT_GT(on_track, 1u) << track;
+}
+
 // ------------------------------------------------------ flight recorder
 
 TEST(FlightRecorder, BreakerOpenAppendsTraceLinkedEventsAndDumps) {
   simnet::EventQueue events;
   simnet::Network network(events);
   scan::ResultStore results;
-  obs::FlightRecorder flight(256);
-  flight.set_sim_clock(&events);
+  obs::Tracer tracer(256);
+  tracer.set_sim_clock(&events);
+  obs::FlightRecorder flight(tracer);
 
   // One /48 of blackholed targets: timeouts streak, the breaker opens and
   // sheds the staggered later probes.
