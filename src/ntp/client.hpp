@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "net/ipv6.hpp"
 #include "ntp/ntp_packet.hpp"
 #include "simnet/network.hpp"
+#include "util/task.hpp"
 
 namespace tts::ntp {
 
@@ -29,8 +29,9 @@ struct NtpQueryResult {
 
 class NtpClient {
  public:
-  /// Called with the result, or nullopt on timeout / invalid response.
-  using ResultFn = std::function<void(std::optional<NtpQueryResult>)>;
+  /// Called once with the result, or nullopt on timeout / invalid
+  /// response.
+  using ResultFn = util::Task<void(std::optional<NtpQueryResult>)>;
 
   explicit NtpClient(simnet::Network& network)
       : network_(network),

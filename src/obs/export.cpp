@@ -10,11 +10,31 @@ namespace tts::obs {
 
 namespace {
 
+/// Append `s` as a JSON string literal. Every byte below 0x20 is escaped
+/// (the short forms where JSON has one, \u00XX otherwise), so no control
+/// byte — a newline above all, which ends a JSONL record — is ever written
+/// raw. Bytes from 0x20 up pass through unchanged.
 void append_json_string(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[static_cast<unsigned char>(c) >> 4];
+          out += kHex[static_cast<unsigned char>(c) & 0xf];
+        } else {
+          out += c;
+        }
+    }
   }
   out += '"';
 }
@@ -63,14 +83,102 @@ struct Cursor {
     skip_ws();
     return p < end && *p == c;
   }
+  /// Consume `c` if it comes next; its absence is not an error.
+  bool eat_if(char c) { return peek(c) && eat(c); }
 };
 
+/// Four hex digits of a \u escape; -1 when they are missing or malformed.
+int parse_hex4(Cursor& c) {
+  if (c.end - c.p < 4) return -1;
+  int v = 0;
+  for (int i = 0; i < 4; ++i) {
+    char h = *c.p++;
+    int d = h >= '0' && h <= '9'   ? h - '0'
+            : h >= 'a' && h <= 'f' ? h - 'a' + 10
+            : h >= 'A' && h <= 'F' ? h - 'A' + 10
+                                   : -1;
+    if (d < 0) return -1;
+    v = v * 16 + d;
+  }
+  return v;
+}
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  auto byte = [&](std::uint32_t b) { out += static_cast<char>(b); };
+  if (cp < 0x80) {
+    byte(cp);
+  } else if (cp < 0x800) {
+    byte(0xc0 | cp >> 6);
+    byte(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    byte(0xe0 | cp >> 12);
+    byte(0x80 | (cp >> 6 & 0x3f));
+    byte(0x80 | (cp & 0x3f));
+  } else {
+    byte(0xf0 | cp >> 18);
+    byte(0x80 | (cp >> 12 & 0x3f));
+    byte(0x80 | (cp >> 6 & 0x3f));
+    byte(0x80 | (cp & 0x3f));
+  }
+}
+
+/// A JSON string literal, unescaped. A raw control byte, an unknown or
+/// truncated escape, a lone UTF-16 surrogate or a missing closing quote
+/// clears c.ok.
 std::string parse_string(Cursor& c) {
   std::string out;
   if (!c.eat('"')) return out;
   while (c.p < c.end && *c.p != '"') {
-    if (*c.p == '\\' && c.p + 1 < c.end) ++c.p;
-    out += *c.p++;
+    char ch = *c.p++;
+    if (static_cast<unsigned char>(ch) < 0x20) {
+      c.ok = false;
+      return out;
+    }
+    if (ch != '\\') {
+      out += ch;
+      continue;
+    }
+    if (c.p >= c.end) {
+      c.ok = false;
+      return out;
+    }
+    switch (*c.p++) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        int unit = parse_hex4(c);
+        if (unit < 0 || (unit >= 0xdc00 && unit <= 0xdfff)) {
+          c.ok = false;
+          return out;
+        }
+        auto cp = static_cast<std::uint32_t>(unit);
+        if (unit >= 0xd800 && unit <= 0xdbff) {
+          // A high surrogate must be followed by an escaped low one.
+          int low = -1;
+          if (c.end - c.p >= 2 && c.p[0] == '\\' && c.p[1] == 'u') {
+            c.p += 2;
+            low = parse_hex4(c);
+          }
+          if (low < 0xdc00 || low > 0xdfff) {
+            c.ok = false;
+            return out;
+          }
+          cp = 0x10000 + ((cp - 0xd800) << 10) +
+               (static_cast<std::uint32_t>(low) - 0xdc00);
+        }
+        append_utf8(out, cp);
+        break;
+      }
+      default:
+        c.ok = false;
+        return out;
+    }
   }
   if (!c.eat('"')) c.ok = false;
   return out;
@@ -112,11 +220,11 @@ Labels parse_labels(Cursor& c) {
   }
   do {
     std::string key = parse_string(c);
-    if (!c.eat(':')) break;
+    if (!c.ok || !c.eat(':')) return out;
     std::string value = parse_string(c);
+    if (!c.ok) return out;
     out.emplace_back(std::move(key), std::move(value));
-  } while (c.ok && c.eat(','));
-  c.ok = true;  // the failed ',' probe above is how the loop ends
+  } while (c.eat_if(','));
   c.eat('}');
   return out;
 }
@@ -131,8 +239,7 @@ std::vector<T> parse_int_array(Cursor& c) {
   }
   do {
     out.push_back(static_cast<T>(parse_int(c)));
-  } while (c.ok && c.eat(','));
-  c.ok = true;
+  } while (c.ok && c.eat_if(','));
   c.eat(']');
   return out;
 }
@@ -378,8 +485,7 @@ std::optional<RegistrySnapshot> parse_jsonl(const std::string& text) {
         return std::nullopt;
       }
       if (!c.ok) return std::nullopt;
-    } while (c.eat(','));
-    c.ok = true;
+    } while (c.eat_if(','));
     if (!c.eat('}')) return std::nullopt;
 
     if (kind == "counter") {

@@ -103,6 +103,25 @@ CoapMessage CoapMessage::well_known_core(std::uint16_t message_id,
   return m;
 }
 
+std::vector<std::uint8_t> CoapMessage::well_known_core_wire(
+    std::uint16_t message_id, std::uint64_t token) {
+  constexpr std::string_view kWellKnown = ".well-known";
+  constexpr std::string_view kCore = "core";
+  net::PacketWriter w(4 + 4 + 1 + kWellKnown.size() + 1 + kCore.size());
+  w.u8(static_cast<std::uint8_t>(
+      (1u << 6) | (static_cast<std::uint8_t>(CoapType::kConfirmable) << 4) |
+      4u));  // version 1, 4-byte token
+  w.u8(kCoapGet);
+  w.u16(message_id);
+  w.u32(static_cast<std::uint32_t>(token));
+  // Two Uri-Path options: delta 11 then 0, each length below 13.
+  w.u8(static_cast<std::uint8_t>((kOptionUriPath << 4) | kWellKnown.size()));
+  w.str(kWellKnown);
+  w.u8(static_cast<std::uint8_t>(kCore.size()));
+  w.str(kCore);
+  return w.take();
+}
+
 std::string link_format(const std::vector<std::string>& resources) {
   std::string out;
   for (const auto& res : resources) {

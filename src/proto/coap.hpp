@@ -44,6 +44,11 @@ struct CoapMessage {
   /// GET /.well-known/core request.
   static CoapMessage well_known_core(std::uint16_t message_id,
                                      std::uint64_t token);
+  /// The same request's wire bytes, equal to
+  /// well_known_core(message_id, token).serialize() but written straight
+  /// into one buffer (the scanner sends one per CoAP probe).
+  static std::vector<std::uint8_t> well_known_core_wire(
+      std::uint16_t message_id, std::uint64_t token);
 };
 
 /// RFC 6690 link-format: "</res1>,</res2>" — build from resource paths and

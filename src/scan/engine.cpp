@@ -335,38 +335,6 @@ void ScanEngine::launch(simnet::SimTime slot, simnet::SimTime now) {
   launch_probe(intent, now);
 }
 
-void ScanEngine::launch_probe(const ScanIntent& intent, simnet::SimTime at) {
-  // A target's protocol chain runs in Protocol order: the chain position
-  // is the protocol.
-  auto proto = static_cast<Protocol>(intent.chain_pos);
-  probes_launched_.inc();
-  launched_by_proto_[static_cast<std::size_t>(proto)].inc();
-  auto src_port =
-      static_cast<std::uint16_t>(1024 + (next_ephemeral_++ % 60000));
-
-  ScanRecord base;
-  base.dataset = intent.dataset;
-  base.protocol = proto;
-  base.target = intent.target;
-  base.at = at;
-  simnet::Endpoint src{config_.scanner_address, src_port};
-  obs::Tracer::SpanId span = obs::Tracer::kNoSpan;
-  if (config_.tracer)
-    span = config_.tracer->open(span_ids_[static_cast<std::size_t>(proto)],
-                                intent.trace);
-  ProbeDoneFn done = [this, intent, proto, span](ScanRecord r) {
-    probes_completed_.inc();
-    completed_by_proto_[static_cast<std::size_t>(proto)].inc();
-    probe_rtt_.record(network_.now() - r.at);
-    if (config_.tracer) config_.tracer->close(span);
-    finish_probe(intent, std::move(r));
-  };
-  if (proto == Protocol::kCoap)
-    probe_coap(src, std::move(base), std::move(done));
-  else
-    probe_tcp(src, std::move(base), std::move(done));
-}
-
 void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
   simnet::SimTime now = network_.now();
   bool timeout = record.outcome == Outcome::kTimeout;

@@ -55,6 +55,9 @@ class FlightRecorder;
 
 namespace tts::scan {
 
+/// One probe in flight (defined in probe.cpp).
+struct ProbeState;
+
 struct ScanEngineConfig {
   /// Probe budget per second of virtual time for an engine that owns its
   /// budget privately (budget == nullptr). The paper scans at up to
@@ -249,16 +252,19 @@ class ScanEngine : private PumpClient {
   void end_stage_span(const ScanIntent& intent, obs::Tracer::NameId how);
   /// Stage the next protocol of `intent`'s chain after a launch at `slot`.
   void stage_successor(const ScanIntent& intent, simnet::SimTime slot);
+  /// Start the probe `intent` names (probe.cpp). One ProbeState carries
+  /// the intent, the record under construction and the connection, so
+  /// every callback of the probe captures just that state.
   void launch_probe(const ScanIntent& intent, simnet::SimTime at);
-  /// Probe completion callback: invoked exactly once per launched probe.
-  using ProbeDoneFn = std::function<void(ScanRecord)>;
   /// The TCP probes (probe.cpp): connect, TLS handshake for the TLS
   /// protocols, then the protocol's dialogue over one client stream.
-  void probe_tcp(const simnet::Endpoint& src, ScanRecord base,
-                 ProbeDoneFn done);
+  void probe_tcp(const std::shared_ptr<ProbeState>& probe);
   /// The CoAP probe (probe.cpp): one confirmable GET over UDP.
-  void probe_coap(const simnet::Endpoint& src, ScanRecord base,
-                  ProbeDoneFn done);
+  void probe_coap(const std::shared_ptr<ProbeState>& probe);
+  /// Probe completion: invoked exactly once per launched probe, by
+  /// ProbeState::finish.
+  void complete_probe(ProbeState& probe);
+  friend struct ProbeState;
   /// Drop an intent refused by its prefix breaker: synthesize the timeout
   /// record (conserving the one-outcome-per-probe tally) and keep the
   /// protocol chain going so later probes can close the breaker again.

@@ -1,5 +1,7 @@
 #include "scan/pending_queue.hpp"
 
+#include <algorithm>
+
 namespace tts::scan {
 
 PendingQueue::PendingQueue(std::size_t lane_capacity)
@@ -8,9 +10,18 @@ PendingQueue::PendingQueue(std::size_t lane_capacity)
 bool PendingQueue::push(ScanIntent intent) {
   Lane& lane = lanes_[static_cast<std::size_t>(intent.dataset)];
   if (lane.size() >= lane_capacity_) return false;
-  lane.push(Entry{std::move(intent), next_seq_++});
-  ++size_;
-  if (size_ > peak_) peak_ = size_;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(intent);
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = intent;
+  }
+  lane.push_back(Key{intent.not_before, next_seq_++, slot});
+  std::push_heap(lane.begin(), lane.end(), Later{});
+  peak_ = std::max(peak_, size());
   return true;
 }
 
@@ -27,7 +38,7 @@ std::optional<simnet::SimTime> PendingQueue::next_not_before() const {
   std::optional<simnet::SimTime> earliest;
   for (const Lane& lane : lanes_) {
     if (lane.empty()) continue;
-    simnet::SimTime t = lane.top().intent.not_before;
+    simnet::SimTime t = lane.front().not_before;
     if (!earliest || t < *earliest) earliest = t;
   }
   return earliest;
@@ -37,8 +48,8 @@ const ScanIntent* PendingQueue::peek_due(simnet::SimTime now) const {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     std::size_t li = (rr_next_ + i) % lanes_.size();
     const Lane& lane = lanes_[li];
-    if (lane.empty() || lane.top().intent.not_before > now) continue;
-    return &lane.top().intent;
+    if (lane.empty() || lane.front().not_before > now) continue;
+    return &slab_[lane.front().slot];
   }
   return nullptr;
 }
@@ -47,10 +58,12 @@ std::optional<ScanIntent> PendingQueue::pull_due(simnet::SimTime now) {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     std::size_t li = (rr_next_ + i) % lanes_.size();
     Lane& lane = lanes_[li];
-    if (lane.empty() || lane.top().intent.not_before > now) continue;
-    ScanIntent intent = lane.top().intent;
-    lane.pop();
-    --size_;
+    if (lane.empty() || lane.front().not_before > now) continue;
+    std::pop_heap(lane.begin(), lane.end(), Later{});
+    const std::uint32_t slot = lane.back().slot;
+    lane.pop_back();
+    ScanIntent intent = std::move(slab_[slot]);
+    free_.push_back(slot);
     rr_next_ = (li + 1) % lanes_.size();
     return intent;
   }

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "net/ipv6.hpp"
@@ -68,30 +67,34 @@ class PendingQueue {
   /// admission) before spending a budget token on it.
   const ScanIntent* peek_due(simnet::SimTime now) const;
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return slab_.size() - free_.size(); }
   std::size_t lane_size(Dataset lane) const;
   std::size_t lane_capacity() const { return lane_capacity_; }
   /// High-water mark of size() over the queue's lifetime.
   std::size_t peak() const { return peak_; }
-  bool empty() const { return size_ == 0; }
+  bool empty() const { return size() == 0; }
 
  private:
-  struct Entry {
-    ScanIntent intent;
-    std::uint64_t seq;  // staging-order tie-break: deterministic pulls
+  /// A staged intent's place in its lane: the heap orders these 24-byte
+  /// keys, and the intent itself stays put in slab_ until it is pulled.
+  struct Key {
+    simnet::SimTime not_before;
+    std::uint64_t seq;   // staging-order tie-break: deterministic pulls
+    std::uint32_t slot;  // index into slab_
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.intent.not_before != b.intent.not_before)
-        return a.intent.not_before > b.intent.not_before;
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.not_before != b.not_before) return a.not_before > b.not_before;
       return a.seq > b.seq;
     }
   };
-  using Lane = std::priority_queue<Entry, std::vector<Entry>, Later>;
+  /// A binary min-heap of keys kept with std::push_heap / std::pop_heap.
+  using Lane = std::vector<Key>;
 
   std::array<Lane, kDatasetCount> lanes_;
+  std::vector<ScanIntent> slab_;
+  std::vector<std::uint32_t> free_;  // vacant slab_ indices
   std::size_t lane_capacity_;
-  std::size_t size_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t rr_next_ = 0;  // lane offset the next pull starts from

@@ -20,7 +20,8 @@
 //
 // Every probe path — refusal, timeout, malformed reply, success — funnels
 // through ProbeState::finish, which guarantees exactly one ScanRecord per
-// probe.
+// probe. A probe's state is its only allocation at launch: the guard, the
+// connect result and the stream handlers all capture just its pointer.
 #include <memory>
 #include <utility>
 
@@ -34,15 +35,17 @@
 
 namespace tts::scan {
 
-namespace {
-
 using simnet::TcpConnection;
 
-/// One probe in flight: the record under construction, its completion
-/// latch and, for TCP probes, the client stream.
+/// One probe in flight: the intent it launched, the record under
+/// construction, its completion latch and, for TCP probes, the client
+/// stream.
 struct ProbeState {
+  ScanEngine* engine = nullptr;
+  ScanIntent intent;
+  obs::Tracer::SpanId span = obs::Tracer::kNoSpan;  // "probe/<proto>"
+  simnet::Endpoint src;
   ScanRecord record;
-  std::function<void(ScanRecord)> done;
   simnet::TcpConnectionPtr conn;  // kept so finish() can close it
   /// The TLS session of a TLS probe. Its callbacks capture this state, so
   /// finish() drops them to break the cycle.
@@ -69,21 +72,21 @@ struct ProbeState {
       tls->drop_callbacks();
       tls = nullptr;
     }
-    // Hand `done` off to the stack so everything it keeps alive dies with
-    // this call instead of cycling back to the state.
-    auto fn = std::move(done);
-    done = nullptr;
-    fn(std::move(record));
+    engine->complete_probe(*this);
   }
+
+  const std::string& sni() const { return engine->config_.sni; }
 };
 
+namespace {
+
 /// Send the message the client opens with once the stream is up.
-void open_dialogue(ProbeState& state, const std::string& sni) {
+void open_dialogue(ProbeState& state) {
   switch (state.record.protocol) {
     case Protocol::kHttp:
     case Protocol::kHttps: {
       proto::HttpRequest request;
-      request.host = sni;  // empty unless the campaign supplies names
+      request.host = state.sni();  // empty unless the campaign names hosts
       state.send(request.serialize());
       return;
     }
@@ -201,86 +204,112 @@ void on_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
 
 }  // namespace
 
-void ScanEngine::probe_tcp(const simnet::Endpoint& src, ScanRecord base,
-                           ProbeDoneFn done) {
-  auto state = std::make_shared<ProbeState>();
-  state->record = std::move(base);
-  state->done = std::move(done);
-  // The guard: a probe nothing finished by then records a timeout.
-  network_.events().schedule_in(kProbeTimeout, probe_cat_, [state] {
-    state->finish(Outcome::kTimeout);
-  });
+void ScanEngine::launch_probe(const ScanIntent& intent, simnet::SimTime at) {
+  // A target's protocol chain runs in Protocol order: the chain position
+  // is the protocol.
+  auto proto = static_cast<Protocol>(intent.chain_pos);
+  probes_launched_.inc();
+  launched_by_proto_[static_cast<std::size_t>(proto)].inc();
+  auto src_port =
+      static_cast<std::uint16_t>(1024 + (next_ephemeral_++ % 60000));
 
-  simnet::Endpoint dst{state->record.target, port_of(state->record.protocol)};
-  network_.connect_tcp(
-      src, dst,
-      [state, sni = config_.sni](simnet::TcpConnectionPtr conn, bool refused) {
-        if (!conn) {
-          state->finish(refused ? Outcome::kRefused : Outcome::kTimeout);
-          return;
-        }
-        state->conn = conn;
-        conn->set_on_close(TcpConnection::Side::kClient, [state] {
-          // A hang-up before the dialogue concluded is malformed — except
-          // an SSH banner without a key, which still counts as a grab.
-          state->finish(state->record.ssh_banner.empty()
-                            ? Outcome::kMalformed
-                            : Outcome::kSuccess);
-        });
-        auto reply = [state](std::vector<std::uint8_t> data) {
-          on_reply(*state, data);
-        };
-        if (!is_tls(state->record.protocol)) {
-          conn->set_on_data(TcpConnection::Side::kClient, std::move(reply));
-          open_dialogue(*state, sni);
-          return;
-        }
-        state->tls = TlsClientSession::create(conn, sni);
-        state->tls->set_on_app_data(std::move(reply));
-        state->tls->handshake([state, sni](TlsHandshakeResult result) {
-          if (!result.ok) {
-            state->finish(Outcome::kTlsFailed);
-            return;
-          }
-          state->record.certificate = result.certificate;
-          open_dialogue(*state, sni);
-        });
-      },
-      config_.connect_timeout);
+  auto probe = std::make_shared<ProbeState>();
+  probe->engine = this;
+  probe->intent = intent;
+  probe->src = simnet::Endpoint{config_.scanner_address, src_port};
+  probe->record.dataset = intent.dataset;
+  probe->record.protocol = proto;
+  probe->record.target = intent.target;
+  probe->record.at = at;
+  if (config_.tracer)
+    probe->span = config_.tracer->open(
+        span_ids_[static_cast<std::size_t>(proto)], intent.trace);
+  if (proto == Protocol::kCoap)
+    probe_coap(probe);
+  else
+    probe_tcp(probe);
 }
 
-void ScanEngine::probe_coap(const simnet::Endpoint& src, ScanRecord base,
-                            ProbeDoneFn done) {
-  auto state = std::make_shared<ProbeState>();
-  state->record = std::move(base);
-  // Every completion path — reply or guard timeout — releases the
-  // ephemeral reply port before reporting.
-  state->done = [this, src, done = std::move(done)](ScanRecord record) {
-    network_.unbind_udp(src);
-    done(std::move(record));
-  };
+void ScanEngine::complete_probe(ProbeState& probe) {
+  // Every completion path of a CoAP probe — reply or guard timeout —
+  // releases its ephemeral reply port before reporting.
+  if (probe.record.protocol == Protocol::kCoap)
+    network_.unbind_udp(probe.src);
+  probes_completed_.inc();
+  completed_by_proto_[static_cast<std::size_t>(probe.record.protocol)].inc();
+  probe_rtt_.record(network_.now() - probe.record.at);
+  if (config_.tracer) config_.tracer->close(probe.span);
+  finish_probe(probe.intent, std::move(probe.record));
+}
 
-  simnet::Endpoint dst{state->record.target, port_of(Protocol::kCoap)};
+void ScanEngine::probe_tcp(const std::shared_ptr<ProbeState>& probe) {
+  // The guard: a probe nothing finished by then records a timeout.
+  network_.events().schedule_in(kProbeTimeout, probe_cat_, [probe] {
+    probe->finish(Outcome::kTimeout);
+  });
+
+  simnet::Endpoint dst{probe->record.target, port_of(probe->record.protocol)};
+  auto connected = [probe](simnet::TcpConnectionPtr conn, bool refused) {
+    if (!conn) {
+      probe->finish(refused ? Outcome::kRefused : Outcome::kTimeout);
+      return;
+    }
+    probe->conn = conn;
+    conn->set_on_close(TcpConnection::Side::kClient, [probe] {
+      // A hang-up before the dialogue concluded is malformed — except
+      // an SSH banner without a key, which still counts as a grab.
+      probe->finish(probe->record.ssh_banner.empty()
+                        ? Outcome::kMalformed
+                        : Outcome::kSuccess);
+    });
+    auto reply = [probe](std::vector<std::uint8_t> data) {
+      on_reply(*probe, data);
+    };
+    if (!is_tls(probe->record.protocol)) {
+      conn->set_on_data(TcpConnection::Side::kClient, std::move(reply));
+      open_dialogue(*probe);
+      return;
+    }
+    probe->tls = TlsClientSession::create(conn, probe->sni());
+    probe->tls->set_on_app_data(std::move(reply));
+    probe->tls->handshake([probe](TlsHandshakeResult result) {
+      if (!result.ok) {
+        probe->finish(Outcome::kTlsFailed);
+        return;
+      }
+      probe->record.certificate = std::move(result.certificate);
+      open_dialogue(*probe);
+    });
+  };
+  static_assert(simnet::ConnectResult::fits_inline<decltype(connected)>());
+  network_.connect_tcp(probe->src, dst, std::move(connected),
+                       config_.connect_timeout);
+}
+
+void ScanEngine::probe_coap(const std::shared_ptr<ProbeState>& probe) {
+  simnet::Endpoint dst{probe->record.target, port_of(Protocol::kCoap)};
   std::uint16_t message_id = next_coap_message_id_++;
   std::uint64_t token = 0x9e3779b9u ^ (message_id * 2654435761u);
-  auto request = proto::CoapMessage::well_known_core(message_id, token);
 
-  network_.bind_udp(src, [state, message_id](const simnet::Datagram& dg) {
+  network_.bind_udp(probe->src, [probe,
+                                 message_id](const simnet::Datagram& dg) {
     auto response = proto::CoapMessage::parse(dg.payload);
     if (!response || response->message_id != message_id ||
         response->code != proto::kCoapContent) {
-      state->finish(Outcome::kMalformed);
+      probe->finish(Outcome::kMalformed);
       return;
     }
     std::string payload(response->payload.begin(), response->payload.end());
-    state->record.coap_resources = proto::parse_link_format(payload);
-    state->finish(Outcome::kSuccess);
+    probe->record.coap_resources = proto::parse_link_format(payload);
+    probe->finish(Outcome::kSuccess);
   });
-  network_.send_udp(src, dst, request.serialize());
+  network_.send_udp(
+      probe->src, dst,
+      proto::CoapMessage::well_known_core_wire(message_id, token));
 
   // UDP silence (no listener, lost packet, filtered) = timeout.
-  network_.events().schedule_in(kProbeTimeout, probe_cat_, [state] {
-    state->finish(Outcome::kTimeout);
+  network_.events().schedule_in(kProbeTimeout, probe_cat_, [probe] {
+    probe->finish(Outcome::kTimeout);
   });
 }
 

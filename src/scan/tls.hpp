@@ -13,6 +13,7 @@
 
 #include "proto/tlslite.hpp"
 #include "simnet/network.hpp"
+#include "util/task.hpp"
 
 namespace tts::scan {
 
@@ -25,7 +26,8 @@ struct TlsHandshakeResult {
 class TlsClientSession
     : public std::enable_shared_from_this<TlsClientSession> {
  public:
-  using HandshakeFn = std::function<void(TlsHandshakeResult)>;
+  /// Runs once, with the handshake outcome.
+  using HandshakeFn = util::Task<void(TlsHandshakeResult)>;
   using AppDataFn = std::function<void(std::vector<std::uint8_t>)>;
 
   static std::shared_ptr<TlsClientSession> create(

@@ -83,6 +83,8 @@ void EventQueue::configure_shards(const ShardPlan& plan,
     throw std::invalid_argument("EventQueue: shards must be >= 1");
   if (plan.lookahead <= 0)
     throw std::invalid_argument("EventQueue: lookahead must be positive");
+  if (domain_count > kMaxDomains)
+    throw std::invalid_argument("EventQueue: more than kMaxDomains domains");
   shards_ = plan.shards;
   lookahead_ = plan.lookahead;
   if (domain_count < 1) domain_count = 1;
@@ -205,33 +207,34 @@ void EventQueue::note_slow_dispatch(SimTime at, std::int64_t wall,
   }
 }
 
-void EventQueue::schedule_at(SimTime at, Callback fn) {
+void EventQueue::schedule_at(SimTime at, Callback&& fn) {
   schedule_at(at, /*category=*/0, std::move(fn));
 }
 
-void EventQueue::schedule_at(SimTime at, CategoryId category, Callback fn) {
+void EventQueue::schedule_at(SimTime at, CategoryId category,
+                             Callback&& fn) {
   schedule_on(current_domain(), at, category, std::move(fn));
 }
 
-void EventQueue::schedule_in(SimDuration delay, Callback fn) {
+void EventQueue::schedule_in(SimDuration delay, Callback&& fn) {
   schedule_in(delay, /*category=*/0, std::move(fn));
 }
 
 void EventQueue::schedule_in(SimDuration delay, CategoryId category,
-                             Callback fn) {
+                             Callback&& fn) {
   DomainId d = current_domain();
   SimTime base = domains_[d].now;
   schedule_on(d, base + (delay < 0 ? 0 : delay), category, std::move(fn));
 }
 
 void EventQueue::schedule_on(DomainId domain, SimTime at, CategoryId category,
-                             Callback fn) {
+                             Callback&& fn) {
   DomainId src = current_domain();
   Domain& sender = domains_[src];
   std::uint64_t seq = sender.next_seq++;
   if (domain == src) {
     if (at < sender.now) at = sender.now;
-    sender.heap.push(Entry{at, src, seq, category, std::move(fn)});
+    sender.heap.push(at, src, seq, category, std::move(fn));
     if (!sharded())
       pending_gauge_.set(static_cast<std::int64_t>(sender.heap.size()));
     return;
@@ -264,18 +267,18 @@ void EventQueue::run_at_barrier(Callback fn) {
   dom.commits.push_back(std::move(fn));
 }
 
-void EventQueue::dispatch(Domain& dom, Entry e) {
+void EventQueue::dispatch(Domain& dom, CategoryId cat, Callback& fn) {
   executed_ctr_.inc();
-  categories_[e.cat].executed->inc();
+  categories_[cat].executed->inc();
   if (time_dispatch_ && (executed_ctr_.value() & dispatch_mask_) == 0) {
     std::int64_t t0 = obs::Tracer::wall_clock_ns();
-    e.fn();
+    fn();
     std::int64_t wall = obs::Tracer::wall_clock_ns() - t0;
     dispatch_wall_.record(wall);
-    categories_[e.cat].wall->record(wall);
-    note_slow_dispatch(dom.now, wall, e.cat);
+    categories_[cat].wall->record(wall);
+    note_slow_dispatch(dom.now, wall, cat);
   } else {
-    e.fn();
+    fn();
   }
 }
 
@@ -283,13 +286,12 @@ bool EventQueue::step() {
   if (sharded()) return false;  // sharded runs advance window-wise only
   Domain& dom = domains_[0];
   if (dom.heap.empty()) return false;
-  // priority_queue::top() is const; the callback must be moved out, so pop
-  // via const_cast-free copy of the small fields and move of the function.
-  Entry e = std::move(const_cast<Entry&>(dom.heap.top()));
-  dom.heap.pop();
+  // The pop moves the callback out of its slab slot, so the callback may
+  // schedule freely (even into the slot it just left) while it runs.
+  EventHeap::Popped e = dom.heap.pop();
   pending_gauge_.set(static_cast<std::int64_t>(dom.heap.size()));
   dom.now = e.at;
-  dispatch(dom, std::move(e));
+  dispatch(dom, e.cat, e.fn);
   return true;
 }
 
@@ -308,6 +310,81 @@ std::size_t EventQueue::pending() const {
     n += dom.inbox.size();
   }
   return n;
+}
+
+// ------------------------------------------------------- EventHeap
+
+void EventQueue::EventHeap::push(SimTime at, DomainId src, std::uint64_t seq,
+                                 CategoryId cat, Callback&& fn) {
+  static_assert(sizeof(Group) == 64 && sizeof(Slot) == 64);
+  if (seq >> 48)
+    throw std::overflow_error("EventQueue: 2^48 events from one domain");
+  std::uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    free_head_ = slab_[slot].next_free;
+  }
+  slab_[slot].fn = std::move(fn);
+  slab_[slot].cat = cat;
+  const Key k{at, static_cast<std::uint64_t>(src) << 48 | seq};
+  // Sift up through a hole: parents move down until the key fits.
+  std::size_t j = slots_.size();
+  slots_.push_back(slot);
+  if (((j + 3) >> 2) >= groups_.size()) groups_.emplace_back();
+  while (j > 0) {
+    std::size_t parent = (j - 1) / 4;
+    if (!before(k, key(parent))) break;
+    key(j) = key(parent);
+    slots_[j] = slots_[parent];
+    j = parent;
+  }
+  key(j) = k;
+  slots_[j] = slot;
+}
+
+EventQueue::EventHeap::Popped EventQueue::EventHeap::pop() {
+  const SimTime at = top_at();
+  Slot& top = slab_[slots_[0]];
+  Popped out{at, top.cat, std::move(top.fn)};
+  top.next_free = free_head_;
+  free_head_ = slots_[0];
+  const std::size_t n = slots_.size() - 1;  // the heap's size after this
+  const Key last = key(n);
+  const std::uint32_t last_slot = slots_[n];
+  slots_.pop_back();
+  if (n == 0) return out;
+  // Floyd's pop: walk the hole from the root to a leaf along the earliest
+  // child, then sift the former last key up from there. The last key
+  // belongs near the bottom (successors are scheduled later than what
+  // runs now), so this skips the comparison against it on the way down.
+  std::size_t i = 0;
+  for (std::size_t first = 1; first < n; first = 4 * i + 1) {
+    const Key* sib = groups_[i + 1].keys;  // node i's children
+    std::size_t c = 0;
+    if (first + 4 <= n) {
+      std::size_t lo = before(sib[1], sib[0]) ? 1 : 0;
+      std::size_t hi = before(sib[3], sib[2]) ? 3 : 2;
+      c = before(sib[hi], sib[lo]) ? hi : lo;
+    } else {
+      for (std::size_t k = 1; first + k < n; ++k)
+        if (before(sib[k], sib[c])) c = k;
+    }
+    key(i) = sib[c];
+    slots_[i] = slots_[first + c];
+    i = first + c;
+  }
+  while (i > 0) {
+    std::size_t parent = (i - 1) / 4;
+    if (!before(last, key(parent))) break;
+    key(i) = key(parent);
+    slots_[i] = slots_[parent];
+    i = parent;
+  }
+  key(i) = last;
+  slots_[i] = last_slot;
+  return out;
 }
 
 // ------------------------------------------------------- NextEvents
@@ -377,7 +454,7 @@ void EventQueue::refresh(DomainId d) {
   if (dom.heap.empty())
     next_.erase(d);
   else
-    next_.set(d, dom.heap.top().at);
+    next_.set(d, dom.heap.top_at());
 }
 
 void EventQueue::ingest(Domain& dom, SimTime committed_bound) {
@@ -393,7 +470,7 @@ void EventQueue::ingest(Domain& dom, SimTime committed_bound) {
       violations_ctr_.inc();
       e.at = committed_bound;
     }
-    dom.heap.push(std::move(e));
+    dom.heap.push(e.at, e.src, e.seq, e.cat, std::move(e.fn));
   }
   batch_.clear();
 }
@@ -426,11 +503,10 @@ void EventQueue::exec_domain(DomainId d, SimTime bound) {
   Domain& dom = domains_[d];
   TlsCtx saved = tls_ctx;
   tls_ctx = TlsCtx{this, d};
-  while (!dom.heap.empty() && dom.heap.top().at < bound) {
-    Entry e = std::move(const_cast<Entry&>(dom.heap.top()));
-    dom.heap.pop();
+  while (!dom.heap.empty() && dom.heap.top_at() < bound) {
+    EventHeap::Popped e = dom.heap.pop();
     dom.now = e.at;
-    dispatch(dom, std::move(e));
+    dispatch(dom, e.cat, e.fn);
   }
   tls_ctx = saved;
 }
@@ -583,7 +659,7 @@ std::uint64_t EventQueue::run_until(SimTime until) {
   if (!sharded()) {
     Domain& dom = domains_[0];
     std::uint64_t n = 0;
-    while (!dom.heap.empty() && dom.heap.top().at <= until) {
+    while (!dom.heap.empty() && dom.heap.top_at() <= until) {
       step();
       ++n;
     }
@@ -602,8 +678,7 @@ std::uint64_t EventQueue::run_until(SimTime until) {
 
 // ------------------------------------------------------------------ Timer
 
-Timer::Timer(EventQueue& queue, EventQueue::Callback fn,
-             EventQueue::CategoryId category)
+Timer::Timer(EventQueue& queue, Fn fn, EventQueue::CategoryId category)
     : state_(std::make_shared<State>()) {
   state_->queue = &queue;
   state_->fn = std::move(fn);
@@ -651,7 +726,7 @@ void Timer::fire(const std::shared_ptr<State>& s, std::uint64_t gen) {
   }
   s->armed = false;
   // Copy: the callback may destroy the Timer (clearing s->fn) mid-call.
-  EventQueue::Callback fn = s->fn;
+  Fn fn = s->fn;
   fn();
 }
 

@@ -4,6 +4,14 @@
 // (a monotonic sequence number breaks ties), so runs are reproducible
 // regardless of heap internals.
 //
+// Each domain's pending events sit in an EventHeap: a 4-ary min-heap of
+// 16-byte (at, src:seq) keys, four siblings to a cache line, over a slab
+// of {callback, category} slots with a free list. Sifting moves keys and
+// slab indices only; a callback is written into its slot once at schedule
+// time and moved out once at dispatch.
+// Callbacks are util::Task (move-only, inline captures up to 48 bytes), so
+// a typical schedule allocates nothing.
+//
 // Sharded mode (configure_shards): the queue splits into per-domain heaps
 // advanced in parallel between conservative time-window barriers. Each
 // window executes every event with `at` strictly below a bound derived
@@ -43,13 +51,13 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "simnet/shard.hpp"
 #include "simnet/time.hpp"
+#include "util/task.hpp"
 
 namespace tts::obs {
 class FlightRecorder;
@@ -59,10 +67,14 @@ namespace tts::simnet {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = util::Task<void()>;
   /// Dispatch category for wall-time attribution (register_category).
   /// Category 0 is the pre-registered "other" bucket.
   using CategoryId = std::uint16_t;
+
+  /// Domains a queue can split into: the event key packs the sending
+  /// domain into 16 bits.
+  static constexpr DomainId kMaxDomains = DomainId{1} << 16;
 
   EventQueue();
   ~EventQueue();
@@ -75,7 +87,8 @@ class EventQueue {
 
   /// Split into `domain_count` deterministic domains run across
   /// `plan.shards` parallel heaps. Must be called before any event runs;
-  /// `plan.shards` >= 1 and `plan.lookahead` >= 1 are required.
+  /// `plan.shards` >= 1, `plan.lookahead` >= 1 and
+  /// `domain_count` <= kMaxDomains are required.
   void configure_shards(const ShardPlan& plan, DomainId domain_count);
   bool sharded() const { return shards_ > 0; }
   std::uint32_t shard_count() const { return shards_ ? shards_ : 1; }
@@ -86,19 +99,21 @@ class EventQueue {
   DomainId current_domain() const;
 
   /// Schedule `fn` at absolute time `at` (clamped to now if in the past)
-  /// on the calling context's domain.
-  void schedule_at(SimTime at, Callback fn);
+  /// on the calling context's domain. Every schedule call takes its
+  /// callback as an rvalue: a lambda argument converts in place, and the
+  /// Task is relocated once, into its slab slot.
+  void schedule_at(SimTime at, Callback&& fn);
   /// Schedule `fn` after `delay`.
-  void schedule_in(SimDuration delay, Callback fn);
+  void schedule_in(SimDuration delay, Callback&& fn);
   /// Category-attributed variants: the event's execution is counted (and,
   /// when dispatch timing is on, wall-timed) under `category`.
-  void schedule_at(SimTime at, CategoryId category, Callback fn);
-  void schedule_in(SimDuration delay, CategoryId category, Callback fn);
+  void schedule_at(SimTime at, CategoryId category, Callback&& fn);
+  void schedule_in(SimDuration delay, CategoryId category, Callback&& fn);
   /// Schedule on an explicit domain. Cross-domain events must respect the
   /// configured lookahead (at >= sender now + lookahead) or they surface
   /// as counted lookahead violations at the next barrier.
   void schedule_on(DomainId domain, SimTime at, CategoryId category,
-                   Callback fn);
+                   Callback&& fn);
 
   /// Run `fn` at the next window barrier, when every domain is quiescent
   /// (deterministic commit point for cross-domain state). Commits run on
@@ -183,6 +198,7 @@ class EventQueue {
                            std::int64_t threshold_ns = 1'000'000);
 
  private:
+  /// A cross-domain event waiting in its target's inbox.
   struct Entry {
     SimTime at;
     DomainId src;       // sending domain: second key of the total order
@@ -190,12 +206,58 @@ class EventQueue {
     CategoryId cat;
     Callback fn;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.src != b.src) return a.src > b.src;
-      return a.seq > b.seq;
+
+  /// One domain's pending events in (at, src, seq) order: a 4-ary min-heap
+  /// of 16-byte keys over a slab of 64-byte {callback, category} slots,
+  /// recycled through a free list threaded through the vacant slots. The
+  /// keys sit four siblings to a 64-byte-aligned group, so choosing a
+  /// child reads one cache line; each key's slab index rides in a parallel
+  /// array. The keys are unique, so the pop order is the total order
+  /// whatever the heap's shape.
+  class EventHeap {
+   public:
+    struct Popped {
+      SimTime at;
+      CategoryId cat;
+      Callback fn;
+    };
+    bool empty() const { return slots_.empty(); }
+    std::size_t size() const { return slots_.size(); }
+    /// Time of the earliest event; the heap must not be empty.
+    SimTime top_at() const { return groups_[0].keys[3].at; }
+    /// `src` must be below kMaxDomains and `seq` below 2^48.
+    void push(SimTime at, DomainId src, std::uint64_t seq, CategoryId cat,
+              Callback&& fn);
+    /// Remove the earliest event and move its callback out.
+    Popped pop();
+
+   private:
+    /// (at, src, seq) in 16 bytes: the tie packs the sending domain above
+    /// a 48-bit sender sequence, so one compare orders both.
+    struct Key {
+      SimTime at;
+      std::uint64_t tie;
+    };
+    /// Node j lives at position j + 3: the root ends group 0, and the four
+    /// children of node j fill group j + 1.
+    struct alignas(64) Group {
+      Key keys[4];
+    };
+    struct Slot {
+      Callback fn;
+      CategoryId cat = 0;
+      std::uint32_t next_free = kNoSlot;  // while vacant: the next vacancy
+    };
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    static bool before(const Key& a, const Key& b) {
+      return a.at != b.at ? a.at < b.at : a.tie < b.tie;
     }
+    Key& key(std::size_t j) { return groups_[(j + 3) >> 2].keys[(j + 3) & 3]; }
+
+    std::vector<Group> groups_;
+    std::vector<std::uint32_t> slots_;  // slots_[j]: node j's slab index
+    std::vector<Slot> slab_;
+    std::uint32_t free_head_ = kNoSlot;  // most recently vacated slot
   };
 
   // Counter/Histogram hold atomics (non-movable), so categories own them
@@ -213,7 +275,7 @@ class EventQueue {
   /// sequence, and inbox for cross-domain arrivals. Deque-held (mutex is
   /// not movable).
   struct Domain {
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
+    EventHeap heap;
     SimTime now = 0;
     std::uint64_t next_seq = 0;
     mutable std::mutex inbox_mu;
@@ -265,7 +327,7 @@ class EventQueue {
 
   void enroll_category(Category& cat);
   void note_slow_dispatch(SimTime at, std::int64_t wall, CategoryId cat);
-  void dispatch(Domain& dom, Entry e);
+  void dispatch(Domain& dom, CategoryId cat, Callback& fn);
 
   void refresh(DomainId d);
   void ingest(Domain& dom, SimTime committed_bound);
@@ -345,8 +407,11 @@ class EventQueue {
 /// EventQueue must outlive the Timer's pending entries (it owns them).
 class Timer {
  public:
-  Timer(EventQueue& queue, EventQueue::Callback fn,
-        EventQueue::CategoryId category = 0);
+  /// The callback is copied on every firing (it may destroy the Timer),
+  /// so it is a std::function rather than a one-shot Task.
+  using Fn = std::function<void()>;
+
+  Timer(EventQueue& queue, Fn fn, EventQueue::CategoryId category = 0);
   ~Timer();
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -367,7 +432,7 @@ class Timer {
  private:
   struct State {
     EventQueue* queue;
-    EventQueue::Callback fn;
+    Fn fn;
     EventQueue::CategoryId category = 0;
     bool armed = false;
     SimTime target = 0;

@@ -176,17 +176,17 @@ void Network::attach(const net::Ipv6Address& addr) {
 
 void Network::detach(const net::Ipv6Address& addr) {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  auto it = hosts_.find(addr);
-  if (it == hosts_.end() || it->second.refs == 0) return;
-  if (--it->second.refs > 0) return;
+  Host* host = hosts_.find(addr);
+  if (!host || host->refs == 0) return;
+  if (--host->refs > 0) return;
   --online_count_;
-  hosts_.erase(it);  // and with it every binding on this address
+  hosts_.erase(addr);  // and with it every binding on this address
 }
 
 bool Network::online(const net::Ipv6Address& addr) const {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  auto it = hosts_.find(addr);
-  return it != hosts_.end() && it->second.refs > 0;
+  const Host* host = hosts_.find(addr);
+  return host && host->refs > 0;
 }
 
 std::size_t Network::online_count() const {
@@ -194,9 +194,9 @@ std::size_t Network::online_count() const {
   return online_count_;
 }
 
-void Network::drop_if_idle(HostMap::iterator it) {
-  const Host& host = it->second;
-  if (host.refs == 0 && host.udp.empty() && host.tcp.empty()) hosts_.erase(it);
+void Network::drop_if_idle(const net::Ipv6Address& addr, const Host& host) {
+  if (host.refs == 0 && host.udp.empty() && host.tcp.empty())
+    hosts_.erase(addr);
 }
 
 SimDuration Network::base_latency(const net::Ipv6Address& a,
@@ -237,10 +237,10 @@ void Network::bind_udp(const Endpoint& ep, UdpHandler handler) {
 
 void Network::unbind_udp(const Endpoint& ep) {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  auto it = hosts_.find(ep.addr);
-  if (it == hosts_.end()) return;
-  unbind_port(it->second.udp, ep.port);
-  drop_if_idle(it);
+  Host* host = hosts_.find(ep.addr);
+  if (!host) return;
+  unbind_port(host->udp, ep.port);
+  drop_if_idle(ep.addr, *host);
 }
 
 void Network::send_udp(const Endpoint& src, const Endpoint& dst,
@@ -258,20 +258,24 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
   if (verdict.drop) return;
   lat += verdict.extra_latency;
   DomainId dst_dom = map_ ? map_->domain_of(dst.addr) : 0;
-  events_.schedule_on(
-      dst_dom, now + lat, packet_cat_,
-      [this, src, dst, payload = std::move(payload)] {
-        UdpHandler handler;
-        {
-          std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-          auto it = hosts_.find(dst.addr);
-          if (it != hosts_.end()) handler = bound_to(it->second.udp, dst.port);
-        }
-        // No binding: blackholed or refused — UDP stays silent.
-        if (!handler) return;
-        udp_delivered_.fetch_add(1, std::memory_order_relaxed);
-        handler(Datagram{src, dst, payload});
-      });
+  // The datagram travels as one allocation the delivery hands to the
+  // handler as-is: the event's capture stays inline and the payload is
+  // never copied.
+  auto deliver = [this, dg = std::make_unique<Datagram>(
+                            Datagram{src, dst, std::move(payload)})] {
+    UdpHandler handler;
+    {
+      std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
+      if (const Host* host = hosts_.find(dg->dst.addr))
+        handler = bound_to(host->udp, dg->dst.port);
+    }
+    // No binding: blackholed or refused — UDP stays silent.
+    if (!handler) return;
+    udp_delivered_.fetch_add(1, std::memory_order_relaxed);
+    handler(*dg);
+  };
+  static_assert(EventQueue::Callback::fits_inline<decltype(deliver)>());
+  events_.schedule_on(dst_dom, now + lat, packet_cat_, std::move(deliver));
 }
 
 void Network::listen_tcp(const Endpoint& ep, TcpAcceptor acceptor) {
@@ -281,20 +285,19 @@ void Network::listen_tcp(const Endpoint& ep, TcpAcceptor acceptor) {
 
 void Network::unlisten_tcp(const Endpoint& ep) {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  auto it = hosts_.find(ep.addr);
-  if (it == hosts_.end()) return;
-  unbind_port(it->second.tcp, ep.port);
-  drop_if_idle(it);
+  Host* host = hosts_.find(ep.addr);
+  if (!host) return;
+  unbind_port(host->tcp, ep.port);
+  drop_if_idle(ep.addr, *host);
 }
 
 bool Network::tcp_listener(const Endpoint& dst, TcpAcceptor& acceptor) {
   bool host_online = false;
   {
     std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-    auto it = hosts_.find(dst.addr);
-    if (it != hosts_.end()) {
-      host_online = it->second.refs > 0;
-      acceptor = bound_to(it->second.tcp, dst.port);
+    if (const Host* host = hosts_.find(dst.addr)) {
+      host_online = host->refs > 0;
+      acceptor = bound_to(host->tcp, dst.port);
     }
   }
   if (acceptor) return host_online;
@@ -322,13 +325,11 @@ void Network::connect_tcp(const Endpoint& src, const Endpoint& dst,
   if (!verdict.unrouted)
     lat += sample_latency(src.addr, dst.addr, domain_rng());
   if (verdict.action == ImpairmentPlane::TcpAction::kBlackhole) {
-    events_.schedule_in(timeout, packet_cat_,
-                        [result] { result(nullptr, /*refused=*/false); });
+    fail_connect(timeout, /*refused=*/false, std::move(result));
     return;
   }
   if (verdict.action == ImpairmentPlane::TcpAction::kRst) {
-    events_.schedule_in(2 * lat, packet_cat_,
-                        [result] { result(nullptr, /*refused=*/true); });
+    fail_connect(2 * lat, /*refused=*/true, std::move(result));
     return;
   }
   bool stalled = verdict.action == ImpairmentPlane::TcpAction::kStall;
@@ -340,30 +341,42 @@ void Network::connect_tcp(const Endpoint& src, const Endpoint& dst,
   TcpAcceptor acceptor;
   if (!tcp_listener(dst, acceptor)) {
     // Blackhole: the connect attempt times out.
-    events_.schedule_in(timeout, packet_cat_,
-                        [result] { result(nullptr, /*refused=*/false); });
+    fail_connect(timeout, /*refused=*/false, std::move(result));
     return;
   }
   if (!acceptor) {
     // RST after one RTT.
-    events_.schedule_in(2 * lat, packet_cat_,
-                        [result] { result(nullptr, /*refused=*/true); });
+    fail_connect(2 * lat, /*refused=*/true, std::move(result));
     return;
   }
 
   tcp_established_.fetch_add(1, std::memory_order_relaxed);
-  events_.schedule_in(2 * lat, packet_cat_,
-                      [this, src, dst, lat, stalled, result, acceptor] {
-    auto conn = TcpConnectionPtr(new TcpConnection(
-        this, src, dst, lat, /*client_dom=*/0, /*server_dom=*/0,
-        /*sharded=*/false));
-    conn->stalled_ = stalled;
+  // The connection object exists from here, holding both callbacks until
+  // the handshake completes, so the event captures only the connection.
+  auto conn = TcpConnectionPtr(new TcpConnection(
+      this, src, dst, lat, /*client_dom=*/0, /*server_dom=*/0,
+      /*sharded=*/false));
+  conn->stalled_ = stalled;
+  conn->accept_ = std::move(acceptor);
+  conn->connected_ = std::move(result);
+  events_.schedule_in(2 * lat, packet_cat_, [this, conn] {
     track_connection(conn);
+    TcpAcceptor accept = std::move(conn->accept_);
+    ConnectResult connected = std::move(conn->connected_);
     // Server learns of the connection first (it must install handlers
     // before any client data can arrive — data takes >= lat anyway).
-    acceptor(conn);
-    result(conn, false);
+    accept(conn);
+    connected(conn, false);
   });
+}
+
+void Network::fail_connect(SimDuration after, bool refused,
+                           ConnectResult result) {
+  auto fail = [refused, result = std::move(result)]() mutable {
+    result(nullptr, refused);
+  };
+  static_assert(EventQueue::Callback::fits_inline<decltype(fail)>());
+  events_.schedule_in(after, packet_cat_, std::move(fail));
 }
 
 void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
@@ -378,16 +391,22 @@ void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
   events_.schedule_on(
       server_dom, send_at + lat, packet_cat_,
       [this, src, dst, lat, stalled, timeout, caller_dom, server_dom,
-       send_at, result = std::move(result)] {
+       send_at, result = std::move(result)]() mutable {
         TcpAcceptor acceptor;
         if (!tcp_listener(dst, acceptor)) {
-          events_.schedule_on(caller_dom, send_at + timeout, packet_cat_,
-                              [result] { result(nullptr, false); });
+          events_.schedule_on(
+              caller_dom, send_at + timeout, packet_cat_,
+              [result = std::move(result)]() mutable {
+                result(nullptr, false);
+              });
           return;
         }
         if (!acceptor) {
-          events_.schedule_on(caller_dom, send_at + 2 * lat, packet_cat_,
-                              [result] { result(nullptr, true); });
+          events_.schedule_on(
+              caller_dom, send_at + 2 * lat, packet_cat_,
+              [result = std::move(result)]() mutable {
+                result(nullptr, true);
+              });
           return;
         }
         tcp_established_.fetch_add(1, std::memory_order_relaxed);
@@ -400,7 +419,9 @@ void Network::connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
         // acceptor-before-result ordering across domains.
         acceptor(conn);
         events_.schedule_on(caller_dom, send_at + 2 * lat, packet_cat_,
-                            [conn, result] { result(conn, false); });
+                            [conn, result = std::move(result)]() mutable {
+                              result(conn, false);
+                            });
       });
 }
 

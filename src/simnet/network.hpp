@@ -29,7 +29,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,7 +37,9 @@
 #include "simnet/event_queue.hpp"
 #include "simnet/impairment.hpp"
 #include "simnet/shard.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
+#include "util/task.hpp"
 
 namespace tts::simnet {
 
@@ -67,6 +68,15 @@ struct TapEvent {
 };
 
 class Network;
+class TcpConnection;
+using TcpConnectionPtr = std::shared_ptr<TcpConnection>;
+/// Accept callback: receives the established connection (server side).
+using TcpAcceptor = std::function<void(TcpConnectionPtr)>;
+/// Connect result: the connection on success, nullptr + `refused` flag.
+/// It runs once, so it is a move-only Task; its 24-byte buffer holds the
+/// usual capture (a probe's state pointer) and keeps the Task small enough
+/// to ride inline in the failure event that delivers it.
+using ConnectResult = util::Task<void(TcpConnectionPtr, bool refused), 24>;
 
 /// A bidirectional session-level TCP connection. Both sides hold a shared
 /// handle; sends are delivered to the peer's on_data callback after the
@@ -128,9 +138,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   DomainId dom_[2] = {0, 0};
   DataFn on_data_[2];
   CloseFn on_close_[2];
+  /// Who learns of the connection when its handshake completes (legacy
+  /// mode): held here from connect_tcp until then, so the establishing
+  /// event captures only the connection.
+  TcpAcceptor accept_;
+  ConnectResult connected_;
 };
-
-using TcpConnectionPtr = std::shared_ptr<TcpConnection>;
 
 struct NetworkConfig {
   /// Base one-way latency range; the per-pair base is a deterministic
@@ -147,11 +160,8 @@ struct NetworkConfig {
 class Network {
  public:
   using UdpHandler = std::function<void(const Datagram&)>;
-  /// Accept callback: receives the established connection (server side).
-  using TcpAcceptor = std::function<void(TcpConnectionPtr)>;
-  /// Connect result: the connection on success, nullptr + `refused` flag.
-  using ConnectResult =
-      std::function<void(TcpConnectionPtr, bool refused)>;
+  using TcpAcceptor = simnet::TcpAcceptor;
+  using ConnectResult = simnet::ConnectResult;
   using TapFn = std::function<void(const TapEvent&)>;
 
   Network(EventQueue& events, NetworkConfig config = {});
@@ -273,6 +283,8 @@ class Network {
   void run_taps(TransportProto proto, const Endpoint& src,
                 const Endpoint& dst, std::size_t payload_size);
   void track_connection(const TcpConnectionPtr& conn);
+  /// Report a failed connect (`refused`: RST, else timeout) `after` now.
+  void fail_connect(SimDuration after, bool refused, ConnectResult result);
   void connect_tcp_sharded(const Endpoint& src, const Endpoint& dst,
                            ConnectResult result, SimDuration timeout,
                            SimDuration lat, bool stalled);
@@ -302,11 +314,27 @@ class Network {
     std::vector<std::pair<std::uint16_t, UdpHandler>> udp;
     std::vector<std::pair<std::uint16_t, TcpAcceptor>> tcp;
   };
-  using HostMap =
-      std::unordered_map<net::Ipv6Address, Host, net::Ipv6AddressHash>;
+  /// The host table's hash: a 64-bit finalizer over both halves, so the
+  /// flat table's low-bit slot index spreads even structured addresses
+  /// (one IID across many prefixes, sequential subnets).
+  struct HostHash {
+    std::size_t operator()(const net::Ipv6Address& a) const {
+      std::uint64_t h = (a.hi64() * 0x9e3779b97f4a7c15ULL) ^ a.lo64();
+      h ^= h >> 33;
+      h *= 0xff51afd7ed558ccdULL;
+      h ^= h >> 33;
+      h *= 0xc4ceb9fe1a85ec53ULL;
+      h ^= h >> 33;
+      return static_cast<std::size_t>(h);
+    }
+  };
+  /// Open-addressed {address, index} slots over a dense Host array (see
+  /// util/flat_map.hpp); nothing iterates it, so its order never matters.
+  using HostMap = util::FlatMap<net::Ipv6Address, Host, HostHash>;
 
-  /// Erase `it` once it is offline and holds no binding. Requires maps_mu_.
-  void drop_if_idle(HostMap::iterator it);
+  /// Erase `addr`'s entry once it is offline and holds no binding.
+  /// Requires maps_mu_.
+  void drop_if_idle(const net::Ipv6Address& addr, const Host& host);
   /// Whether `dst` is online; copies its acceptor into `acceptor`: the
   /// exact listener, else a wildcard prefix listener (whose region counts
   /// as online), else none.

@@ -410,5 +410,66 @@ TEST(Fuzz, ObsJsonlParser) {
                   .has_value());
 }
 
+// Label text is arbitrary bytes: control characters (a newline ends a
+// JSONL record), quotes, backslashes and non-ASCII bytes must all survive
+// a dump and its parse byte for byte.
+TEST(Fuzz, ObsJsonlRoundTripsAnyLabelBytes) {
+  util::Rng rng(0x1abe1);
+  auto random_text = [&rng] {
+    std::string s(rng.below(12), '\0');
+    for (char& c : s) c = static_cast<char>(rng.below(256));
+    return s;
+  };
+  for (int i = 0; i < 300; ++i) {
+    obs::Registry reg;
+    obs::Counter counter;
+    obs::Gauge gauge;
+    const std::string name = "n" + random_text();
+    obs::Labels labels;
+    for (std::uint64_t l = rng.below(4); l > 0; --l)
+      labels.emplace_back(random_text(), random_text());
+    reg.enroll(counter, name, labels);
+    reg.enroll(gauge, random_text(), {{random_text(), random_text()}});
+    counter.inc(rng.below(1000));
+    gauge.set(static_cast<std::int64_t>(rng.below(1000)) - 500);
+
+    const obs::RegistrySnapshot snap = reg.snapshot(i);
+    const std::string jsonl = obs::to_jsonl(snap);
+    auto reparsed = obs::parse_jsonl(jsonl);
+    ASSERT_TRUE(reparsed.has_value()) << jsonl;
+    ASSERT_EQ(reparsed->values.size(), snap.values.size());
+    for (std::size_t v = 0; v < snap.values.size(); ++v) {
+      EXPECT_EQ(reparsed->values[v].name, snap.values[v].name);
+      EXPECT_EQ(reparsed->values[v].labels, snap.values[v].labels);
+    }
+    EXPECT_EQ(obs::to_jsonl(*reparsed), jsonl);
+  }
+}
+
+TEST(Fuzz, ObsJsonlRejectsMalformedEscapes) {
+  auto with_name = [](const std::string& literal) {
+    return "{\"at\":1,\"name\":\"" + literal +
+           "\",\"kind\":\"counter\",\"value\":3}\n";
+  };
+  // Every escape JSON defines decodes, \u forms included.
+  auto good = obs::parse_jsonl(
+      with_name("a\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0001\\u00e9\\ud83d\\ude00"));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->values.at(0).name,
+            "a\"\\/\b\f\n\r\t\x01\xc3\xa9\xf0\x9f\x98\x80");
+  for (const char* bad : {
+           "\\x",          // unknown escape
+           "\\u12",        // truncated \u
+           "\\u12g4",      // non-hex digit
+           "\\ud83d",      // high surrogate alone
+           "\\ud83d\\u0041",  // high surrogate, no low one
+           "\\ude00",      // low surrogate alone
+           "a\tb",         // raw control byte
+       })
+    EXPECT_FALSE(obs::parse_jsonl(with_name(bad)).has_value()) << bad;
+  // A backslash that ends the input is truncated, not an escaped quote.
+  EXPECT_FALSE(obs::parse_jsonl("{\"at\":1,\"name\":\"a\\").has_value());
+}
+
 }  // namespace
 }  // namespace tts

@@ -1,12 +1,17 @@
 // Parameterised property sweeps (TEST_P) over the invariants the analyses
 // rely on: IID classification boundaries, Levenshtein threshold geometry,
 // NTP timestamp conversion across the whole study window, CoAP option
-// encoding around its length boundaries, device-catalogue sanity, and the
+// encoding around its length boundaries, device-catalogue sanity, the
 // sharded event queue's conservative-barrier safety property and window
-// bookkeeping.
+// bookkeeping, the event heap's pop order against a reference queue, and
+// the flat host table against an ordered-map model.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "analysis/iid_classes.hpp"
@@ -16,6 +21,8 @@
 #include "obs/metrics.hpp"
 #include "proto/coap.hpp"
 #include "simnet/event_queue.hpp"
+#include "simnet/network.hpp"
+#include "util/flat_map.hpp"
 #include "util/levenshtein.hpp"
 #include "util/rng.hpp"
 
@@ -436,6 +443,241 @@ TEST(BarrierSafety, UndercutLookaheadIsCountedAndClamped) {
 TEST(BarrierSafetyWillFail, DISABLED_ShortLookaheadHasNoViolations) {
   MeshRun run = run_mesh(4, 2, /*delay_floor=*/0, 0xfeedULL);
   EXPECT_EQ(run.violations, 0u);
+}
+
+// ------------------------------------------- event heap vs reference order
+
+/// A seeded event tree: each event's children (time offset, count) are a
+/// pure function of its id, so the queue under test and the reference
+/// queue run the same script. Offsets are mostly 0-2 us, some negative
+/// (clamped to now): long runs of equal timestamps, nested schedules from
+/// inside callbacks, and a slab whose slots are reused all the time.
+struct EventScript {
+  std::uint64_t seed;
+  std::size_t budget;  // events scheduled in total, roots included
+
+  struct Child {
+    simnet::SimDuration offset;
+    std::uint64_t id;
+  };
+  std::vector<Child> children(std::uint64_t id) const {
+    util::Rng rng(seed ^ (id * 0x9e3779b97f4a7c15ULL));
+    std::vector<Child> out;
+    for (std::uint64_t k = 0, n = rng.below(3); k < n; ++k) {
+      auto offset = static_cast<simnet::SimDuration>(rng.below(4)) - 1;
+      if (rng.below(3) == 0) offset = 0;
+      out.push_back(Child{offset, id * 4 + k + 1});
+    }
+    return out;
+  }
+  simnet::SimTime root_at(std::uint64_t root) const {
+    return static_cast<simnet::SimTime>(
+        util::Rng(seed + root).below(20));
+  }
+};
+
+class EventOrderSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventOrderSweep, PopsInReferenceOrderAcrossSlotReuse) {
+  const EventScript script{GetParam(), 30000};
+  constexpr std::uint64_t kRoots = 400;
+
+  // The queue under test.
+  simnet::EventQueue queue;
+  std::vector<std::uint64_t> ran;
+  std::size_t scheduled = 0;
+  std::function<void(std::uint64_t)> run_event = [&](std::uint64_t id) {
+    ran.push_back(id);
+    for (const EventScript::Child& child : script.children(id)) {
+      if (scheduled == script.budget) return;
+      ++scheduled;
+      queue.schedule_at(queue.now() + child.offset,
+                        [&run_event, c = child.id] { run_event(c); });
+    }
+  };
+  for (std::uint64_t r = 0; r < kRoots; ++r) {
+    ++scheduled;
+    queue.schedule_at(script.root_at(r),
+                      [&run_event, r] { run_event(r << 40); });
+  }
+  queue.run();
+
+  // The reference: an ordered set on (at, schedule order).
+  std::set<std::tuple<simnet::SimTime, std::uint64_t, std::uint64_t>> ref;
+  std::uint64_t seq = 0;
+  simnet::SimTime now = 0;
+  std::size_t ref_scheduled = 0;
+  auto schedule = [&](simnet::SimTime at, std::uint64_t id) {
+    ++ref_scheduled;
+    ref.emplace(std::max(at, now), seq++, id);
+  };
+  for (std::uint64_t r = 0; r < kRoots; ++r)
+    schedule(script.root_at(r), r << 40);
+  std::vector<std::uint64_t> expected;
+  while (!ref.empty()) {
+    auto [at, s, id] = *ref.begin();
+    ref.erase(ref.begin());
+    now = at;
+    expected.push_back(id);
+    for (const EventScript::Child& child : script.children(id)) {
+      if (ref_scheduled == script.budget) break;
+      schedule(now + child.offset, child.id);
+    }
+  }
+
+  EXPECT_EQ(scheduled, script.budget);  // the script really ran long
+  ASSERT_EQ(ran.size(), expected.size());
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(queue.executed(), expected.size());
+}
+
+// The heap key packs the sending domain into 16 bits: a queue that could
+// not order its domains refuses to split instead.
+TEST(EventOrderLimits, DomainsBeyondTheKeyWidthAreRejected) {
+  simnet::EventQueue queue;
+  simnet::ShardPlan plan;
+  plan.shards = 1;
+  plan.lookahead = 1;
+  const simnet::DomainId too_many = simnet::EventQueue::kMaxDomains + 1;
+  EXPECT_THROW(queue.configure_shards(plan, too_many), std::invalid_argument);
+  EXPECT_FALSE(queue.sharded());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderSweep,
+                         ::testing::Values(1ULL, 0xe4e47ULL,
+                                           0x5eed5eedULL));
+
+// ------------------------------------------- flat host table vs map model
+
+/// A hash with a handful of values, one of them the table's last slot at
+/// every size: heavy collisions, and clusters that wrap around the end of
+/// the slot array, so backward-shift erase crosses the wrap.
+struct CrowdedHash {
+  std::size_t operator()(const net::Ipv6Address& a) const {
+    std::uint64_t v = a.lo64() % 5;
+    return v == 0 ? ~std::size_t{0} : static_cast<std::size_t>(v * 7);
+  }
+};
+
+/// The value side of a host entry: an attach count and bound ports.
+struct ModelHost {
+  std::uint32_t refs = 0;
+  std::set<std::uint16_t> ports;
+  bool idle() const { return refs == 0 && ports.empty(); }
+  friend bool operator==(const ModelHost&, const ModelHost&) = default;
+};
+
+TEST(FlatHostTable, MatchesMapModelUnderCollisionsAndWrapAround) {
+  util::FlatMap<net::Ipv6Address, ModelHost, CrowdedHash> table;
+  std::map<net::Ipv6Address, ModelHost> model;
+  util::Rng rng(0x7ab1e);
+  std::vector<net::Ipv6Address> keys;
+  for (std::uint64_t i = 0; i < 96; ++i)
+    keys.push_back(net::Ipv6Address::from_halves(0x20010db8ULL << 32, i));
+  std::size_t peak = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const net::Ipv6Address& key = keys[rng.below(keys.size())];
+    auto port = static_cast<std::uint16_t>(rng.below(3));
+    switch (rng.below(4)) {
+      case 0:  // attach
+        ++table[key].refs;
+        ++model[key].refs;
+        break;
+      case 1: {  // detach: the last claim drops the entry, bindings too
+        ModelHost* host = table.find(key);
+        auto it = model.find(key);
+        ASSERT_EQ(host != nullptr, it != model.end());
+        if (!host || host->refs == 0) break;
+        --it->second.refs;
+        if (--host->refs == 0) {
+          EXPECT_TRUE(table.erase(key));
+          model.erase(it);
+        }
+        break;
+      }
+      case 2:  // bind
+        table[key].ports.insert(port);
+        model[key].ports.insert(port);
+        break;
+      case 3: {  // unbind: an idle entry vanishes
+        ModelHost* host = table.find(key);
+        auto it = model.find(key);
+        ASSERT_EQ(host != nullptr, it != model.end());
+        if (!host) break;
+        host->ports.erase(port);
+        it->second.ports.erase(port);
+        if (host->idle()) {
+          EXPECT_TRUE(table.erase(key));
+          model.erase(it);
+        }
+        break;
+      }
+    }
+    peak = std::max(peak, table.size());
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    ASSERT_LE(2 * table.size(), table.slot_count());
+    if (step % 97 == 0) {
+      for (const net::Ipv6Address& k : keys) {
+        const ModelHost* got = table.find(k);
+        auto it = model.find(k);
+        ASSERT_EQ(got != nullptr, it != model.end()) << k.to_string();
+        if (got) {
+          EXPECT_EQ(*got, it->second) << k.to_string();
+        }
+      }
+    }
+  }
+  EXPECT_GT(peak, 32u);  // the table grew through several sizes
+  EXPECT_FALSE(table.erase(net::Ipv6Address::from_halves(1, 1)));
+}
+
+TEST(FlatHostTable, NetworkLifecycleMatchesModel) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  std::map<net::Ipv6Address, ModelHost> model;
+  util::Rng rng(0x5e7);
+  auto online_in_model = [&model] {
+    std::size_t n = 0;
+    for (const auto& [addr, host] : model) n += host.refs > 0;
+    return n;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    auto addr = net::Ipv6Address::from_halves(0x2a00ULL << 48,
+                                              rng.below(300));
+    auto port = static_cast<std::uint16_t>(1 + rng.below(2));
+    switch (rng.below(4)) {
+      case 0:
+        network.attach(addr);
+        ++model[addr].refs;
+        break;
+      case 1: {
+        network.detach(addr);
+        auto it = model.find(addr);
+        if (it != model.end() && it->second.refs > 0 &&
+            --it->second.refs == 0)
+          model.erase(it);
+        break;
+      }
+      case 2:
+        network.bind_udp({addr, port}, [](const simnet::Datagram&) {});
+        model[addr].ports.insert(port);
+        break;
+      case 3: {
+        network.unbind_udp({addr, port});
+        auto it = model.find(addr);
+        if (it == model.end()) break;
+        it->second.ports.erase(port);
+        if (it->second.idle()) model.erase(it);
+        break;
+      }
+    }
+    auto it = model.find(addr);
+    ASSERT_EQ(network.online(addr), it != model.end() && it->second.refs > 0)
+        << "step " << step;
+    if (step % 101 == 0) {
+      ASSERT_EQ(network.online_count(), online_in_model());
+    }
+  }
 }
 
 }  // namespace

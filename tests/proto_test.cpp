@@ -224,6 +224,12 @@ TEST(Coap, WellKnownCoreRequest) {
   EXPECT_EQ(parsed->uri_path[0], ".well-known");
   EXPECT_EQ(parsed->uri_path[1], "core");
   EXPECT_EQ(parsed->token.size(), 4u);
+  // The scanner's one-pass encoding writes exactly these bytes.
+  for (std::uint16_t id : {0, 1, 42, 0xffff})
+    for (std::uint64_t token : {0ULL, 0xdeadbeefULL, ~0ULL})
+      EXPECT_EQ(CoapMessage::well_known_core_wire(id, token),
+                CoapMessage::well_known_core(id, token).serialize())
+          << id << " " << token;
 }
 
 TEST(Coap, ResponseWithPayloadRoundTrip) {

@@ -182,6 +182,25 @@ TEST(ChromeTraceExport, EmitsBalancedAsyncPairsAndValidShape) {
             0u);
 }
 
+TEST(ChromeTraceExport, ControlBytesInNamesAreEscaped) {
+  simnet::EventQueue events;
+  obs::Tracer tracer(64);
+  tracer.set_sim_clock(&events);
+  { auto span = tracer.span("line one\nline two\t\x01"); }
+  tracer.instant(tracer.intern("quote\"back\\slash\r"), /*trace=*/7);
+
+  std::string json = obs::to_chrome_trace(tracer);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '\n');  // the one newline ends the document
+  json.pop_back();
+  for (char c : json)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+  EXPECT_NE(json.find("\"line one\\nline two\\t\\u0001\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"quote\\\"back\\\\slash\\r\""),
+            std::string::npos);
+}
+
 TEST(ChromeTraceExport, FlightMarksShareTheProbeTimeline) {
   simnet::EventQueue events;
   simnet::Network network(events);

@@ -5,12 +5,16 @@
 #include <set>
 #include <array>
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "util/format.hpp"
 #include "util/levenshtein.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/task.hpp"
 
 namespace tts::util {
 namespace {
@@ -319,6 +323,127 @@ TEST(Table, HandlesRaggedRows) {
   t.set_header({"a", "b", "c"});
   t.add_row({"x"});
   EXPECT_NO_THROW(t.to_string());
+}
+
+// ------------------------------------------------------------------ Task
+
+/// Counts live copies of itself: every construction, move included, adds
+/// one; every destruction removes one.
+struct LiveCount {
+  explicit LiveCount(int* counter) : live(counter) { ++*live; }
+  LiveCount(const LiveCount& other) : live(other.live) { ++*live; }
+  LiveCount(LiveCount&& other) noexcept : live(other.live) { ++*live; }
+  LiveCount& operator=(const LiveCount&) = delete;
+  LiveCount& operator=(LiveCount&&) = delete;
+  ~LiveCount() { --*live; }
+  int* live;
+};
+
+TEST(Task, EmptyTestsFalse) {
+  Task<void()> empty;
+  EXPECT_FALSE(empty);
+  Task<void()> null = nullptr;
+  EXPECT_FALSE(null);
+  void (*no_function)() = nullptr;
+  Task<void()> from_null_pointer = no_function;
+  EXPECT_FALSE(from_null_pointer);
+  Task<int(int)> set = [](int x) { return x + 1; };
+  EXPECT_TRUE(set);
+  set = nullptr;
+  EXPECT_FALSE(set);
+}
+
+TEST(Task, InlineCaptureRunsAndForwardsArguments) {
+  int base = 40;
+  auto fn = [base](int x) { return base + x; };
+  static_assert(Task<int(int)>::fits_inline<decltype(fn)>());
+  Task<int(int)> add = fn;
+  EXPECT_EQ(add(2), 42);
+  // Arguments are forwarded, not copied: a move-only one goes through.
+  Task<int(std::unique_ptr<int>)> take = [](std::unique_ptr<int> p) {
+    return *p;
+  };
+  EXPECT_EQ(take(std::make_unique<int>(7)), 7);
+}
+
+TEST(Task, HeapFallbackCaptureRuns) {
+  std::array<std::uint64_t, 16> big{};  // 128 bytes: past the inline buffer
+  big[15] = 99;
+  auto fn = [big] { return big[15]; };
+  static_assert(!Task<std::uint64_t()>::fits_inline<decltype(fn)>());
+  Task<std::uint64_t()> task = fn;
+  Task<std::uint64_t()> moved = std::move(task);
+  EXPECT_FALSE(task);  // a moved-from Task is empty
+  EXPECT_EQ(moved(), 99u);
+}
+
+TEST(Task, HoldsMoveOnlyCaptures) {
+  auto owned = std::make_unique<std::string>("payload");
+  Task<std::string()> task = [p = std::move(owned)] { return *p; };
+  Task<std::string()> other;
+  other = std::move(task);
+  EXPECT_EQ(other(), "payload");
+  // A Task can carry another Task.
+  Task<std::string()> outer = [inner = std::move(other)]() mutable {
+    return inner() + "!";
+  };
+  EXPECT_EQ(outer(), "payload!");
+}
+
+TEST(Task, EachCaptureIsDestroyedExactlyOnce) {
+  int live = 0;
+  {
+    std::array<std::uint64_t, 16> pad{};
+    Task<int()> small = [c = LiveCount(&live)] { return *c.live; };
+    Task<int()> large = [c = LiveCount(&live), pad] {
+      return *c.live + static_cast<int>(pad[0]);
+    };
+    EXPECT_EQ(live, 2);
+    Task<int()> a = std::move(small);
+    Task<int()> b = std::move(large);
+    EXPECT_EQ(live, 2);  // moves relocate, they never duplicate
+    a = std::move(b);    // a's old capture dies, b's moves in
+    EXPECT_EQ(live, 1);
+    Task<int()>& alias = a;
+    a = std::move(alias);  // self-move leaves the capture alone
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(a(), 1);
+    a.reset();
+    EXPECT_EQ(live, 0);
+    a.reset();  // idempotent
+    Task<int()> c = [l = LiveCount(&live)] { return 0; };
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);  // destruction releases what was still held
+}
+
+TEST(Task, CallbackMayDestroyItsOwner) {
+  struct Owner {
+    Task<void()> task;
+    int* destroyed;
+    ~Owner() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  // The callback deletes the object holding it, inline capture and all,
+  // and touches nothing of its own afterwards.
+  auto* owner = new Owner{nullptr, &destroyed};
+  owner->task = [owner] { delete owner; };
+  owner->task();
+  EXPECT_EQ(destroyed, 1);
+
+  // The usual pattern: move the Task out, then call the local copy, which
+  // may use its captures after the owner is gone.
+  int live = 0;
+  auto* second = new Owner{nullptr, &destroyed};
+  second->task = [second, c = LiveCount(&live)] {
+    delete second;
+    EXPECT_EQ(*c.live, 1);
+  };
+  Task<void()> local = std::move(second->task);
+  local();
+  EXPECT_EQ(destroyed, 2);
+  local.reset();
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace
