@@ -1,11 +1,13 @@
 // Microbenchmarks for the hot primitives: address codec, LPM trie, NTP and
 // CoAP wire codecs, Levenshtein grouping, RNG, the event queue, the
-// network's host table, and the obs instruments riding on every hot path.
+// network's host table, the address store, and the obs instruments riding
+// on every hot path.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "core/study.hpp"
+#include "net/address_store.hpp"
 #include "net/ipv6.hpp"
 #include "net/routing_table.hpp"
 #include "ntp/ntp_packet.hpp"
@@ -162,6 +164,29 @@ static void BM_HostTableLookup(benchmark::State& state) {
   state.SetLabel(hit ? "hit" : "miss");
 }
 BENCHMARK(BM_HostTableLookup)->Arg(1)->Arg(0);
+
+// Filling an address store with N distinct addresses, one insert at a
+// time as the hitlist build and the collector do. one_block puts all of
+// them in one /32 (a rotating provider prefix: one fat bucket); spread
+// scatters them over 1,024 /32s. Each iteration builds a fresh store.
+static void BM_AddressStoreInsert(benchmark::State& state, bool one_block) {
+  constexpr std::uint64_t kSeed = 0xadd5;
+  util::Rng rng(kSeed);
+  std::vector<net::Ipv6Address> stream;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    std::uint64_t block = 0x2001'0000ULL + (one_block ? 0 : rng.below(1024));
+    stream.push_back(net::Ipv6Address::from_halves(
+        block << 32 | rng.below(1 << 16), rng.next()));
+  }
+  for (auto _ : state) {
+    net::AddressStore store;
+    for (const auto& a : stream) store.insert(a);
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_AddressStoreInsert, one_block, true)->Arg(100'000);
+BENCHMARK_CAPTURE(BM_AddressStoreInsert, spread, false)->Arg(100'000);
 
 // ---- obs hot-path overhead -------------------------------------------
 // Every pipeline counter is one of these increments; the acceptance bar is

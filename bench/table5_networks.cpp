@@ -1,11 +1,8 @@
 // Table 5 (Appendix C): successful scans per protocol aggregated by
 // network granularity (/32.././64), AS, and country — the gap between NTP
 // and hitlist narrows as aggregation coarsens.
-#include <unordered_set>
-
 #include "analysis/network_agg.hpp"
 #include "common.hpp"
-#include "util/ordered.hpp"
 
 using namespace tts;
 
@@ -18,11 +15,10 @@ struct Aggregates {
 
 Aggregates aggregate_protocol(const core::Study& study, scan::Dataset ds,
                               scan::Protocol proto) {
-  std::unordered_set<net::Ipv6Address, net::Ipv6AddressHash> addrs;
+  net::AddressStore addrs;
   for (const auto* r : study.results().successes(ds, proto))
     addrs.insert(r->target);
-  auto list = util::sorted_keys(addrs);
-  auto agg = analysis::aggregate(list, study.registry());
+  auto agg = analysis::aggregate(addrs, study.registry());
   return {agg.addresses, agg.nets32, agg.nets48, agg.nets56,
           agg.nets64,    agg.ases,   agg.countries};
 }

@@ -23,7 +23,8 @@ int main() {
             << study.collector().total_requests() << " NTP requests ("
             << study.events_executed() << " simulation events).\n";
 
-  auto agg = analysis::aggregate(addresses, study.registry());
+  auto agg = analysis::aggregate(study.collector().addresses(),
+                                 study.registry());
   std::cout << "Networks: " << util::grouped(agg.nets48) << " /48s, "
             << agg.ases << " ASes, " << agg.countries << " countries.\n";
 

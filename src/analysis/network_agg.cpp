@@ -2,27 +2,24 @@
 
 #include <unordered_map>
 
-#include "net/address_store.hpp"
 #include "util/stats.hpp"
 
 namespace tts::analysis {
 
-NetworkAggregates aggregate(std::span<const net::Ipv6Address> addresses,
+NetworkAggregates aggregate(const net::AddressStore& addresses,
                             const inet::AsRegistry& registry) {
   NetworkAggregates out;
   out.addresses = addresses.size();
-  // One compact /64-keyed pass replaces four per-level prefix hash sets:
-  // the store's prefix index is sorted by hi64, so distinct /32../56
+  out.nets64 = addresses.prefix_count();
+  // The store walks /64 prefixes sorted by hi64, so distinct /32../56
   // counts fall out of one scan over masked keys (masking a sorted
   // sequence keeps it sorted).
-  net::AddressStore store;
-  store.insert_batch(addresses);
-  out.nets64 = store.prefix_count();
   std::uint64_t last32 = 0, last48 = 0, last56 = 0;
   bool first = true;
-  store.for_each_prefix([&](std::uint64_t hi,
-                            std::span<const std::uint64_t> iids) {
-    (void)iids;
+  AsSet ases;
+  std::unordered_set<std::string> countries;
+  addresses.for_each_prefix([&](std::uint64_t hi,
+                                std::span<const std::uint64_t> iids) {
     std::uint64_t p32 = hi >> 32, p48 = hi >> 16, p56 = hi >> 8;
     if (first || p32 != last32) ++out.nets32;
     if (first || p48 != last48) ++out.nets48;
@@ -31,15 +28,15 @@ NetworkAggregates aggregate(std::span<const net::Ipv6Address> addresses,
     last48 = p48;
     last56 = p56;
     first = false;
-  });
-  AsSet ases;
-  std::unordered_set<std::string> countries;
-  for (const auto& a : addresses) {
-    if (const inet::AsInfo* as = registry.origin(a)) {
-      ases.insert(as->number);
-      countries.insert(as->country);
+    for (std::uint64_t iid : iids) {
+      if (const inet::AsInfo* as =
+              registry.origin(net::Ipv6Address::from_halves(hi, iid))) {
+        // An AS number names one AsInfo, so its country is already
+        // counted unless the AS is new.
+        if (ases.insert(as->number).second) countries.insert(as->country);
+      }
     }
-  }
+  });
   out.ases = ases.size();
   out.countries = countries.size();
   return out;

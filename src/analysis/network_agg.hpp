@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "inet/as_registry.hpp"
+#include "net/address_store.hpp"
 #include "net/ipv6.hpp"
 
 namespace tts::analysis {
@@ -27,7 +28,11 @@ struct NetworkAggregates {
   std::uint64_t countries = 0;
 };
 
-NetworkAggregates aggregate(std::span<const net::Ipv6Address> addresses,
+/// Distinct /32, /48, /56 and /64 networks, origin ASes and countries
+/// behind the addresses of `addresses`. It reads the store's sorted /64
+/// walk, so a caller that already holds its set in a store (the collector,
+/// the hitlist) pays no rebuild; a caller holding a list inserts it first.
+NetworkAggregates aggregate(const net::AddressStore& addresses,
                             const inet::AsRegistry& registry);
 
 PrefixSet prefixes_of(std::span<const net::Ipv6Address> addresses,

@@ -58,8 +58,12 @@ StudyReport build_report(const Study& study) {
 
   report.collected_addresses = study.collector().distinct_addresses();
   report.ntp_requests = study.collector().total_requests();
-  report.ntp_aggregates = analysis::aggregate(ntp_addrs, registry);
-  report.hitlist_full_aggregates = analysis::aggregate(hit_full, registry);
+  // The collector's store holds exactly ntp_addrs and the hitlist's dedup
+  // store exactly hit_full, so the aggregates read them as they stand.
+  report.ntp_aggregates =
+      analysis::aggregate(study.collector().addresses(), registry);
+  report.hitlist_full_aggregates =
+      analysis::aggregate(study.hitlist().seen, registry);
   report.median_ips_per_48_ntp =
       analysis::median_ips_per_net(ntp_addrs, 48);
   report.median_ips_per_48_hitlist =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/serialize.hpp"
 
@@ -36,6 +37,25 @@ std::uint32_t block_of(const Ipv6Address& addr) {
 std::uint32_t rem_of(const Ipv6Address& addr) {
   return static_cast<std::uint32_t>(addr.hi64());
 }
+
+/// First index in [lo, hi) whose (rem, iid) is not below the key; the
+/// range must be one sorted run of parallel columns.
+std::size_t run_lower_bound(const std::vector<std::uint32_t>& rems,
+                            const std::vector<std::uint64_t>& iids,
+                            std::size_t lo, std::size_t hi, std::uint32_t rem,
+                            std::uint64_t iid) {
+  while (lo < hi) {
+    std::size_t mid = lo + (hi - lo) / 2;
+    if (rems[mid] < rem || (rems[mid] == rem && iids[mid] < iid))
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
+/// A recent run longer than this and than sqrt(main size) is merged.
+constexpr std::size_t kRecentFloor = 32;
 
 }  // namespace
 
@@ -73,30 +93,65 @@ AddressStore::Bucket& AddressStore::bucket_for(std::uint32_t block) {
 
 AddressStore::Inserted AddressStore::insert_into(Bucket& b, std::uint32_t rem,
                                                  std::uint64_t iid) {
-  // Lower bound over the parallel (rem, iid) arrays, lexicographic.
-  std::size_t lo = 0, hi = b.rems.size();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (b.rems[mid] < rem || (b.rems[mid] == rem && b.iids[mid] < iid))
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  std::size_t n = b.rems.size();
-  if (lo < n && b.rems[lo] == rem && b.iids[lo] == iid)
+  const std::size_t m = b.main, n = b.rems.size();
+  std::size_t lo = run_lower_bound(b.rems, b.iids, 0, m, rem, iid);
+  if (lo < m && b.rems[lo] == rem && b.iids[lo] == iid)
     return {b.seqs[lo], false};
+  std::size_t pos = run_lower_bound(b.rems, b.iids, m, n, rem, iid);
+  if (pos < n && b.rems[pos] == rem && b.iids[pos] == iid)
+    return {b.seqs[pos], false};
   if (size_ >= static_cast<std::size_t>(kNoSeq))
     throw std::length_error("AddressStore: 2^32-1 address cap reached");
-  // Equal rems are contiguous, so the /64 is new iff neither neighbour of
-  // the insertion point shares it.
+  // Equal rems are contiguous within a run, so the /64 is new iff no
+  // neighbour of either run's insertion point shares it.
   bool fresh64 = !(lo > 0 && b.rems[lo - 1] == rem) &&
-                 !(lo < n && b.rems[lo] == rem);
+                 !(lo < m && b.rems[lo] == rem) &&
+                 !(pos > m && b.rems[pos - 1] == rem) &&
+                 !(pos < n && b.rems[pos] == rem);
   auto seq = static_cast<Seq>(size_++);
   if (fresh64) ++prefix_count_;
-  insert_tight(b.rems, lo, rem);
-  insert_tight(b.iids, lo, iid);
-  insert_tight(b.seqs, lo, seq);
+  insert_tight(b.rems, pos, rem);
+  insert_tight(b.iids, pos, iid);
+  insert_tight(b.seqs, pos, seq);
+  const std::size_t recent = n + 1 - m;
+  if (recent > kRecentFloor && recent * recent > m) merge_recent(b);
   return {seq, true};
+}
+
+void AddressStore::merge_recent(Bucket& b) {
+  const std::size_t m = b.main, n = b.rems.size();
+  b.main = static_cast<std::uint32_t>(n);
+  if (m == 0) return;  // the recent run already is the whole bucket
+  struct Entry {
+    std::uint32_t rem;
+    std::uint64_t iid;
+    Seq seq;
+  };
+  std::vector<Entry> recent;
+  recent.reserve(n - m);
+  for (std::size_t j = m; j < n; ++j)
+    recent.push_back({b.rems[j], b.iids[j], b.seqs[j]});
+  // Backward pass, largest recent entry first: the main entries above it
+  // move up by one slot per recent entry still to place (one memmove per
+  // column), then it takes the slot just below them. A key is never in
+  // both runs, so its lower bound in the main run is its place.
+  std::size_t i = m;  // main entries [0, i) have not moved yet
+  for (std::size_t j = recent.size(); j > 0; --j) {
+    const Entry& e = recent[j - 1];
+    std::size_t at = run_lower_bound(b.rems, b.iids, 0, i, e.rem, e.iid);
+    auto shift = [at, i, j](auto& column) {
+      std::move_backward(column.begin() + static_cast<std::ptrdiff_t>(at),
+                         column.begin() + static_cast<std::ptrdiff_t>(i),
+                         column.begin() + static_cast<std::ptrdiff_t>(i + j));
+    };
+    shift(b.rems);
+    shift(b.iids);
+    shift(b.seqs);
+    b.rems[at + j - 1] = e.rem;
+    b.iids[at + j - 1] = e.iid;
+    b.seqs[at + j - 1] = e.seq;
+    i = at;
+  }
 }
 
 AddressStore::Inserted AddressStore::insert(const Ipv6Address& addr) {
@@ -136,16 +191,12 @@ AddressStore::Seq AddressStore::seq_of(const Ipv6Address& addr) const {
   if (!b) return kNoSeq;
   std::uint32_t rem = rem_of(addr);
   std::uint64_t iid = addr.lo64();
-  std::size_t lo = 0, hi = b->rems.size();
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (b->rems[mid] < rem || (b->rems[mid] == rem && b->iids[mid] < iid))
-      lo = mid + 1;
-    else
-      hi = mid;
+  for (auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, b->main},
+                        {b->main, b->rems.size()}}) {
+    std::size_t at = run_lower_bound(b->rems, b->iids, lo, hi, rem, iid);
+    if (at < hi && b->rems[at] == rem && b->iids[at] == iid)
+      return b->seqs[at];
   }
-  if (lo < b->rems.size() && b->rems[lo] == rem && b->iids[lo] == iid)
-    return b->seqs[lo];
   return kNoSeq;
 }
 
@@ -179,13 +230,24 @@ void AddressStore::save(util::ByteWriter& w) const {
   w.u64(buckets_.size());
   // Creation order, so load() rebuilds byte-identical state (index_ and
   // prefix_count_ are derived). Per bucket: block, count, then the
-  // rem/iid/seq columns.
+  // rem/iid/seq columns, each in merged (rem, iid) order, so the bytes do
+  // not depend on where the last merge fell.
   for (const Bucket& b : buckets_) {
     w.u32(b.block);
     w.u64(b.rems.size());
-    for (std::uint32_t rem : b.rems) w.u32(rem);
-    for (std::uint64_t iid : b.iids) w.u64(iid);
-    for (Seq s : b.seqs) w.u32(s);
+    auto in_order = [&b](auto&& put) {
+      const std::size_t m = b.main, n = b.rems.size();
+      for (std::size_t i = 0, j = m; i < m || j < n;) {
+        bool main_next =
+            j == n || (i < m && (b.rems[i] < b.rems[j] ||
+                                 (b.rems[i] == b.rems[j] &&
+                                  b.iids[i] < b.iids[j])));
+        put(main_next ? i++ : j++);
+      }
+    };
+    in_order([&](std::size_t k) { w.u32(b.rems[k]); });
+    in_order([&](std::size_t k) { w.u64(b.iids[k]); });
+    in_order([&](std::size_t k) { w.u32(b.seqs[k]); });
   }
 }
 
@@ -206,6 +268,7 @@ AddressStore AddressStore::load(util::ByteReader& r) {
     for (std::uint64_t j = 0; j < n; ++j) b.rems.push_back(r.u32());
     for (std::uint64_t j = 0; j < n; ++j) b.iids.push_back(r.u64());
     for (std::uint64_t j = 0; j < n; ++j) b.seqs.push_back(r.u32());
+    b.main = static_cast<std::uint32_t>(n);
     for (std::uint64_t j = 0; j < n; ++j) {
       if (j > 0 && (b.rems[j - 1] > b.rems[j] ||
                     (b.rems[j - 1] == b.rems[j] && b.iids[j - 1] >= b.iids[j])))
@@ -218,12 +281,28 @@ AddressStore AddressStore::load(util::ByteReader& r) {
   }
   if (store.size_ != total)
     throw util::SerializeError("AddressStore: size mismatch in snapshot");
+  // Sequence numbers must be a permutation of 0..size-1: snapshot() and
+  // every side array indexed by seq rely on it.
+  std::vector<bool> taken(store.size_);
+  for (const Bucket& b : store.buckets_) {
+    for (Seq s : b.seqs) {
+      if (s >= store.size_ || taken[s])
+        throw util::SerializeError(
+            "AddressStore: sequence numbers are not 0..size-1");
+      taken[s] = true;
+    }
+  }
   store.index_.resize(store.buckets_.size());
   for (std::uint32_t i = 0; i < store.index_.size(); ++i) store.index_[i] = i;
   std::sort(store.index_.begin(), store.index_.end(),
             [&store](std::uint32_t a, std::uint32_t b) {
               return store.buckets_[a].block < store.buckets_[b].block;
             });
+  // One bucket per block, or an insert would find only one of them.
+  for (std::size_t i = 1; i < store.index_.size(); ++i)
+    if (store.buckets_[store.index_[i - 1]].block ==
+        store.buckets_[store.index_[i]].block)
+      throw util::SerializeError("AddressStore: duplicate block bucket");
   return store;
 }
 

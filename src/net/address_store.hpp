@@ -15,8 +15,8 @@
 // cost of the old one-bucket-per-/64 layout (a heap vector pair per
 // delegation) is gone.
 //
-// Entries are sorted by (rem, iid), so every /64's IIDs are contiguous and
-// the /64-level API survives the bucketing change: for_each_prefix() walks
+// Entries are ordered by (rem, iid), so a /64's IIDs sort together and the
+// /64-level API survives the bucketing change: for_each_prefix() walks
 // full /64 prefixes in ascending order with a sorted iid span each, and
 // prefix_count() is the number of distinct /64s.
 //
@@ -28,14 +28,25 @@
 // callers use to index side arrays (hitlist provenance).
 //
 // Buckets live in creation order; a separate index of bucket ids sorted by
-// block key gives O(log B) lookup. Positional inserts into a bucket cost
-// O(bucket size) moves — fine up to millions of addresses per /32; a
-// merge-buffer layer would be the next step beyond that. Sequence numbers
-// are 32-bit: the store caps at ~4.29 B addresses, which covers the
-// paper's 3.04 B regime; insert() throws beyond that rather than wrapping.
+// block key gives O(log B) lookup. Each bucket's columns hold two sorted
+// runs back to back: the main run, then a small recent run that takes
+// every new entry. Lookups binary-search both runs. A fresh entry is a
+// positional insert into the recent run, so it moves at most the recent
+// run's entries, not the bucket's. Once the recent run outgrows
+// max(32, sqrt(main size)) entries, one backward pass merges it into the
+// main run, which makes an insert cost amortised O(sqrt(bucket size)). The
+// runs share the columns, so capacities (and memory_bytes()) are exactly
+// those of one sorted run with tight 9/8 growth. The const readers never
+// merge: for_each_prefix() and save() walk both runs in merged order, so
+// the traversal and the wire bytes do not depend on where the last merge
+// fell. Sequence numbers are 32-bit: the store caps at ~4.29 B addresses,
+// which covers the paper's 3.04 B regime; insert() throws beyond that
+// rather than wrapping.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -90,14 +101,35 @@ class AddressStore {
   /// keys, so it is safe for digested output.
   template <typename Fn>
   void for_each_prefix(Fn&& fn) const {
+    std::vector<std::uint64_t> spanning;  // a /64 with entries in both runs
     for (std::uint32_t id : index_) {
       const Bucket& b = buckets_[id];
-      for (std::size_t lo = 0, n = b.rems.size(); lo < n;) {
-        std::size_t hi = lo + 1;
-        while (hi < n && b.rems[hi] == b.rems[lo]) ++hi;
-        fn((static_cast<std::uint64_t>(b.block) << 32) | b.rems[lo],
-           std::span<const std::uint64_t>(b.iids.data() + lo, hi - lo));
-        lo = hi;
+      const std::uint64_t block_hi = static_cast<std::uint64_t>(b.block) << 32;
+      const std::size_t m = b.main, n = b.rems.size();
+      for (std::size_t i = 0, j = m; i < m || j < n;) {
+        std::uint32_t rem = j == n   ? b.rems[i]
+                            : i == m ? b.rems[j]
+                                     : std::min(b.rems[i], b.rems[j]);
+        std::size_t i2 = i, j2 = j;
+        while (i2 < m && b.rems[i2] == rem) ++i2;
+        while (j2 < n && b.rems[j2] == rem) ++j2;
+        std::span<const std::uint64_t> iids;
+        if (j2 == j) {
+          iids = {b.iids.data() + i, i2 - i};
+        } else if (i2 == i) {
+          iids = {b.iids.data() + j, j2 - j};
+        } else {
+          spanning.clear();
+          std::merge(b.iids.begin() + static_cast<std::ptrdiff_t>(i),
+                     b.iids.begin() + static_cast<std::ptrdiff_t>(i2),
+                     b.iids.begin() + static_cast<std::ptrdiff_t>(j),
+                     b.iids.begin() + static_cast<std::ptrdiff_t>(j2),
+                     std::back_inserter(spanning));
+          iids = spanning;
+        }
+        fn(block_hi | rem, iids);
+        i = i2;
+        j = j2;
       }
     }
   }
@@ -111,9 +143,11 @@ class AddressStore {
 
  private:
   struct Bucket {
-    std::uint32_t block = 0;          // hi64 >> 32 of every member address
-    // Parallel arrays sorted by (rem, iid): rem is the low half of the
-    // network prefix, so equal-rem runs are whole /64s.
+    std::uint32_t block = 0;  // hi64 >> 32 of every member address
+    // Entries [0, main) are the main run, [main, size) the recent run.
+    std::uint32_t main = 0;
+    // Parallel arrays, each run sorted by (rem, iid): rem is the low half
+    // of the network prefix, so within a run equal-rem entries are one /64.
     std::vector<std::uint32_t> rems;
     std::vector<std::uint64_t> iids;
     std::vector<Seq> seqs;
@@ -126,6 +160,8 @@ class AddressStore {
   Bucket& bucket_for(std::uint32_t block);
 
   Inserted insert_into(Bucket& b, std::uint32_t rem, std::uint64_t iid);
+  /// Fold the recent run into the main run (one backward pass).
+  static void merge_recent(Bucket& b);
 
   std::vector<Bucket> buckets_;       // creation order
   std::vector<std::uint32_t> index_;  // bucket ids sorted by block key

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "analysis/broker_analysis.hpp"
 #include "analysis/coap_analysis.hpp"
 #include "analysis/iid_classes.hpp"
@@ -9,6 +14,8 @@
 #include "analysis/ssh_analysis.hpp"
 #include "analysis/title_grouping.hpp"
 #include "inet/device.hpp"
+#include "net/address_store.hpp"
+#include "util/rng.hpp"
 
 namespace tts::analysis {
 namespace {
@@ -284,7 +291,9 @@ TEST(NetworkAgg, AggregatesAndMedians) {
       net::Ipv6Address::from_halves(base | 0x0001, 2),  // same /48? no: /64 differs
       net::Ipv6Address::from_halves(base | 0x10000, 3),
   };
-  auto agg = aggregate(addrs, reg);
+  net::AddressStore store;
+  store.insert_batch(addrs);
+  auto agg = aggregate(store, reg);
   EXPECT_EQ(agg.addresses, 3u);
   EXPECT_EQ(agg.nets48, 2u);
   EXPECT_EQ(agg.nets64, 3u);
@@ -292,6 +301,66 @@ TEST(NetworkAgg, AggregatesAndMedians) {
   EXPECT_EQ(agg.countries, 1u);
   EXPECT_DOUBLE_EQ(median_ips_per_net(addrs, 48), 1.5);
   EXPECT_DOUBLE_EQ(median_ips_per_as(addrs, reg), 3.0);
+}
+
+/// The per-address computation aggregate() replaced: hash sets of the
+/// enclosing networks, origin ASes and their countries.
+NetworkAggregates reference_aggregate(std::span<const net::Ipv6Address> list,
+                                      const inet::AsRegistry& reg) {
+  NetworkAggregates out;
+  out.addresses = list.size();
+  out.nets32 = prefixes_of(list, 32).size();
+  out.nets48 = prefixes_of(list, 48).size();
+  out.nets56 = prefixes_of(list, 56).size();
+  out.nets64 = prefixes_of(list, 64).size();
+  out.ases = ases_of(list, reg).size();
+  std::unordered_set<std::string> countries;
+  for (const auto& a : list)
+    if (const inet::AsInfo* as = reg.origin(a)) countries.insert(as->country);
+  out.countries = countries.size();
+  return out;
+}
+
+void expect_same(const NetworkAggregates& got, const NetworkAggregates& want) {
+  EXPECT_EQ(got.addresses, want.addresses);
+  EXPECT_EQ(got.nets32, want.nets32);
+  EXPECT_EQ(got.nets48, want.nets48);
+  EXPECT_EQ(got.nets56, want.nets56);
+  EXPECT_EQ(got.nets64, want.nets64);
+  EXPECT_EQ(got.ases, want.ases);
+  EXPECT_EQ(got.countries, want.countries);
+}
+
+TEST(NetworkAgg, StoreAggregateMatchesPerAddressComputation) {
+  inet::AsRegistry reg = inet::AsRegistry::generate({{}, 5});
+  // Addresses inside random AS prefixes (a few /64s each, so /64s repeat),
+  // with a share outside every announced prefix (no origin AS).
+  util::Rng rng(0xa66);
+  net::AddressStore store;
+  std::vector<net::Ipv6Address> list;
+  // Aggregate at growing sizes: small buckets live entirely in their
+  // recent run (the store merges a run only past 32 entries), large ones
+  // hold both runs at most of these points.
+  for (std::size_t target : {1u, 17u, 200u, 3000u, 20000u, 20011u}) {
+    while (list.size() < target) {
+      net::Ipv6Address a;
+      if (rng.chance(0.05)) {
+        a = net::Ipv6Address::from_halves(0x3fff000000000000ULL | rng.below(64),
+                                          rng.next());
+      } else {
+        const auto& as = reg.all()[rng.below(reg.all().size())];
+        const net::Ipv6Prefix& p = as.prefixes[rng.below(as.prefixes.size())];
+        std::uint64_t host =
+            (rng.below(1 << 12) << 6) & ~net::prefix_mask_hi(p.length());
+        a = net::Ipv6Address::from_halves(p.address().hi64() | host,
+                                          rng.below(1 << 16));
+      }
+      if (store.insert(a).fresh) list.push_back(a);
+    }
+    SCOPED_TRACE(target);
+    ASSERT_EQ(store.size(), list.size());
+    expect_same(aggregate(store, reg), reference_aggregate(list, reg));
+  }
 }
 
 TEST(NetworkAgg, Overlaps) {

@@ -264,9 +264,59 @@ TEST(Fuzz, AddressStoreLoad) {
     net::AddressStore store = net::AddressStore::load(r);
     util::ByteWriter w;
     store.save(w);  // a decoded store must re-encode
+    // ...and every reader must work on it: snapshot() scatters by seq, and
+    // each address it returns must map back to its own seq.
+    std::vector<net::Ipv6Address> all = store.snapshot();
+    ASSERT_EQ(all.size(), store.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+      ASSERT_EQ(store.seq_of(all[i]), i);
+    std::size_t walked = 0, prefixes = 0;
+    store.for_each_prefix(
+        [&](std::uint64_t, std::span<const std::uint64_t> iids) {
+          walked += iids.size();
+          ++prefixes;
+        });
+    EXPECT_EQ(walked, store.size());
+    EXPECT_EQ(prefixes, store.prefix_count());
   });
   fuzz_random(parse);
   fuzz_mutations(bytes_of(saved_address_store()), parse);
+}
+
+TEST(Fuzz, AddressStoreLoadRejectsInconsistentBuckets) {
+  // Two /32 buckets of two addresses each. Layout: [u64 total][u64
+  // buckets], then per bucket [u32 block][u64 n][n x u32 rem][n x u64
+  // iid][n x u32 seq], so bucket 0 spans bytes 16..60 (its seqs at 52 and
+  // 56) and bucket 1 starts at 60.
+  net::AddressStore store;
+  for (std::uint64_t hi : {0x20010db800000001ULL, 0x20010db900000001ULL})
+    for (std::uint64_t lo : {1, 2})
+      store.insert(net::Ipv6Address::from_halves(hi, lo));
+  util::ByteWriter w;
+  store.save(w);
+  const std::string valid = w.take();
+  {
+    util::ByteReader r(valid);
+    EXPECT_NO_THROW(net::AddressStore::load(r));
+  }
+  auto with_u32 = [&valid](std::size_t pos, std::uint32_t value) {
+    std::string bytes = valid;
+    for (int i = 0; i < 4; ++i)
+      bytes[pos + i] = static_cast<char>(value >> (8 * i));
+    return bytes;
+  };
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"seq out of range", with_u32(52, 4096)},
+      {"repeated seq", with_u32(56, 0)},
+      {"two buckets for one block", with_u32(60, 0x20010db8)},
+  };
+  for (const auto& c : cases) {
+    util::ByteReader r(c.bytes);
+    EXPECT_THROW(net::AddressStore::load(r), util::SerializeError) << c.what;
+  }
 }
 
 TEST(Fuzz, ResultStoreDecode) {
