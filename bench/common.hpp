@@ -132,8 +132,8 @@ inline void emit_bench_json(const std::string& name,
   const obs::Histogram& dispatch =
       study.network().events().dispatch_wall_ns();
   if (dispatch.count() > 0) {
-    // The exact mean: the histogram's 4x-wide buckets make percentiles
-    // jump a whole bucket on any shift, too coarse to diff.
+    // The exact mean: wall-clock percentiles still step a bucket (up to
+    // 12.5%) on run-to-run noise, too coarse to diff.
     add_f("dispatch_mean_ns", dispatch.mean());
     add_i64("dispatch_max_ns", dispatch.max());
   }

@@ -201,7 +201,7 @@ static void BM_ObsCounterInc(benchmark::State& state) {
 BENCHMARK(BM_ObsCounterInc);
 
 static void BM_ObsHistogramRecord(benchmark::State& state) {
-  obs::Histogram hist{obs::Histogram::exponential(1000, 4.0, 14)};
+  obs::Histogram hist;
   std::int64_t v = 1;
   for (auto _ : state) {
     hist.record(v);

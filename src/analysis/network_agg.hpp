@@ -26,10 +26,15 @@ struct NetworkAggregates {
   std::uint64_t nets64 = 0;
   std::uint64_t ases = 0;
   std::uint64_t countries = 0;
+  /// Median number of addresses per enclosing /48 (Table 1 bottom).
+  double median_ips_per_48 = 0;
+  /// Median number of addresses per origin AS.
+  double median_ips_per_as = 0;
 };
 
 /// Distinct /32, /48, /56 and /64 networks, origin ASes and countries
-/// behind the addresses of `addresses`. It reads the store's sorted /64
+/// behind the addresses of `addresses`, and the median density per /48 and
+/// per AS. It reads the store's sorted /64
 /// walk, so a caller that already holds its set in a store (the collector,
 /// the hitlist) pays no rebuild; a caller holding a list inserts it first.
 NetworkAggregates aggregate(const net::AddressStore& addresses,
@@ -45,12 +50,5 @@ std::uint64_t overlap(const PrefixSet& a, const PrefixSet& b);
 std::uint64_t overlap(const AsSet& a, const AsSet& b);
 std::uint64_t address_overlap(std::span<const net::Ipv6Address> lhs,
                               std::span<const net::Ipv6Address> rhs);
-
-/// Median number of addresses per enclosing /N network (Table 1 bottom).
-double median_ips_per_net(std::span<const net::Ipv6Address> addresses,
-                          unsigned prefix_len);
-/// Median number of addresses per origin AS.
-double median_ips_per_as(std::span<const net::Ipv6Address> addresses,
-                         const inet::AsRegistry& registry);
 
 }  // namespace tts::analysis

@@ -54,20 +54,15 @@ StudyReport build_report(const Study& study) {
   const auto& registry = study.registry();
 
   auto ntp_addrs = study.ntp_addresses();
-  const auto& hit_full = study.hitlist().full;
 
   report.collected_addresses = study.collector().distinct_addresses();
   report.ntp_requests = study.collector().total_requests();
   // The collector's store holds exactly ntp_addrs and the hitlist's dedup
-  // store exactly hit_full, so the aggregates read them as they stand.
+  // store exactly its full list, so the aggregates read them as they stand.
   report.ntp_aggregates =
       analysis::aggregate(study.collector().addresses(), registry);
   report.hitlist_full_aggregates =
       analysis::aggregate(study.hitlist().seen, registry);
-  report.median_ips_per_48_ntp =
-      analysis::median_ips_per_net(ntp_addrs, 48);
-  report.median_ips_per_48_hitlist =
-      analysis::median_ips_per_net(hit_full, 48);
   report.per_server = study.per_server_counts();
 
   report.ntp_iids = analysis::classify_addresses(ntp_addrs);
@@ -133,8 +128,9 @@ std::string render_markdown(const StudyReport& r) {
      << " /48s across " << r.ntp_aggregates.ases << " ASes, "
      << r.ntp_aggregates.countries << " countries\n";
   md << "- median addresses per /48: "
-     << util::fixed(r.median_ips_per_48_ntp, 1) << " (hitlist: "
-     << util::fixed(r.median_ips_per_48_hitlist, 1) << ")\n\n";
+     << util::fixed(r.ntp_aggregates.median_ips_per_48, 1) << " (hitlist: "
+     << util::fixed(r.hitlist_full_aggregates.median_ips_per_48, 1)
+     << ")\n\n";
 
   md << "| server | collected |\n|---|---|\n";
   for (const auto& [country, count] : r.per_server)

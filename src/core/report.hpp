@@ -45,8 +45,6 @@ struct StudyReport {
   std::uint64_t ntp_requests = 0;
   analysis::NetworkAggregates ntp_aggregates;
   analysis::NetworkAggregates hitlist_full_aggregates;
-  double median_ips_per_48_ntp = 0;
-  double median_ips_per_48_hitlist = 0;
   std::vector<std::pair<std::string, std::uint64_t>> per_server;
 
   // Figure 1

@@ -41,16 +41,8 @@ void append_json_string(std::string& out, const std::string& s) {
 
 std::string histogram_detail(const SnapshotValue& v) {
   if (v.count == 0) return "(empty)";
-  // Percentiles off the bucket edges, same rule as Histogram::percentile.
-  auto pct = [&](double p) -> std::int64_t {
-    auto rank = static_cast<std::uint64_t>(p * static_cast<double>(v.count));
-    if (rank == 0) rank = 1;
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
-      cum += v.bucket_counts[i];
-      if (cum >= rank) return i < v.bounds.size() ? v.bounds[i] : v.max;
-    }
-    return v.max;
+  auto pct = [&](double p) {
+    return bucket_percentile(v.bucket_counts, v.count, v.max, p);
   };
   double mean =
       static_cast<double>(v.value) / static_cast<double>(v.count);
@@ -321,7 +313,6 @@ std::vector<RolledValue> roll_values(const RegistrySnapshot& snapshot,
     other.labels = {{"series", "other"}};
     other.kind = v.kind;
     bool first_data = true;
-    bool bounds_match = true;
     for (std::size_t k = rollup.top_n; k < group.size(); ++k) {
       const SnapshotValue& g = *group[k];
       other.count += g.count;
@@ -336,22 +327,10 @@ std::vector<RolledValue> roll_values(const RegistrySnapshot& snapshot,
           other.max = std::max(other.max, g.max);
         }
       }
-      if (k == rollup.top_n) {
-        other.bounds = g.bounds;
-        other.bucket_counts = g.bucket_counts;
-      } else if (g.bounds != other.bounds) {
-        bounds_match = false;
-      } else {
-        for (std::size_t b = 0; b < g.bucket_counts.size() &&
-                                b < other.bucket_counts.size();
-             ++b)
-          other.bucket_counts[b] += g.bucket_counts[b];
-      }
-    }
-    if (!bounds_match) {
-      // Mixed shapes: keep totals, drop the (incomparable) buckets.
-      other.bounds.clear();
-      other.bucket_counts.clear();
+      if (other.bucket_counts.size() < g.bucket_counts.size())
+        other.bucket_counts.resize(g.bucket_counts.size());
+      for (std::size_t b = 0; b < g.bucket_counts.size(); ++b)
+        other.bucket_counts[b] += g.bucket_counts[b];
     }
     out.push_back({std::move(other), family - rollup.top_n});
     i = end;
@@ -418,10 +397,7 @@ std::string to_jsonl(const RegistrySnapshot& snapshot) {
       case Kind::kHistogram: {
         out += util::cat(",\"count\":", v.count, ",\"sum\":", v.value,
                          ",\"min\":", v.min, ",\"max\":", v.max,
-                         ",\"bounds\":[");
-        for (std::size_t i = 0; i < v.bounds.size(); ++i)
-          out += util::cat(i ? "," : "", v.bounds[i]);
-        out += "],\"counts\":[";
+                         ",\"counts\":[");
         for (std::size_t i = 0; i < v.bucket_counts.size(); ++i)
           out += util::cat(i ? "," : "", v.bucket_counts[i]);
         out += "]";
@@ -477,10 +453,10 @@ std::optional<RegistrySnapshot> parse_jsonl(const std::string& text) {
         v.min = parse_int(c);
       } else if (key == "max") {
         v.max = parse_int(c);
-      } else if (key == "bounds") {
-        v.bounds = parse_int_array<std::int64_t>(c);
       } else if (key == "counts") {
         v.bucket_counts = parse_int_array<std::uint64_t>(c);
+        // Exporters read bucket_upper(i) for every carried bucket.
+        if (v.bucket_counts.size() > Histogram::kBuckets) return std::nullopt;
       } else {
         return std::nullopt;
       }
@@ -540,14 +516,16 @@ std::string to_prometheus(const RegistrySnapshot& snapshot) {
         break;
       case Kind::kHistogram: {
         std::uint64_t cum = 0;
+        auto bucket = [&](const std::string& le) {
+          out += util::cat(v.name, "_bucket",
+                           labels_text(v.labels, util::cat("le=\"", le, "\"")),
+                           " ", cum, "\n");
+        };
         for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
           cum += v.bucket_counts[i];
-          std::string le =
-              i < v.bounds.size() ? util::cat("le=\"", v.bounds[i], "\"")
-                                  : std::string("le=\"+Inf\"");
-          out += util::cat(v.name, "_bucket", labels_text(v.labels, le), " ",
-                           cum, "\n");
+          bucket(util::cat(Histogram::bucket_upper(i)));
         }
+        bucket("+Inf");
         out += util::cat(v.name, "_sum", labels_text(v.labels), " ", v.value,
                          "\n");
         out += util::cat(v.name, "_count", labels_text(v.labels), " ",

@@ -46,14 +46,17 @@ RegistrySnapshot apply_rollup(const RegistrySnapshot& snapshot,
 
 /// One JSON object per line:
 ///   {"at":0,"name":"x","labels":{"a":"b"},"kind":"counter","value":7}
-/// Histograms carry "count","sum","min","max","bounds","counts".
+/// Histograms carry "count","sum","min","max","counts": the counts run up to
+/// the last non-empty bucket of the fixed layout, bucket i ending at
+/// Histogram::bucket_upper(i).
 std::string to_jsonl(const RegistrySnapshot& snapshot);
 /// to_jsonl() after apply_rollup(): bounded-cardinality machine output.
 std::string to_jsonl(const RegistrySnapshot& snapshot,
                      const TableRollup& rollup);
 
 /// Prometheus text format: "# TYPE" comments, name{labels} value lines;
-/// histograms expand to _bucket{le=...}/_sum/_count series.
+/// histograms expand to _bucket{le=...}/_sum/_count series, one le edge
+/// per carried bucket plus le="+Inf".
 std::string to_prometheus(const RegistrySnapshot& snapshot);
 /// to_prometheus() after apply_rollup(): bounded-cardinality exposition.
 std::string to_prometheus(const RegistrySnapshot& snapshot,

@@ -18,44 +18,15 @@ bool labels_equal(const Labels& a, const Labels& b) { return a == b; }
 
 // ------------------------------------------------------------- Histogram
 
-Histogram::Histogram() : Histogram(exponential(1, 4.0, 16)) {}
-
-Histogram::Histogram(std::vector<std::int64_t> bounds)
-    : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  if (bounds_.size() > kMaxBuckets - 1) bounds_.resize(kMaxBuckets - 1);
-  counts_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
+Histogram::Histogram() {
   min_.store(std::numeric_limits<std::int64_t>::max(),
              std::memory_order_relaxed);
   max_.store(std::numeric_limits<std::int64_t>::min(),
              std::memory_order_relaxed);
 }
 
-std::vector<std::int64_t> Histogram::exponential(std::int64_t first,
-                                                 double factor,
-                                                 std::size_t count) {
-  std::vector<std::int64_t> bounds;
-  bounds.reserve(count);
-  double edge = static_cast<double>(first);
-  for (std::size_t i = 0; i < count && i < kMaxBuckets - 1; ++i) {
-    auto rounded = static_cast<std::int64_t>(edge);
-    if (!bounds.empty() && rounded <= bounds.back()) rounded = bounds.back() + 1;
-    bounds.push_back(rounded);
-    edge *= factor;
-  }
-  return bounds;
-}
-
 void Histogram::record(std::int64_t v) {
-  std::size_t bucket = bounds_.size();  // overflow unless a bound fits
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   std::int64_t seen = min_.load(std::memory_order_relaxed);
@@ -73,20 +44,35 @@ double Histogram::mean() const {
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
+std::vector<std::uint64_t> Histogram::counts() const {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    std::uint64_t n = bucket_count(i);
+    if (n == 0) continue;
+    out.resize(i + 1);
+    out[i] = n;
+  }
+  return out;
+}
+
 std::int64_t Histogram::percentile(double p) const {
-  std::uint64_t total = count();
+  return bucket_percentile(counts(), count(), max(), p);
+}
+
+std::int64_t bucket_percentile(std::span<const std::uint64_t> counts,
+                               std::uint64_t total, std::int64_t max,
+                               double p) {
   if (total == 0) return 0;
   if (p < 0) p = 0;
   if (p > 1) p = 1;
   auto rank = static_cast<std::uint64_t>(p * static_cast<double>(total));
   if (rank == 0) rank = 1;
   std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i].load(std::memory_order_relaxed);
-    if (cum >= rank)
-      return i < bounds_.size() ? bounds_[i] : max();
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    cum += counts[i];
+    if (cum >= rank) return std::min(Histogram::bucket_upper(i), max);
   }
-  return max();
+  return max;
 }
 
 // ------------------------------------------------------------------ misc
@@ -211,10 +197,7 @@ RegistrySnapshot Registry::snapshot(std::int64_t at) const {
           v.value = h->sum();
           v.min = h->count() ? h->min() : 0;
           v.max = h->count() ? h->max() : 0;
-          v.bounds = h->bounds();
-          v.bucket_counts.reserve(h->buckets());
-          for (std::size_t i = 0; i < h->buckets(); ++i)
-            v.bucket_counts.push_back(h->bucket_count(i));
+          v.bucket_counts = h->counts();
           break;
         }
       }

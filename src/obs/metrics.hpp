@@ -1,4 +1,4 @@
-// Observability instruments: named counters, gauges and fixed-bucket
+// Observability instruments: named counters, gauges and log-linear
 // histograms, plus the Registry that exports them.
 //
 // Design: instruments are plain value types *owned by the component they
@@ -8,16 +8,19 @@
 // enrolled under a name and a label set ("probes_launched{proto=ssh}") and
 // turns them into snapshots for the heartbeat timeline and the exporters.
 //
-// Hot-path cost: one relaxed atomic add per counter increment and a short
-// linear bucket scan per histogram record (bucket counts are measured in
-// bench/micro_benchmarks.cpp). Relaxed atomics keep the instruments
+// Hot-path cost: one relaxed atomic add per counter increment; a histogram
+// record adds a bit_width and a shift for the bucket index and the min/max
+// updates (measured in bench/micro_benchmarks.cpp). Relaxed atomics keep the instruments
 // data-race free under TSan/ASan without fences the simulator (single
 // threaded) would pay for.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,22 +66,36 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram. Bucket i counts samples <= bounds[i] (bounds are
-/// sorted, inclusive upper edges); one implicit overflow bucket follows.
+/// Log-linear histogram in the HdrHistogram style, one fixed layout for
+/// every distribution. Values 0..7 get a bucket each (negative values clamp
+/// into bucket 0); above that every power of two splits into 8 sub-buckets,
+/// so a bucket past 8 is at most 12.5% of its lower edge wide. 488 buckets
+/// cover the whole int64 range, so there is no overflow bucket.
 class Histogram {
  public:
-  static constexpr std::size_t kMaxBuckets = 32;
+  static constexpr std::size_t kBuckets = 488;
 
-  /// Default shape: exponential microsecond buckets 1us .. ~1000s.
   Histogram();
-  explicit Histogram(std::vector<std::int64_t> bounds);
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  /// `count` bounds starting at `first`, each `factor` times the previous.
-  static std::vector<std::int64_t> exponential(std::int64_t first,
-                                               double factor,
-                                               std::size_t count);
+  /// The bucket that counts `v`.
+  static constexpr std::size_t bucket_index(std::int64_t v) {
+    if (v < 0) return 0;
+    // A value of bit width w > 3 lands in sub-bucket (v >> (w - 4)) - 8 of
+    // its power of two; below 8 the shift is 0 and the index is v itself.
+    const auto u = static_cast<std::uint64_t>(v);
+    const unsigned w = static_cast<unsigned>(std::bit_width(u));
+    const unsigned shift = w > 3 ? w - 4 : 0;
+    return (std::size_t{shift} << 3) + static_cast<std::size_t>(u >> shift);
+  }
+  /// Inclusive upper edge of bucket `i` (i < kBuckets).
+  static constexpr std::int64_t bucket_upper(std::size_t i) {
+    if (i < 8) return static_cast<std::int64_t>(i);
+    const std::size_t shift = i / 8 - 1;
+    const std::uint64_t top = i % 8 + 9;  // mantissa of the next bucket
+    return static_cast<std::int64_t>((top << shift) - 1);
+  }
 
   void record(std::int64_t v);
 
@@ -90,25 +107,31 @@ class Histogram {
   std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  const std::vector<std::int64_t>& bounds() const { return bounds_; }
-  /// Bucket count including the overflow bucket (== bounds().size() + 1).
-  std::size_t buckets() const { return bounds_.size() + 1; }
   std::uint64_t bucket_count(std::size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }
+  /// Bucket counts up to the last non-empty bucket (empty when nothing was
+  /// recorded): what snapshots and exporters carry.
+  std::vector<std::uint64_t> counts() const;
 
-  /// Approximate percentile (p in [0,1]) read off the bucket edges; the
-  /// overflow bucket reports the observed max.
+  /// Approximate percentile (p in [0,1]): see bucket_percentile.
   std::int64_t percentile(double p) const;
 
  private:
-  std::vector<std::int64_t> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};
   std::atomic<std::int64_t> min_{0};
   std::atomic<std::int64_t> max_{0};
 };
+
+/// The one percentile rule, shared by Histogram::percentile and the
+/// exporters: the upper edge of the bucket that holds the sample of rank
+/// p * total (at least 1), capped at the observed max. Reports 0 when
+/// total is 0, and the max when the counts hold fewer than the rank.
+std::int64_t bucket_percentile(std::span<const std::uint64_t> counts,
+                               std::uint64_t total, std::int64_t max,
+                               double p);
 
 enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 std::string_view to_string(Kind kind);
@@ -121,9 +144,10 @@ struct SnapshotValue {
   Kind kind = Kind::kCounter;
   std::uint64_t count = 0;  // counter value / histogram sample count
   std::int64_t value = 0;   // gauge value / histogram sum
-  std::int64_t min = 0, max = 0;               // histogram only
-  std::vector<std::int64_t> bounds;            // histogram only
-  std::vector<std::uint64_t> bucket_counts;    // histogram only
+  std::int64_t min = 0, max = 0;  // histogram only
+  /// Histogram only: Histogram::counts(), bucket i ending at
+  /// Histogram::bucket_upper(i).
+  std::vector<std::uint64_t> bucket_counts;
 
   /// "name{k=v,...}" (just "name" without labels).
   std::string full_name() const;

@@ -1,17 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 namespace tts::obs {
-
-std::size_t SpanStats::bucket_of(simnet::SimDuration d) {
-  if (d <= 0) return 0;
-  auto width = static_cast<std::size_t>(
-      std::bit_width(static_cast<std::uint64_t>(d)));
-  return width < kHistBuckets ? width : kHistBuckets - 1;
-}
 
 namespace {
 
@@ -122,7 +114,6 @@ void Tracer::commit_locked(const Entry& entry) {
   if (sim > s.max_sim) s.max_sim = sim;
   s.total_wall_ns += entry.wall_ns;
   if (entry.wall_ns > s.max_wall_ns) s.max_wall_ns = entry.wall_ns;
-  ++s.sim_hist[SpanStats::bucket_of(sim)];
 
   ++completed_;
   if (ring_.size() < capacity_) {

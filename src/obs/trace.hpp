@@ -6,8 +6,8 @@
 // Span names are interned once (name -> NameId) and the hot path carries
 // only the 32-bit id: open(NameId) does no string work at all, and repeat
 // open(string_view) calls cost one hash lookup, not an allocation. Per-name
-// aggregates (count / total / max in each clock, plus a log-scale
-// sim-duration histogram) are a flat vector indexed by NameId.
+// aggregates (count / total / max in each clock) are a flat vector indexed
+// by NameId.
 //
 // The Tracer owns the run's one telemetry ring: completed spans, instants
 // and the FlightRecorder's typed anomaly marks (FlightKind) land in the
@@ -84,19 +84,11 @@ struct SpanRecord {
 };
 
 struct SpanStats {
-  /// Sim-duration histogram: bucket b counts spans with
-  /// 2^(b-1) <= duration < 2^b time units (bucket 0 = zero-length spans);
-  /// the last bucket absorbs everything longer.
-  static constexpr std::size_t kHistBuckets = 24;
-
   std::uint64_t count = 0;
   simnet::SimDuration total_sim = 0;
   simnet::SimDuration max_sim = 0;
   std::int64_t total_wall_ns = 0;
   std::int64_t max_wall_ns = 0;
-  std::array<std::uint64_t, kHistBuckets> sim_hist{};
-
-  static std::size_t bucket_of(simnet::SimDuration d);
 };
 
 class Tracer {

@@ -156,7 +156,7 @@ class SharedBudget {
     obs::Counter grants;
     obs::Counter borrowed;
     obs::Counter wakes;
-    obs::Histogram reclaim{obs::Histogram::exponential(100, 4.0, 12)};
+    obs::Histogram reclaim;
   };
 
   double start_tag(const Client& c) const {

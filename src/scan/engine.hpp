@@ -336,10 +336,10 @@ class ScanEngine : private PumpClient {
   obs::Counter route_requeued_;
   std::array<obs::Counter, kProtocolCount> launched_by_proto_;
   std::array<obs::Counter, kProtocolCount> completed_by_proto_;
-  obs::Histogram retry_delay_{obs::Histogram::exponential(1000, 4.0, 14)};
-  obs::Histogram token_wait_{obs::Histogram::exponential(1000, 4.0, 14)};
-  obs::Histogram queue_delay_{obs::Histogram::exponential(1000, 4.0, 14)};
-  obs::Histogram probe_rtt_{obs::Histogram::exponential(1000, 4.0, 14)};
+  obs::Histogram retry_delay_;
+  obs::Histogram token_wait_;
+  obs::Histogram queue_delay_;
+  obs::Histogram probe_rtt_;
   obs::Gauge pending_gauge_;
   obs::Gauge pending_peak_gauge_;
   // Pre-interned "probe/<proto>" span names: each launch passes a 32-bit

@@ -138,8 +138,7 @@ EventQueue::CategoryId EventQueue::register_category(std::string_view name) {
   Category cat;
   cat.name = name;
   cat.executed = std::make_unique<obs::Counter>();
-  cat.wall = std::make_unique<obs::Histogram>(
-      obs::Histogram::exponential(250, 4.0, 12));
+  cat.wall = std::make_unique<obs::Histogram>();
   if (registry_) enroll_category(cat);
   if (flight_) cat.flight_note = flight_->tracer().intern(cat.name);
   categories_.push_back(std::move(cat));

@@ -373,8 +373,8 @@ class EventQueue {
   obs::Gauge pending_gauge_;
   obs::Counter windows_ctr_;
   obs::Counter violations_ctr_;
-  obs::Histogram dispatch_wall_{obs::Histogram::exponential(250, 4.0, 12)};
-  obs::Histogram barrier_stall_{obs::Histogram::exponential(250, 4.0, 12)};
+  obs::Histogram dispatch_wall_;
+  obs::Histogram barrier_stall_;
   bool time_dispatch_ = false;
   std::uint64_t dispatch_mask_ = 0;  // time when (executed & mask) == 0
   obs::Registry* registry_ = nullptr;

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <array>
-#include <cassert>
 
 namespace tts::util {
 
@@ -50,43 +49,6 @@ double shannon_entropy(std::span<const std::uint8_t> data) {
 
 double normalized_entropy(std::span<const std::uint8_t> data) {
   return shannon_entropy(data) / 8.0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double value, std::uint64_t n) {
-  if (!std::isfinite(value)) {
-    // Casting a NaN-derived index is UB, so non-finite values never reach
-    // the cast: NaN is dropped, +-inf clamps to the end bins; both are
-    // counted so callers can detect dirty inputs.
-    nonfinite_ += n;
-    if (std::isnan(value)) return;
-    counts_[value < 0 ? 0 : counts_.size() - 1] += n;
-    total_ += n;
-    return;
-  }
-  double t = (value - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-  if (i < 0) i = 0;
-  if (i >= static_cast<std::int64_t>(counts_.size()))
-    i = static_cast<std::int64_t>(counts_.size()) - 1;
-  counts_[static_cast<std::size_t>(i)] += n;
-  total_ += n;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
 }
 
 }  // namespace tts::util

@@ -76,28 +76,4 @@ class Counter {
   std::unordered_map<Key, std::uint64_t, Hash> counts_;
 };
 
-/// Fixed-bin histogram over [lo, hi); values outside clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value, std::uint64_t n = 1);
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-  /// Non-finite inputs seen: NaN (dropped) and +-inf (clamped to the end
-  /// bins). total() excludes the dropped NaNs.
-  std::uint64_t nonfinite() const { return nonfinite_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Fraction of mass in bin i (0 if empty histogram).
-  double fraction(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t nonfinite_ = 0;
-};
-
 }  // namespace tts::util

@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "inet/device.hpp"
 #include "net/address_store.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace tts::analysis {
 namespace {
@@ -299,12 +301,21 @@ TEST(NetworkAgg, AggregatesAndMedians) {
   EXPECT_EQ(agg.nets64, 3u);
   EXPECT_EQ(agg.ases, 1u);
   EXPECT_EQ(agg.countries, 1u);
-  EXPECT_DOUBLE_EQ(median_ips_per_net(addrs, 48), 1.5);
-  EXPECT_DOUBLE_EQ(median_ips_per_as(addrs, reg), 3.0);
+  EXPECT_DOUBLE_EQ(agg.median_ips_per_48, 1.5);
+  EXPECT_DOUBLE_EQ(agg.median_ips_per_as, 3.0);
+}
+
+/// Median of the per-key address counts in `counts`.
+template <typename Map>
+double median_count(const Map& counts) {
+  std::vector<double> values;
+  for (const auto& [key, n] : counts) values.push_back(static_cast<double>(n));
+  return util::median(std::move(values));
 }
 
 /// The per-address computation aggregate() replaced: hash sets of the
-/// enclosing networks, origin ASes and their countries.
+/// enclosing networks, origin ASes and their countries, and hash maps of
+/// the addresses per /48 and per AS.
 NetworkAggregates reference_aggregate(std::span<const net::Ipv6Address> list,
                                       const inet::AsRegistry& reg) {
   NetworkAggregates out;
@@ -318,6 +329,15 @@ NetworkAggregates reference_aggregate(std::span<const net::Ipv6Address> list,
   for (const auto& a : list)
     if (const inet::AsInfo* as = reg.origin(a)) countries.insert(as->country);
   out.countries = countries.size();
+  std::unordered_map<net::Ipv6Prefix, std::uint64_t, net::Ipv6PrefixHash>
+      per48;
+  std::unordered_map<net::AsNumber, std::uint64_t> per_as;
+  for (const auto& a : list) {
+    ++per48[net::Ipv6Prefix(a, 48)];
+    if (const inet::AsInfo* as = reg.origin(a)) ++per_as[as->number];
+  }
+  out.median_ips_per_48 = median_count(per48);
+  out.median_ips_per_as = median_count(per_as);
   return out;
 }
 
@@ -329,6 +349,8 @@ void expect_same(const NetworkAggregates& got, const NetworkAggregates& want) {
   EXPECT_EQ(got.nets64, want.nets64);
   EXPECT_EQ(got.ases, want.ases);
   EXPECT_EQ(got.countries, want.countries);
+  EXPECT_DOUBLE_EQ(got.median_ips_per_48, want.median_ips_per_48);
+  EXPECT_DOUBLE_EQ(got.median_ips_per_as, want.median_ips_per_as);
 }
 
 TEST(NetworkAgg, StoreAggregateMatchesPerAddressComputation) {

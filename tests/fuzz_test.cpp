@@ -421,7 +421,7 @@ std::string sample_jsonl() {
   obs::Registry reg;
   obs::Counter requests;
   obs::Gauge depth;
-  obs::Histogram wait({10, 1000});
+  obs::Histogram wait;
   reg.enroll(requests, "ntp_requests", {{"zone", "DE"}, {"ours", "1"}});
   reg.enroll(depth, "scan_pending_depth");
   reg.enroll(wait, "wait_us", {{"quote", "a\"b\\c"}});
@@ -442,6 +442,9 @@ TEST(Fuzz, ObsJsonlParser) {
   auto parse = [](const std::vector<std::uint8_t>& b) {
     auto snap = obs::parse_jsonl(std::string(view_of(b)));
     if (!snap) return;
+    // The other exporters read every carried bucket's edge.
+    (void)obs::to_prometheus(*snap);
+    (void)obs::to_table(*snap).to_string();
     // Whatever parses re-exports to a dump that parses to itself.
     std::string jsonl = obs::to_jsonl(*snap);
     auto again = obs::parse_jsonl(jsonl);
@@ -458,6 +461,24 @@ TEST(Fuzz, ObsJsonlParser) {
   EXPECT_TRUE(obs::parse_jsonl("{\"at\":-9223372036854775808,\"name\":"
                                "\"x\",\"kind\":\"gauge\"}\n")
                   .has_value());
+
+  // A histogram carries at most the layout's buckets, and the removed
+  // "bounds" key is unknown.
+  auto histogram = [](std::size_t buckets, const std::string& extra) {
+    std::string line =
+        "{\"at\":1,\"name\":\"h\",\"kind\":\"histogram\",\"count\":1," +
+        extra + "\"counts\":[";
+    for (std::size_t i = 0; i < buckets; ++i) line += i ? ",0" : "1";
+    return line + "]}\n";
+  };
+  auto widest = obs::parse_jsonl(histogram(obs::Histogram::kBuckets, ""));
+  ASSERT_TRUE(widest.has_value());
+  EXPECT_NE(obs::to_prometheus(*widest).find("le=\"9223372036854775807\""),
+            std::string::npos);
+  EXPECT_FALSE(
+      obs::parse_jsonl(histogram(obs::Histogram::kBuckets + 1, "")).has_value());
+  EXPECT_FALSE(
+      obs::parse_jsonl(histogram(2, "\"bounds\":[10],")).has_value());
 }
 
 // Label text is arbitrary bytes: control characters (a newline ends a
@@ -474,12 +495,16 @@ TEST(Fuzz, ObsJsonlRoundTripsAnyLabelBytes) {
     obs::Registry reg;
     obs::Counter counter;
     obs::Gauge gauge;
+    obs::Histogram hist;
     const std::string name = "n" + random_text();
     obs::Labels labels;
     for (std::uint64_t l = rng.below(4); l > 0; --l)
       labels.emplace_back(random_text(), random_text());
     reg.enroll(counter, name, labels);
     reg.enroll(gauge, random_text(), {{random_text(), random_text()}});
+    reg.enroll(hist, random_text(), labels);
+    for (std::uint64_t n = rng.below(4); n > 0; --n)
+      hist.record(static_cast<std::int64_t>(rng.next() >> rng.below(64)));
     counter.inc(rng.below(1000));
     gauge.set(static_cast<std::int64_t>(rng.below(1000)) - 500);
 
@@ -491,6 +516,8 @@ TEST(Fuzz, ObsJsonlRoundTripsAnyLabelBytes) {
     for (std::size_t v = 0; v < snap.values.size(); ++v) {
       EXPECT_EQ(reparsed->values[v].name, snap.values[v].name);
       EXPECT_EQ(reparsed->values[v].labels, snap.values[v].labels);
+      EXPECT_EQ(reparsed->values[v].bucket_counts,
+                snap.values[v].bucket_counts);
     }
     EXPECT_EQ(obs::to_jsonl(*reparsed), jsonl);
   }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "ntp/collector.hpp"
 #include "obs/export.hpp"
@@ -14,6 +15,7 @@
 #include "scan/engine.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/network.hpp"
+#include "util/rng.hpp"
 
 namespace tts::obs {
 namespace {
@@ -39,41 +41,106 @@ TEST(Instruments, CounterAndGaugeBasics) {
   EXPECT_EQ(g.value(), -3);
 }
 
-TEST(Instruments, HistogramBucketsAreInclusiveUpperEdges) {
-  Histogram h({10, 100, 1000});
-  h.record(10);    // fits bucket 0 (<= 10)
-  h.record(11);    // bucket 1
-  h.record(100);   // bucket 1
-  h.record(999);   // bucket 2
-  h.record(5000);  // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);  // implicit +inf bucket
-  EXPECT_EQ(h.buckets(), 4u);
-  EXPECT_EQ(h.min(), 10);
-  EXPECT_EQ(h.max(), 5000);
-  EXPECT_EQ(h.sum(), 10 + 11 + 100 + 999 + 5000);
-  EXPECT_DOUBLE_EQ(h.mean(), (10 + 11 + 100 + 999 + 5000) / 5.0);
+TEST(Instruments, HistogramBucketsAreLogLinear) {
+  Histogram h;
+  // 0..15 have a bucket each; 16 and 17 share the first 2-wide bucket.
+  for (std::int64_t v : {0, 7, 8, 15, 16, 17, 18}) h.record(v);
+  h.record(-5);  // clamps into bucket 0
+  EXPECT_EQ(h.count(), 8u);
+  EXPECT_EQ(h.bucket_count(0), 2u);
+  EXPECT_EQ(h.bucket_count(7), 1u);
+  EXPECT_EQ(h.bucket_count(8), 1u);
+  EXPECT_EQ(h.bucket_count(15), 1u);
+  EXPECT_EQ(h.bucket_count(16), 2u);
+  EXPECT_EQ(h.bucket_count(17), 1u);
+  EXPECT_EQ(Histogram::bucket_upper(16), 17);
+  EXPECT_EQ(Histogram::bucket_upper(17), 19);
+  EXPECT_EQ(h.min(), -5);
+  EXPECT_EQ(h.max(), 18);
+  EXPECT_EQ(h.sum(), 0 + 7 + 8 + 15 + 16 + 17 + 18 - 5);
+  EXPECT_DOUBLE_EQ(h.mean(), (0 + 7 + 8 + 15 + 16 + 17 + 18 - 5) / 8.0);
+  // Counts run to the last non-empty bucket, not the whole layout.
+  EXPECT_EQ(h.counts().size(), 18u);
+  EXPECT_TRUE(Histogram().counts().empty());
 }
 
 TEST(Instruments, HistogramPercentileReadsBucketEdges) {
-  Histogram h({10, 100, 1000});
-  for (int i = 0; i < 50; ++i) h.record(5);     // bucket 0
-  for (int i = 0; i < 49; ++i) h.record(50);    // bucket 1
-  h.record(12345);                              // overflow
-  EXPECT_EQ(h.percentile(0.5), 10);    // within the first 50 samples
-  EXPECT_EQ(h.percentile(0.95), 100);  // inside bucket 1
-  EXPECT_EQ(h.percentile(1.0), 12345);  // overflow bucket -> observed max
-  EXPECT_EQ(Histogram({1, 2}).percentile(0.5), 0);  // empty histogram
+  Histogram h;
+  for (int i = 0; i < 50; ++i) h.record(5);   // bucket 5 holds only 5
+  for (int i = 0; i < 49; ++i) h.record(50);  // bucket [48, 51]
+  h.record(12345);
+  EXPECT_EQ(h.percentile(0.5), 5);     // within the first 50 samples
+  EXPECT_EQ(h.percentile(0.95), 51);   // the upper edge of 50's bucket
+  EXPECT_EQ(h.percentile(1.0), 12345);  // edges are capped at the max
+  EXPECT_EQ(Histogram().percentile(0.5), 0);  // empty histogram
 }
 
-TEST(Instruments, ExponentialBoundsAreStrictlyIncreasing) {
-  auto bounds = Histogram::exponential(1, 1.3, 20);
-  ASSERT_FALSE(bounds.empty());
-  for (std::size_t i = 1; i < bounds.size(); ++i)
-    EXPECT_GT(bounds[i], bounds[i - 1]);
+/// Lowest value bucket `b` counts (bucket 0 also takes every negative).
+std::int64_t bucket_lower(std::size_t b) {
+  return b == 0 ? std::numeric_limits<std::int64_t>::min()
+                : Histogram::bucket_upper(b - 1) + 1;
+}
+
+TEST(Instruments, HistogramLayoutCoversInt64InNarrowBuckets) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // Every bucket is non-empty, contiguous with the last, and at most 12.5%
+  // of its lower edge wide past 8; the last one ends at INT64_MAX.
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    SCOPED_TRACE(b);
+    const std::int64_t lo = bucket_lower(b), hi = Histogram::bucket_upper(b);
+    ASSERT_LE(lo, hi);
+    EXPECT_EQ(Histogram::bucket_index(lo), b);
+    EXPECT_EQ(Histogram::bucket_index(hi), b);
+    if (b >= 8) {
+      const auto width = static_cast<std::uint64_t>(hi - lo) + 1;
+      EXPECT_LE(width * 8, static_cast<std::uint64_t>(lo));
+    }
+  }
+  EXPECT_EQ(Histogram::bucket_upper(Histogram::kBuckets - 1), kMax);
+
+  std::vector<std::int64_t> values = {0, 1, 2, 3, 4, 7, 8, 15, 16, 17,
+                                      kMax, -1, -1000,
+                                      std::numeric_limits<std::int64_t>::min()};
+  for (int k = 2; k < 63; ++k) {
+    const std::int64_t p = std::int64_t{1} << k;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  util::Rng rng(0x4157);
+  for (int i = 0; i < 10000; ++i)
+    values.push_back(static_cast<std::int64_t>(rng.next() >> rng.below(64)));
+  std::sort(values.begin(), values.end());
+  std::size_t prev = 0;
+  for (std::int64_t v : values) {
+    SCOPED_TRACE(v);
+    const std::size_t b = Histogram::bucket_index(v);
+    ASSERT_LT(b, Histogram::kBuckets);
+    EXPECT_LE(bucket_lower(b), v);
+    EXPECT_LE(v, Histogram::bucket_upper(b));
+    EXPECT_GE(b, prev);  // indices never fall as values grow
+    prev = b;
+  }
+}
+
+TEST(Instruments, HistogramPercentileIsWithinOneEighthOfExact) {
+  Histogram h;
+  std::vector<std::int64_t> samples;
+  util::Rng rng(0x9e7c);
+  for (int i = 0; i < 10000; ++i) {
+    // Log-uniform over 0 .. 2^40 so every decade has samples.
+    auto v = static_cast<std::int64_t>(rng.next() >> (24 + rng.below(40)));
+    samples.push_back(v);
+    h.record(v);
+  }
+  std::sort(samples.begin(), samples.end());
+  for (double p : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
+                   0.999, 1.0}) {
+    SCOPED_TRACE(p);
+    auto rank = static_cast<std::size_t>(p * 10000);
+    const std::int64_t exact = samples[std::max<std::size_t>(rank, 1) - 1];
+    const std::int64_t got = h.percentile(p);
+    EXPECT_GE(got, exact);
+    EXPECT_LE((got - exact) * 8, exact);
+  }
 }
 
 // ------------------------------------------------------------- registry
@@ -223,30 +290,6 @@ TEST(Tracer, StatsSkipInternedButNeverOpenedNames) {
   EXPECT_EQ(stats.count("used"), 1u);
 }
 
-TEST(Tracer, SimDurationHistogramIsLogScale) {
-  EXPECT_EQ(SpanStats::bucket_of(0), 0u);
-  EXPECT_EQ(SpanStats::bucket_of(1), 1u);
-  EXPECT_EQ(SpanStats::bucket_of(2), 2u);
-  EXPECT_EQ(SpanStats::bucket_of(3), 2u);
-  EXPECT_EQ(SpanStats::bucket_of(4), 3u);
-  // The last bucket absorbs everything longer.
-  EXPECT_EQ(SpanStats::bucket_of(std::int64_t{1} << 40),
-            SpanStats::kHistBuckets - 1);
-
-  simnet::EventQueue events;
-  Tracer tracer(8);
-  tracer.set_sim_clock(&events);
-  Tracer::NameId id = tracer.intern("wait");
-  Tracer::SpanId span = tracer.open(id);
-  events.schedule_at(simnet::SimTime{4}, [&] { tracer.close(span); });
-  events.run();
-  const SpanStats& s = tracer.stats_of(id);
-  EXPECT_EQ(s.sim_hist[SpanStats::bucket_of(4)], 1u);
-  std::uint64_t total = 0;
-  for (std::uint64_t c : s.sim_hist) total += c;
-  EXPECT_EQ(total, s.count);
-}
-
 TEST(Tracer, OpenCloseSpansAsyncStages) {
   simnet::EventQueue events;
   Tracer tracer(16);
@@ -323,7 +366,7 @@ TEST(Exporters, JsonlRoundTrip) {
   Registry reg;
   Counter c;
   Gauge g;
-  Histogram h({10, 1000});
+  Histogram h;
   reg.enroll(c, "requests", {{"zone", "DE"}, {"ours", "1"}});
   reg.enroll(g, "depth");
   reg.enroll(h, "wait_us");
@@ -334,6 +377,8 @@ TEST(Exporters, JsonlRoundTrip) {
   h.record(99999);
 
   RegistrySnapshot snap = reg.snapshot(987654321);
+  EXPECT_EQ(snap.find("wait_us")->bucket_counts.size(),
+            Histogram::bucket_index(99999) + 1);
   std::string jsonl = to_jsonl(snap);
   EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
 
@@ -359,7 +404,6 @@ TEST(Exporters, JsonlRoundTrip) {
       EXPECT_EQ(got.value, want.value);
       EXPECT_EQ(got.min, want.min);
       EXPECT_EQ(got.max, want.max);
-      EXPECT_EQ(got.bounds, want.bounds);
       EXPECT_EQ(got.bucket_counts, want.bucket_counts);
     }
   }
@@ -374,7 +418,7 @@ TEST(Exporters, ParseJsonlRejectsGarbage) {
 TEST(Exporters, PrometheusTextFormat) {
   Registry reg;
   Counter c;
-  Histogram h({5, 50});
+  Histogram h;
   reg.enroll(c, "reqs", {{"zone", "IN"}});
   reg.enroll(h, "lat");
   c.inc(9);
@@ -385,7 +429,18 @@ TEST(Exporters, PrometheusTextFormat) {
   EXPECT_NE(text.find("# TYPE reqs counter"), std::string::npos);
   EXPECT_NE(text.find("reqs{zone=\"IN\"} 9"), std::string::npos);
   EXPECT_NE(text.find("# TYPE lat histogram"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"5\"} 1"), std::string::npos);
+  // One cumulative le edge per carried bucket: 0..70's bucket [64, 71].
+  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 0"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"3\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"71\"} 2"), std::string::npos);
+  EXPECT_EQ(text.find("lat_bucket{le=\"79\"}"), std::string::npos);
+  const auto edges = Histogram::bucket_index(70) + 2;  // and +Inf
+  std::size_t lines = 0;
+  for (std::size_t at = 0; (at = text.find("lat_bucket", at)) !=
+                           std::string::npos;
+       ++at)
+    ++lines;
+  EXPECT_EQ(lines, edges);
   // Prometheus buckets are cumulative; the +Inf bucket equals the count.
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 2"), std::string::npos);
   EXPECT_NE(text.find("lat_count 2"), std::string::npos);
@@ -537,6 +592,33 @@ TEST(Exporters, RollupAppliesToJsonlAndPrometheus) {
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(prom.find("# TYPE pool_selections", first + 1),
             std::string::npos);
+}
+
+TEST(Exporters, RollupAddsHistogramsBucketByBucket) {
+  Registry reg;
+  std::array<Histogram, 4> waits;
+  for (std::size_t i = 0; i < waits.size(); ++i) {
+    for (std::size_t n = 0; n <= i; ++n) waits[i].record(3);
+    waits[i].record(static_cast<std::int64_t>(10 * i));
+    reg.enroll(waits[i], "wait_us", {{"lane", std::to_string(i)}});
+  }
+  TableRollup rollup;
+  rollup.names = {"wait_us"};
+  rollup.top_n = 1;  // lane 3 stays; lanes 0..2 fold, counts of 3 lengths
+
+  RegistrySnapshot rolled = apply_rollup(reg.snapshot(), rollup);
+  ASSERT_EQ(rolled.values.size(), 2u);
+  const SnapshotValue& other = rolled.values[1];
+  EXPECT_EQ(other.full_name(), "wait_us{series=other}");
+  EXPECT_EQ(other.count, 9u);
+  EXPECT_EQ(other.min, 0);
+  EXPECT_EQ(other.max, 20);
+  std::vector<std::uint64_t> want(Histogram::bucket_index(20) + 1);
+  want[0] = 1;
+  want[3] = 6;
+  want[Histogram::bucket_index(10)] = 1;
+  want[Histogram::bucket_index(20)] = 1;
+  EXPECT_EQ(other.bucket_counts, want);
 }
 
 // ------------------------------------------- instrumented components

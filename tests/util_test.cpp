@@ -265,44 +265,6 @@ TEST(Stats, CounterTopK) {
   EXPECT_EQ(counter.count("missing"), 0u);
 }
 
-TEST(Stats, HistogramBinningAndClamping) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);
-  h.add(0.3);
-  h.add(0.9);
-  h.add(-5.0);  // clamps to first bin
-  h.add(5.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(3), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 0.25);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 0.5);
-}
-
-TEST(Stats, HistogramNonFiniteInputs) {
-  // Regression: casting NaN to an index is UB; histograms fed from latency
-  // ratios occasionally see NaN/inf and must stay well-defined.
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.5);
-  h.add(std::numeric_limits<double>::quiet_NaN());  // dropped, counted
-  h.add(std::numeric_limits<double>::infinity());   // clamps to last bin
-  h.add(-std::numeric_limits<double>::infinity());  // clamps to first bin
-  EXPECT_EQ(h.nonfinite(), 3u);
-  // total() excludes the dropped NaN but includes the clamped infinities.
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-  // Weighted NaNs count their weight too.
-  h.add(std::numeric_limits<double>::quiet_NaN(), 5);
-  EXPECT_EQ(h.nonfinite(), 8u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-// ------------------------------------------------------------------ table
-
 TEST(Table, RendersAlignedColumns) {
   TextTable t("Demo");
   t.set_header({"name", "value"});
