@@ -7,12 +7,17 @@
 // BENCH_collection_throughput.json; store_bytes_per_address,
 // legacy_bytes_per_address and compaction_ratio are sim-deterministic
 // (capacities are a pure function of the insert sequence), the
-// *_per_sec_wall rates are machine-dependent.
+// *_per_sec_wall rates are machine-dependent. allocs_per_poll is the
+// study's operator new calls per NTP poll (one pool resolve per poll): a
+// function of the simulation and the standard library, so it is gated
+// like the counts.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <unordered_set>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "common.hpp"
 #include "core/study.hpp"
 #include "net/address_store.hpp"
@@ -60,7 +65,13 @@ int main() {
   config.enable_actors = false;
   core::Study study(config);
   std::int64_t t0 = bench::bench_wall_ns();
+  std::uint64_t allocs_before = bench::allocations();
   study.run();
+  std::uint64_t polls =
+      std::max<std::uint64_t>(1, study.pool().resolve_calls());
+  double allocs_per_poll =
+      static_cast<double>(bench::allocations() - allocs_before) /
+      static_cast<double>(polls);
 
   const net::AddressStore& store = study.collector().addresses();
   std::vector<net::Ipv6Address> stream = store.snapshot();
@@ -107,6 +118,7 @@ int main() {
   t.add_row({"store bytes/address", fmt(store_bpa)});
   t.add_row({"legacy bytes/address", fmt(legacy_bpa)});
   t.add_row({"compaction ratio", fmt(ratio)});
+  t.add_row({"allocations/poll", fmt(allocs_per_poll)});
   t.add_row({"insert rate (addr/s)",
              insert_s > 0 ? fmt(static_cast<double>(n) / insert_s) : "-"});
   t.add_row({"lookup rate (addr/s)",
@@ -120,6 +132,7 @@ int main() {
   metrics.emplace_back("store_bytes_per_address", fmt(store_bpa));
   metrics.emplace_back("legacy_bytes_per_address", fmt(legacy_bpa));
   metrics.emplace_back("compaction_ratio", fmt(ratio));
+  metrics.emplace_back("allocs_per_poll", fmt(allocs_per_poll));
   metrics.emplace_back("wall_seconds", fmt(wall_seconds));
   if (insert_s > 0)
     metrics.emplace_back("insert_addresses_per_sec_wall",

@@ -1,16 +1,22 @@
 // Microbenchmarks for the hot primitives: address codec, LPM trie, NTP and
-// CoAP wire codecs, Levenshtein grouping, RNG, the event queue, the
-// network's host table, the address store, and the obs instruments riding
-// on every hot path.
+// CoAP wire codecs, the pool resolve and one NTP poll round trip,
+// Levenshtein grouping, RNG, the event queue, the network's host table,
+// the address store, and the obs instruments riding on every hot path.
+// Benchmarks on the NTP path report allocs_per_iter, the operator new
+// calls per iteration.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "alloc_count.hpp"
 #include "core/study.hpp"
 #include "net/address_store.hpp"
 #include "net/ipv6.hpp"
 #include "net/routing_table.hpp"
+#include "ntp/collector.hpp"
 #include "ntp/ntp_packet.hpp"
+#include "ntp/ntp_server.hpp"
+#include "ntp/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/coap.hpp"
@@ -67,6 +73,83 @@ static void BM_NtpRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NtpRoundTrip);
+
+/// Report the operator new calls made since `before` per iteration.
+static void report_allocs(benchmark::State& state, std::uint64_t before) {
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(bench::allocations() - before),
+      benchmark::Counter::kAvgIterations);
+}
+
+// One device's pool resolve: a study-shaped pool (three background servers
+// and one of ours in each of the 11 deployment zones), resolved from the
+// Indian zone the device took its handle for at bring-up.
+static void BM_PoolResolve(benchmark::State& state) {
+  ntp::NtpPool pool;
+  std::uint64_t next = 1;
+  for (const auto& country : ntp::deployment_countries()) {
+    for (int i = 0; i < 3; ++i)
+      pool.add_server({net::Ipv6Address::from_halves(0x2400ULL << 48, next++),
+                       country, 1000.0 / 3, 20, false, 0});
+    pool.add_server({net::Ipv6Address::from_halves(0x2400ULL << 48, next++),
+                     country, 250, 20, true, 0});
+  }
+  const auto zone = pool.zone("IN");
+  constexpr std::uint64_t kSeed = 0x9001;
+  util::Rng rng(kSeed);
+  std::uint64_t before = bench::allocations();
+  for (auto _ : state) benchmark::DoNotOptimize(pool.resolve(zone, rng));
+  report_allocs(state, before);
+}
+BENCHMARK(BM_PoolResolve);
+
+// One NTP poll round trip as a device makes it (inet/services.cpp): bind
+// an ephemeral port with a reply handler capturing the client and the
+// expected origin, send the mode-3 request to a capturing NtpServer, which
+// records the source and answers; the reply unbinds the port. The client
+// never attaches its address, so the host entry comes and goes per poll.
+struct PollClient {
+  simnet::Network& net;
+  net::Ipv6Address src;
+  net::Ipv6Address server;
+  std::uint16_t next_port = 33000;
+
+  void poll() {
+    simnet::Endpoint src_ep{src, next_port++};
+    if (next_port == 0) next_port = 33000;
+    auto request = ntp::NtpPacket::client_request(net.now());
+    auto expected_origin = request.transmit_time;
+    net.bind_udp(src_ep, [this, expected_origin](const simnet::Datagram& dg) {
+      auto response = ntp::NtpPacket::parse(dg.payload);
+      if (response && response->origin_time == expected_origin &&
+          response->mode == ntp::NtpMode::kServer)
+        net.unbind_udp(dg.dst);
+    });
+    net.send_udp(src_ep, {server, ntp::kNtpPort}, request.serialize());
+    net.events().schedule_in(simnet::sec(8),
+                             [this, src_ep] { net.unbind_udp(src_ep); });
+  }
+};
+
+static void BM_NtpPollRoundTrip(benchmark::State& state) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  ntp::AddressCollector collector;
+  ntp::NtpServerConfig config;
+  config.address = net::Ipv6Address::from_halves(0x2400ULL << 48, 1);
+  ntp::NtpServer server(network, config, &collector);
+  PollClient client{network,
+                    net::Ipv6Address::from_halves(0x2a00ULL << 48, 0x42),
+                    config.address};
+  std::uint64_t before = bench::allocations();
+  for (auto _ : state) {
+    client.poll();
+    events.run();
+  }
+  report_allocs(state, before);
+  benchmark::DoNotOptimize(server.requests_served());
+}
+BENCHMARK(BM_NtpPollRoundTrip);
 
 static void BM_CoapRoundTrip(benchmark::State& state) {
   auto request = proto::CoapMessage::well_known_core(42, 0x1234);

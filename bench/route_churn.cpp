@@ -114,9 +114,10 @@ SendRun drive_sends(simnet::EventQueue& events, simnet::Network& network,
         span / static_cast<std::int64_t>(kSendBatches) *
         static_cast<std::int64_t>(b);
     events.schedule_at(at, [&network, &sink, &probe, b] {
+      static constexpr std::uint8_t kPayload[] = {1};
       for (std::size_t s = 0; s < kSendsPerBatch; ++s)
-        network.send_udp({routed_addr(2), 1}, {sink, 123}, {1});
-      network.send_udp({routed_addr(2), 1}, {probe(b), 123}, {1});
+        network.send_udp({routed_addr(2), 1}, {sink, 123}, kPayload);
+      network.send_udp({routed_addr(2), 1}, {probe(b), 123}, kPayload);
     });
   }
   std::int64_t t0 = bench::bench_wall_ns();

@@ -1,7 +1,6 @@
 #include "hitlist/hitlist.hpp"
 
-#include <unordered_map>
-
+#include "util/flat_map.hpp"
 #include "util/serialize.hpp"
 
 namespace tts::hitlist {
@@ -72,8 +71,8 @@ Hitlist HitlistBuilder::build(const inet::Population& pop,
 
   // Index device initial addresses for the responsiveness check when no
   // runtime is available yet.
-  std::unordered_map<net::Ipv6Address, const inet::Device*,
-                     net::Ipv6AddressHash>
+  util::FlatMap<net::Ipv6Address, const inet::Device*,
+                net::Ipv6AddressFlatHash>
       initial;
   if (!runtime) {
     for (const auto& d : pop.devices()) initial[d.initial_address] = &d;
@@ -81,8 +80,8 @@ Hitlist HitlistBuilder::build(const inet::Population& pop,
 
   auto device_at = [&](const net::Ipv6Address& a) -> const inet::Device* {
     if (runtime) return runtime->device_at(a);
-    auto it = initial.find(a);
-    return it == initial.end() ? nullptr : it->second;
+    const inet::Device* const* d = initial.find(a);
+    return d ? *d : nullptr;
   };
 
   const auto& alias_region = pop.registry().cdn_alias_region();
@@ -171,16 +170,16 @@ std::vector<PartialEntry> HitlistBuilder::build_partial(
     }
   }
 
-  std::unordered_map<net::Ipv6Address, const inet::Device*,
-                     net::Ipv6AddressHash>
+  util::FlatMap<net::Ipv6Address, const inet::Device*,
+                net::Ipv6AddressFlatHash>
       initial;
   if (!runtime) {
     for (const auto* d : own) initial[d->initial_address] = d;
   }
   auto device_at = [&](const net::Ipv6Address& a) -> const inet::Device* {
     if (runtime) return runtime->device_at(a);
-    auto it = initial.find(a);
-    return it == initial.end() ? nullptr : it->second;
+    const inet::Device* const* d = initial.find(a);
+    return d ? *d : nullptr;
   };
 
   const auto& alias_region = pop.registry().cdn_alias_region();

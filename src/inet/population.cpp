@@ -1,5 +1,6 @@
 #include "inet/population.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -202,20 +203,73 @@ Population Population::generate(const AsRegistry& registry,
   Population pop(registry, config);
   util::Rng root(config.seed);
   util::Rng count_rng = root.stream("population.counts");
+  const auto& countries = registry.countries();
+  const auto content = registry.by_category(AsCategory::kContent);
 
-  std::uint32_t next_id = 1;
-
+  // Every batch's device count comes first, drawn in the order the batches
+  // are built (no other draw touches count_rng), so devices_ is reserved
+  // once and no Device is ever moved.
+  struct Batch {
+    const DeviceProfile* profile;
+    std::size_t country;  // index into countries; unused for CDN devices
+    std::uint64_t n;
+  };
+  std::vector<Batch> batches;
+  std::uint64_t total = 0;
   for (const auto& profile : device_catalogue()) {
     // CDN load balancers live in the global content ASes, not per country.
     if (profile.cls == DeviceClass::kCdnLoadBalancer) {
-      auto content = registry.by_category(AsCategory::kContent);
       if (content.empty()) continue;
       double expected = profile.weight * 400.0 * config.device_scale;
       auto n = static_cast<std::uint64_t>(expected + count_rng.uniform());
-      for (std::uint64_t i = 0; i < n; ++i) {
+      batches.push_back({&profile, 0, n});
+      total += n;
+      continue;
+    }
+    for (std::size_t c = 0; c < countries.size(); ++c) {
+      double mult = country_multiplier(profile, countries[c].code);
+      if (mult <= 0) continue;
+      double units = profile.placement == Placement::kHosting
+                         ? hosting_units(countries[c])
+                         : countries[c].client_weight;
+      double expected = profile.weight * mult * units * config.device_scale;
+      auto n = static_cast<std::uint64_t>(expected + count_rng.uniform());
+      batches.push_back({&profile, c, n});
+      total += n;
+    }
+  }
+  pop.devices_.reserve(total);
+
+  // The ASes a device of each placement category can land in, per country
+  // (cable/DSL ISPs when the country has none of the category), with their
+  // size weights: built once, not per device.
+  struct Candidates {
+    std::vector<const AsInfo*> ases;
+    std::vector<double> weights;
+  };
+  constexpr std::size_t kPlacedCategories = 3;  // cable/DSL, mobile, hosting
+  std::vector<std::array<Candidates, kPlacedCategories>> candidates(
+      countries.size());
+  for (std::size_t c = 0; c < countries.size(); ++c) {
+    for (std::size_t k = 0; k < kPlacedCategories; ++k) {
+      Candidates& cand = candidates[c][k];
+      cand.ases =
+          registry.in_country(countries[c].code, static_cast<AsCategory>(k));
+      if (cand.ases.empty())
+        cand.ases = registry.in_country(countries[c].code,
+                                        AsCategory::kCableDslIsp);
+      for (const auto* as : cand.ases) cand.weights.push_back(as->size_weight);
+    }
+  }
+
+  std::uint32_t next_id = 1;
+  for (const Batch& batch : batches) {
+    const DeviceProfile& profile = *batch.profile;
+    if (profile.cls == DeviceClass::kCdnLoadBalancer) {
+      for (std::uint64_t i = 0; i < batch.n; ++i) {
         util::Rng dev_rng = root.stream("device").stream(next_id);
         const AsInfo* as = content[dev_rng.below(content.size())];
-        Device d;
+        Device& d = pop.devices_.emplace_back();
         d.id = next_id++;
         d.profile = &profile;
         d.asn = as->number;
@@ -223,61 +277,44 @@ Population Population::generate(const AsRegistry& registry,
         d.delegation = pop.allocate_delegation(as->number, false, dev_rng);
         pop.instantiate_services(d, dev_rng);
         d.initial_address = pop.make_address(d, d.delegation, true, dev_rng);
-        pop.devices_.push_back(std::move(d));
       }
       continue;
     }
 
-    for (const auto& country : registry.countries()) {
-      double mult = country_multiplier(profile, country.code);
-      if (mult <= 0) continue;
-
-      auto pick_category = [&](util::Rng& r) {
-        switch (profile.placement) {
-          case Placement::kEyeball: return AsCategory::kCableDslIsp;
-          case Placement::kMobile: return AsCategory::kMobile;
-          case Placement::kHosting: return AsCategory::kHosting;
-          case Placement::kMixed: {
-            double x = r.uniform();
-            if (x < 0.60) return AsCategory::kCableDslIsp;
-            if (x < 0.85) return AsCategory::kMobile;
-            return AsCategory::kHosting;
-          }
+    auto pick_category = [&](util::Rng& r) {
+      switch (profile.placement) {
+        case Placement::kEyeball: return AsCategory::kCableDslIsp;
+        case Placement::kMobile: return AsCategory::kMobile;
+        case Placement::kHosting: return AsCategory::kHosting;
+        case Placement::kMixed: {
+          double x = r.uniform();
+          if (x < 0.60) return AsCategory::kCableDslIsp;
+          if (x < 0.85) return AsCategory::kMobile;
+          return AsCategory::kHosting;
         }
-        return AsCategory::kCableDslIsp;
-      };
-
-      double units = profile.placement == Placement::kHosting
-                         ? hosting_units(country)
-                         : country.client_weight;
-      double expected = profile.weight * mult * units * config.device_scale;
-      auto n = static_cast<std::uint64_t>(expected + count_rng.uniform());
-
-      for (std::uint64_t i = 0; i < n; ++i) {
-        util::Rng dev_rng = root.stream("device").stream(next_id);
-        AsCategory cat = pick_category(dev_rng);
-        auto candidates = registry.in_country(country.code, cat);
-        if (candidates.empty())
-          candidates = registry.in_country(country.code,
-                                           AsCategory::kCableDslIsp);
-        if (candidates.empty()) continue;
-        std::vector<double> weights;
-        weights.reserve(candidates.size());
-        for (const auto* as : candidates) weights.push_back(as->size_weight);
-        const AsInfo* as = candidates[dev_rng.pick_weighted(weights)];
-
-        bool eyeball_numbering = cat != AsCategory::kHosting;
-        Device d;
-        d.id = next_id++;
-        d.profile = &profile;
-        d.asn = as->number;
-        d.country = country.code;
-        d.delegation =
-            pop.allocate_delegation(as->number, eyeball_numbering, dev_rng);
-        pop.instantiate_services(d, dev_rng);
-        d.initial_address = pop.make_address(d, d.delegation, true, dev_rng);
-        pop.devices_.push_back(std::move(d));
       }
+      return AsCategory::kCableDslIsp;
+    };
+
+    const CountryParams& country = countries[batch.country];
+    for (std::uint64_t i = 0; i < batch.n; ++i) {
+      util::Rng dev_rng = root.stream("device").stream(next_id);
+      AsCategory cat = pick_category(dev_rng);
+      const Candidates& cand =
+          candidates[batch.country][static_cast<std::size_t>(cat)];
+      if (cand.ases.empty()) continue;
+      const AsInfo* as = cand.ases[dev_rng.pick_weighted(cand.weights)];
+
+      bool eyeball_numbering = cat != AsCategory::kHosting;
+      Device& d = pop.devices_.emplace_back();
+      d.id = next_id++;
+      d.profile = &profile;
+      d.asn = as->number;
+      d.country = country.code;
+      d.delegation =
+          pop.allocate_delegation(as->number, eyeball_numbering, dev_rng);
+      pop.instantiate_services(d, dev_rng);
+      d.initial_address = pop.make_address(d, d.delegation, true, dev_rng);
     }
   }
   return pop;

@@ -3,6 +3,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "ntp/ntp_packet.hpp"
 #include "ntp/ntp_server.hpp"
@@ -135,7 +136,10 @@ class DeviceRuntime {
     if (device_.any_service()) bind_services(current_);
 
     if (world_.config_.enable_churn && has_churn()) schedule_churn();
-    if (device_.uses_pool && world_.pool_) schedule_poll(true);
+    if (device_.uses_pool && world_.pool_) {
+      zone_ = world_.pool_->zone(device_.country);
+      schedule_poll(true);
+    }
   }
 
   const net::Ipv6Address& address() const { return current_; }
@@ -158,9 +162,8 @@ class DeviceRuntime {
   void release_address(const net::Ipv6Address& addr) {
     {
       std::lock_guard<std::mutex> lock(world_.owner_mu_);  // ttslint: allow(thread-confine) reason=owner_mu_ protocol: address claim/release races across shards
-      auto it = world_.address_owner_.find(addr);
-      if (it != world_.address_owner_.end() && it->second == device_.id)
-        world_.address_owner_.erase(it);
+      const std::uint32_t* owner = world_.address_owner_.find(addr);
+      if (owner && *owner == device_.id) world_.address_owner_.erase(addr);
     }
     if (device_.any_service()) world_.network_.detach(addr);
   }
@@ -223,7 +226,7 @@ class DeviceRuntime {
   }
 
   void do_poll() {
-    auto server = world_.pool_->resolve(device_.country, rng_);
+    auto server = world_.pool_->resolve(zone_, rng_);
     if (!server) return;
     world_.ntp_polls_sent_.fetch_add(1, std::memory_order_relaxed);
 
@@ -238,15 +241,21 @@ class DeviceRuntime {
 
     auto request = ntp::NtpPacket::client_request(world_.network_.now());
     auto expected_origin = request.transmit_time;
-    world_.network_.bind_udp(src_ep, [this, src_ep, expected_origin](
-                                         const simnet::Datagram& dg) {
+    // The reply arrives on the endpoint the handler is bound to, so it
+    // unbinds dg.dst: the capture stays at 16 trivially copyable bytes,
+    // which std::function keeps inline (no allocation per bind or per
+    // delivery).
+    auto on_reply = [this, expected_origin](const simnet::Datagram& dg) {
       auto response = ntp::NtpPacket::parse(dg.payload);
       // RFC 5905 sanity tests: drop and keep waiting on mismatch.
       if (response && response->origin_time == expected_origin &&
           response->mode == ntp::NtpMode::kServer) {
-        world_.network_.unbind_udp(src_ep);
+        world_.network_.unbind_udp(dg.dst);
       }
-    });
+    };
+    static_assert(sizeof(on_reply) <= 16 &&
+                  std::is_trivially_copyable_v<decltype(on_reply)>);
+    world_.network_.bind_udp(src_ep, on_reply);
     world_.network_.send_udp(src_ep, dst_ep, request.serialize());
     // Reclaim the ephemeral port even if the response never arrives.
     world_.network_.events().schedule_in(
@@ -432,6 +441,7 @@ class DeviceRuntime {
   std::vector<net::Ipv6Address> extras_;
   std::vector<net::Ipv6Address> history_;
   std::uint16_t next_ephemeral_ = 33000;
+  ntp::NtpPool::ZoneHandle zone_;  // the pool zone this device resolves
 };
 
 // ----------------------------------------------------------- InternetRuntime
@@ -519,9 +529,9 @@ const Device* InternetRuntime::device_at(const net::Ipv6Address& addr) const {
   std::uint32_t id = 0;
   {
     std::lock_guard<std::mutex> lock(owner_mu_);  // ttslint: allow(thread-confine) reason=owner_mu_ protocol: device_at() resolves owners from every domain
-    auto it = address_owner_.find(addr);
-    if (it == address_owner_.end()) return nullptr;
-    id = it->second;
+    const std::uint32_t* owner = address_owner_.find(addr);
+    if (!owner) return nullptr;
+    id = *owner;
   }
   return &population_.devices().at(id - 1);
 }

@@ -18,6 +18,7 @@
 #include "ntp/pool.hpp"
 #include "proto/tlslite.hpp"
 #include "simnet/network.hpp"
+#include "util/flat_map.hpp"
 
 namespace tts::inet {
 
@@ -88,7 +89,7 @@ class InternetRuntime {
   /// addresses concurrently, and hitlist partials call device_at() from
   /// every domain.
   mutable std::mutex owner_mu_;  // ttslint: allow(thread-confine) reason=guards cross-shard address ownership (documented above)
-  std::unordered_map<net::Ipv6Address, std::uint32_t, net::Ipv6AddressHash>
+  util::FlatMap<net::Ipv6Address, std::uint32_t, net::Ipv6AddressFlatHash>
       address_owner_;
   // ttslint: allow(thread-confine) reason=relaxed study counter bumped on any domain, read at barriers
   std::atomic<std::uint64_t> churn_events_{0};

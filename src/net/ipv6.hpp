@@ -103,6 +103,22 @@ struct Ipv6AddressHash {
   }
 };
 
+/// The hash for util::FlatMap tables keyed by address: a 64-bit finalizer
+/// over both halves, so the table's low-bit slot index spreads even
+/// structured addresses (one IID across many prefixes, sequential
+/// subnets).
+struct Ipv6AddressFlatHash {
+  std::size_t operator()(const Ipv6Address& a) const {
+    std::uint64_t h = (a.hi64() * 0x9e3779b97f4a7c15ULL) ^ a.lo64();
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Network masks of a /len prefix (0..128) over an address's two halves.
 constexpr std::uint64_t prefix_mask_hi(unsigned len) {
   return len == 0 ? 0 : len >= 64 ? ~0ULL : ~0ULL << (64 - len);

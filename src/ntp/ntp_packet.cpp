@@ -31,23 +31,28 @@ simnet::SimTime from_ntp_time(const NtpTimestamp& ts,
   return delta_sec * 1000000 + frac_usec;
 }
 
-std::vector<std::uint8_t> NtpPacket::serialize() const {
-  net::PacketWriter w(kWireSize);
-  w.u8(static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(leap) << 6) |
-      ((version & 0x7) << 3) |
-      (static_cast<std::uint8_t>(mode) & 0x7)));
-  w.u8(stratum);
-  w.u8(static_cast<std::uint8_t>(poll));
-  w.u8(static_cast<std::uint8_t>(precision));
-  w.u32(root_delay);
-  w.u32(root_dispersion);
-  w.u32(reference_id);
-  w.u64(reference_time.to_u64());
-  w.u64(origin_time.to_u64());
-  w.u64(receive_time.to_u64());
-  w.u64(transmit_time.to_u64());
-  return w.take();
+NtpPacket::Wire NtpPacket::serialize() const {
+  Wire wire{};
+  std::size_t at = 0;
+  // Big-endian, most significant byte first (RFC 5905 network order).
+  auto put = [&wire, &at](std::uint64_t v, int bytes) {
+    for (int b = bytes - 1; b >= 0; --b)
+      wire[at++] = static_cast<std::uint8_t>(v >> (8 * b));
+  };
+  put((static_cast<std::uint8_t>(leap) << 6) | ((version & 0x7) << 3) |
+          (static_cast<std::uint8_t>(mode) & 0x7),
+      1);
+  put(stratum, 1);
+  put(static_cast<std::uint8_t>(poll), 1);
+  put(static_cast<std::uint8_t>(precision), 1);
+  put(root_delay, 4);
+  put(root_dispersion, 4);
+  put(reference_id, 4);
+  put(reference_time.to_u64(), 8);
+  put(origin_time.to_u64(), 8);
+  put(receive_time.to_u64(), 8);
+  put(transmit_time.to_u64(), 8);
+  return wire;
 }
 
 std::optional<NtpPacket> NtpPacket::parse(

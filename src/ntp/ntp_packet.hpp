@@ -7,10 +7,10 @@
 // come from the simulation clock mapped into the NTP era-0 timescale.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "simnet/time.hpp"
 
@@ -84,8 +84,10 @@ struct NtpPacket {
   NtpTimestamp transmit_time;  // T3
 
   static constexpr std::size_t kWireSize = 48;
+  using Wire = std::array<std::uint8_t, kWireSize>;
 
-  std::vector<std::uint8_t> serialize() const;
+  /// The 48-byte header, written in place (no allocation).
+  Wire serialize() const;
 
   /// Strict parse of the 48-byte header. Extension fields/MACs after the
   /// header are tolerated and ignored (real pool traffic carries them).

@@ -59,11 +59,26 @@ class NtpPool {
   // ttslint: barrier_only
   void set_monitor_score(const net::Ipv6Address& address, int score);
 
-  /// GeoDNS resolution for a client in `country`, following the pool's
+  /// A client's GeoDNS zone, looked up once and kept (a device takes its
+  /// handle at bring-up). It names its country's row, or — for a country
+  /// with no servers — its continent's fallback row; it stays valid across
+  /// every mutator, but a country's first add_server does not redirect
+  /// the handles taken before it.
+  struct ZoneHandle {
+    std::uint32_t row = 0;
+  };
+  ZoneHandle zone(const std::string& country) const;
+
+  /// GeoDNS resolution for a client in the zone, following the pool's
   /// zone hierarchy: country zone, else continent zone, else the global
-  /// zone (Moura et al.'s mapping), else nullopt.
-  std::optional<net::Ipv6Address> resolve(const std::string& country,
+  /// zone (Moura et al.'s mapping), else nullopt. One weighted draw over
+  /// the zone's prebuilt row: no allocation, no string hash.
+  std::optional<net::Ipv6Address> resolve(ZoneHandle zone,
                                           util::Rng& rng) const;
+  std::optional<net::Ipv6Address> resolve(const std::string& country,
+                                          util::Rng& rng) const {
+    return resolve(zone(country), rng);
+  }
 
   /// Expected fraction of `country` zone traffic landing on our servers —
   /// the quantity the paper tunes via netspeed (Section 3.1).
@@ -92,14 +107,29 @@ class NtpPool {
   std::uint64_t promotions() const { return promotions_.value(); }
 
  private:
-  /// Netspeed-weighted pick; returns an index into servers_, or nullopt.
-  std::optional<std::size_t> pick_from(const std::vector<std::size_t>& zone,
-                                       util::Rng& rng) const;
-  std::vector<std::size_t> eligible_in_zone(const std::string& country) const;
+  /// What resolve() draws from in one zone: the rotation-eligible servers
+  /// (indexes into servers_, in the zone's add order) and their netspeeds.
+  /// A zone without one takes its continent's, else the global, fallback
+  /// set and is marked `fallback`.
+  struct ZoneRow {
+    std::vector<std::size_t> members;  // every server of a country zone
+    std::vector<std::size_t> eligible;
+    std::vector<double> weights;  // netspeed of each eligible server
+    bool fallback = true;         // nothing of its own (an empty pool)
+  };
+  /// Rows 0..kContinents-1 are the continent fallbacks (the last is the
+  /// global zone); each country zone appends its row at its first server.
+  static constexpr std::size_t kContinents = 7;
+
+  /// Recompute every row's eligible set from the servers' current scores
+  /// and netspeeds. Every mutator calls it, so resolve() only reads.
+  void rebuild_rows();
   void enroll_server(std::size_t index);
 
   std::vector<PoolEntry> servers_;
-  std::unordered_map<std::string, std::vector<std::size_t>> zones_;
+  std::vector<std::uint8_t> continents_;  // continent row of each server
+  std::vector<ZoneRow> rows_ = std::vector<ZoneRow>(kContinents);
+  std::unordered_map<std::string, std::uint32_t> zone_rows_;
   // Deque keeps counter addresses stable as servers are appended; mutable
   // because resolve() is logically const but counts its selections.
   mutable std::deque<obs::Counter> selections_;

@@ -50,6 +50,8 @@ struct ProbeState {
   /// The TLS session of a TLS probe. Its callbacks capture this state, so
   /// finish() drops them to break the cycle.
   std::shared_ptr<TlsClientSession> tls;
+  /// The message id a CoAP probe's reply must echo.
+  std::uint16_t coap_message_id = 0;
   bool finished = false;
 
   /// Send one protocol message, framed as TLS application data when the
@@ -290,18 +292,23 @@ void ScanEngine::probe_coap(const std::shared_ptr<ProbeState>& probe) {
   simnet::Endpoint dst{probe->record.target, port_of(Protocol::kCoap)};
   std::uint16_t message_id = next_coap_message_id_++;
   std::uint64_t token = 0x9e3779b9u ^ (message_id * 2654435761u);
+  probe->coap_message_id = message_id;
 
-  network_.bind_udp(probe->src, [probe,
-                                 message_id](const simnet::Datagram& dg) {
+  // The handler holds a raw pointer, so std::function keeps it inline and
+  // no delivery copies it to the heap. The guard below owns the state;
+  // every finish() path runs complete_probe, which unbinds this handler
+  // before the guard can let the state die.
+  ProbeState* state = probe.get();
+  network_.bind_udp(probe->src, [state](const simnet::Datagram& dg) {
     auto response = proto::CoapMessage::parse(dg.payload);
-    if (!response || response->message_id != message_id ||
+    if (!response || response->message_id != state->coap_message_id ||
         response->code != proto::kCoapContent) {
-      probe->finish(Outcome::kMalformed);
+      state->finish(Outcome::kMalformed);
       return;
     }
     std::string payload(response->payload.begin(), response->payload.end());
-    probe->record.coap_resources = proto::parse_link_format(payload);
-    probe->finish(Outcome::kSuccess);
+    state->record.coap_resources = proto::parse_link_format(payload);
+    state->finish(Outcome::kSuccess);
   });
   network_.send_udp(
       probe->src, dst,

@@ -1,6 +1,9 @@
 #include "simnet/network.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
+#include <type_traits>
 
 namespace tts::simnet {
 
@@ -33,6 +36,24 @@ void bind_port(PortTable<Fn>& table, std::uint16_t port, Fn fn) {
 template <typename Fn>
 void unbind_port(PortTable<Fn>& table, std::uint16_t port) {
   std::erase_if(table, [port](const auto& b) { return b.first == port; });
+}
+
+/// Frees a datagram made by make_datagram: its header is trivially
+/// destructible, so releasing the block is all there is to do.
+struct DatagramFree {
+  void operator()(Datagram* dg) const { ::operator delete(dg); }
+};
+using DatagramPtr = std::unique_ptr<Datagram, DatagramFree>;
+static_assert(std::is_trivially_destructible_v<Datagram>);
+
+/// One allocation holding the header and, right behind it, a copy of
+/// `bytes`, which the header's payload span views.
+DatagramPtr make_datagram(const Endpoint& src, const Endpoint& dst,
+                          std::span<const std::uint8_t> bytes) {
+  void* block = ::operator new(sizeof(Datagram) + bytes.size());
+  auto* data = static_cast<std::uint8_t*>(block) + sizeof(Datagram);
+  if (!bytes.empty()) std::memcpy(data, bytes.data(), bytes.size());
+  return DatagramPtr(new (block) Datagram{src, dst, {data, bytes.size()}});
 }
 
 }  // namespace
@@ -180,7 +201,7 @@ void Network::detach(const net::Ipv6Address& addr) {
   if (!host || host->refs == 0) return;
   if (--host->refs > 0) return;
   --online_count_;
-  hosts_.erase(addr);  // and with it every binding on this address
+  erase_host(addr, *host);  // and with it every binding on this address
 }
 
 bool Network::online(const net::Ipv6Address& addr) const {
@@ -194,9 +215,17 @@ std::size_t Network::online_count() const {
   return online_count_;
 }
 
-void Network::drop_if_idle(const net::Ipv6Address& addr, const Host& host) {
+void Network::drop_if_idle(const net::Ipv6Address& addr, Host& host) {
   if (host.refs == 0 && host.udp.empty() && host.tcp.empty())
-    hosts_.erase(addr);
+    erase_host(addr, host);
+}
+
+void Network::erase_host(const net::Ipv6Address& addr, Host& host) {
+  if (spare_udp_.capacity() == 0 && host.udp.capacity() > 0) {
+    host.udp.clear();
+    spare_udp_ = std::move(host.udp);
+  }
+  hosts_.erase(addr);
 }
 
 SimDuration Network::base_latency(const net::Ipv6Address& a,
@@ -232,7 +261,9 @@ void Network::run_taps(TransportProto proto, const Endpoint& src,
 
 void Network::bind_udp(const Endpoint& ep, UdpHandler handler) {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  bind_port(hosts_[ep.addr].udp, ep.port, std::move(handler));
+  Host& host = hosts_[ep.addr];
+  if (host.udp.capacity() == 0) host.udp.swap(spare_udp_);
+  bind_port(host.udp, ep.port, std::move(handler));
 }
 
 void Network::unbind_udp(const Endpoint& ep) {
@@ -244,7 +275,7 @@ void Network::unbind_udp(const Endpoint& ep) {
 }
 
 void Network::send_udp(const Endpoint& src, const Endpoint& dst,
-                       std::vector<std::uint8_t> payload) {
+                       std::span<const std::uint8_t> payload) {
   udp_sent_.fetch_add(1, std::memory_order_relaxed);
   run_taps(TransportProto::kUdp, src, dst, payload.size());
   const SimTime now = events_.now();
@@ -260,9 +291,8 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
   DomainId dst_dom = map_ ? map_->domain_of(dst.addr) : 0;
   // The datagram travels as one allocation the delivery hands to the
   // handler as-is: the event's capture stays inline and the payload is
-  // never copied.
-  auto deliver = [this, dg = std::make_unique<Datagram>(
-                            Datagram{src, dst, std::move(payload)})] {
+  // copied only into it.
+  auto deliver = [this, dg = make_datagram(src, dst, payload)] {
     UdpHandler handler;
     {
       std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,10 +53,13 @@ struct Endpoint {
   friend auto operator<=>(const Endpoint&, const Endpoint&) = default;
 };
 
+/// A UDP datagram as its receiver sees it. The payload bytes live in the
+/// same allocation as this header, right behind it (see send_udp), and
+/// stay valid while the handler runs.
 struct Datagram {
   Endpoint src;
   Endpoint dst;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 };
 
 /// Observed by taps for both UDP payloads and TCP connection attempts.
@@ -196,9 +200,10 @@ class Network {
   // -- UDP -------------------------------------------------------------------
   void bind_udp(const Endpoint& ep, UdpHandler handler);
   void unbind_udp(const Endpoint& ep);
-  /// Fire-and-forget send; lost/blackholed datagrams vanish.
+  /// Fire-and-forget send; lost/blackholed datagrams vanish. The bytes
+  /// are copied once, into the datagram's single allocation.
   void send_udp(const Endpoint& src, const Endpoint& dst,
-                std::vector<std::uint8_t> payload);
+                std::span<const std::uint8_t> payload);
 
   // -- TCP -------------------------------------------------------------------
   void listen_tcp(const Endpoint& ep, TcpAcceptor acceptor);
@@ -314,27 +319,17 @@ class Network {
     std::vector<std::pair<std::uint16_t, UdpHandler>> udp;
     std::vector<std::pair<std::uint16_t, TcpAcceptor>> tcp;
   };
-  /// The host table's hash: a 64-bit finalizer over both halves, so the
-  /// flat table's low-bit slot index spreads even structured addresses
-  /// (one IID across many prefixes, sequential subnets).
-  struct HostHash {
-    std::size_t operator()(const net::Ipv6Address& a) const {
-      std::uint64_t h = (a.hi64() * 0x9e3779b97f4a7c15ULL) ^ a.lo64();
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-      h *= 0xc4ceb9fe1a85ec53ULL;
-      h ^= h >> 33;
-      return static_cast<std::size_t>(h);
-    }
-  };
   /// Open-addressed {address, index} slots over a dense Host array (see
   /// util/flat_map.hpp); nothing iterates it, so its order never matters.
-  using HostMap = util::FlatMap<net::Ipv6Address, Host, HostHash>;
+  using HostMap =
+      util::FlatMap<net::Ipv6Address, Host, net::Ipv6AddressFlatHash>;
 
   /// Erase `addr`'s entry once it is offline and holds no binding.
   /// Requires maps_mu_.
-  void drop_if_idle(const net::Ipv6Address& addr, const Host& host);
+  void drop_if_idle(const net::Ipv6Address& addr, Host& host);
+  /// Erase `addr`'s entry, keeping its UDP table's buffer in spare_udp_
+  /// when that is empty. Requires maps_mu_.
+  void erase_host(const net::Ipv6Address& addr, Host& host);
   /// Whether `dst` is online; copies its acceptor into `acceptor`: the
   /// exact listener, else a wildcard prefix listener (whose region counts
   /// as online), else none.
@@ -345,6 +340,11 @@ class Network {
   mutable std::mutex maps_mu_;  // ttslint: allow(thread-confine) reason=guards the host table against cross-domain insert/erase (documented above)
   HostMap hosts_;
   std::size_t online_count_ = 0;  // hosts_ entries with refs > 0
+  /// An empty UDP binding table with capacity, left by an erased entry
+  /// for the next entry that binds: a device polling from an address it
+  /// never attached creates and drops an entry per poll, and reusing the
+  /// buffer keeps that round trip free of a table allocation.
+  std::vector<std::pair<std::uint16_t, UdpHandler>> spare_udp_;
 
   struct Tap {
     std::uint64_t id;

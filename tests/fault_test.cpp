@@ -346,8 +346,10 @@ TEST_F(FaultNetworkTest, UdpBlackholeRuleSwallowsDatagrams) {
                     [&](const Datagram&) { faulty_got = true; });
   network_.bind_udp({addr(kCleanNet, 1), 123},
                     [&](const Datagram&) { clean_got = true; });
-  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123}, {1});
-  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kCleanNet, 1), 123}, {1});
+  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123},
+                    std::vector<std::uint8_t>{1});
+  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kCleanNet, 1), 123},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_FALSE(faulty_got);
   EXPECT_TRUE(clean_got);
@@ -364,7 +366,8 @@ TEST_F(FaultNetworkTest, DelayRuleAddsLatencyToDelivery) {
   SimTime delivered_at = -1;
   network_.bind_udp({addr(kFaultyNet, 1), 123},
                     [&](const Datagram&) { delivered_at = events_.now(); });
-  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123}, {1});
+  network_.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   ASSERT_GE(delivered_at, 0);
   EXPECT_GE(delivered_at, sec(2) + msec(10));
@@ -459,13 +462,15 @@ TEST_F(FaultNetworkTest, HostOutageBlackholesItsUdpAndTcp) {
   bool got = false;
   network_.bind_udp({host, 123}, [&](const Datagram&) { got = true; });
 
-  network_.send_udp({addr(kCleanNet, 2), 1}, {host, 123}, {1});
+  network_.send_udp({addr(kCleanNet, 2), 1}, {host, 123},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_FALSE(got);
 
   // After the window the same binding answers again: outage, not detach.
   events_.schedule_at(sec(31), [&] {
-    network_.send_udp({addr(kCleanNet, 2), 1}, {host, 123}, {2});
+    network_.send_udp({addr(kCleanNet, 2), 1}, {host, 123},
+                      std::vector<std::uint8_t>{2});
   });
   events_.run();
   EXPECT_TRUE(got);
@@ -481,7 +486,8 @@ TEST_F(FaultNetworkTest, InstrumentsEnrollIntoRegistry) {
   scenario.rules.push_back(
       {.prefix = faulty_prefix(), .kind = FaultKind::kBlackhole});
   network.install_faults(scenario, &registry);
-  network.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123}, {1});
+  network.send_udp({addr(kCleanNet, 2), 1}, {addr(kFaultyNet, 1), 123},
+                   std::vector<std::uint8_t>{1});
   events_.run();
 
   auto snapshot = registry.snapshot(events_.now());

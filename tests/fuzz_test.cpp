@@ -76,8 +76,8 @@ TEST(Fuzz, NtpPacketParser) {
     }
   };
   fuzz_random(parse);
-  fuzz_mutations(ntp::NtpPacket::client_request(simnet::sec(7)).serialize(),
-                 parse);
+  auto wire = ntp::NtpPacket::client_request(simnet::sec(7)).serialize();
+  fuzz_mutations({wire.begin(), wire.end()}, parse);
 }
 
 TEST(Fuzz, TlsDecoder) {

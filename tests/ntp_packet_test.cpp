@@ -80,7 +80,8 @@ TEST(NtpPacket, ParseRejectsShortAndVersionZero) {
 }
 
 TEST(NtpPacket, ParseToleratesTrailingExtensions) {
-  auto wire = NtpPacket::client_request(simnet::sec(5)).serialize();
+  auto header = NtpPacket::client_request(simnet::sec(5)).serialize();
+  std::vector<std::uint8_t> wire(header.begin(), header.end());
   wire.resize(wire.size() + 20, 0xee);  // extension field junk
   auto parsed = NtpPacket::parse(wire);
   ASSERT_TRUE(parsed);

@@ -64,7 +64,8 @@ TEST_F(NtpServerTest, DropsMalformedAndNonClientModes) {
   NtpServer server(network_, server_config(1, 0), &collector_);
   network_.attach(addr(100));
   // Garbage payload.
-  network_.send_udp({addr(100), 5000}, {addr(1), kNtpPort}, {1, 2, 3});
+  network_.send_udp({addr(100), 5000}, {addr(1), kNtpPort},
+                    std::vector<std::uint8_t>{1, 2, 3});
   // A mode-4 (server) packet must not be answered.
   auto response_packet = NtpPacket::server_response(
       NtpPacket::client_request(0), 0, 0, 2, 1);

@@ -179,7 +179,8 @@ TEST_F(RouteNetworkTest, UdpIntoWithdrawnSpaceVanishesAndReturns) {
   network_.bind_udp({addr(kAsNet, 1), 123},
                     [&](const Datagram&) { ++delivered; });
   auto send = [&] {
-    network_.send_udp({addr(kOtherNet, 2), 1}, {addr(kAsNet, 1), 123}, {1});
+    network_.send_udp({addr(kOtherNet, 2), 1}, {addr(kAsNet, 1), 123},
+                      std::vector<std::uint8_t>{1});
   };
   send();                                // before the withdrawal: delivered
   events_.schedule_at(sec(15), send);    // during: blackholed
@@ -226,7 +227,8 @@ TEST_F(RouteNetworkTest, RouteVerdictPrecedesFaultRules) {
   scenario.withdraw(as_prefix(), 0);
   network_.install_routes(std::move(scenario));
 
-  network_.send_udp({addr(kOtherNet, 2), 1}, {addr(kAsNet, 1), 123}, {1});
+  network_.send_udp({addr(kOtherNet, 2), 1}, {addr(kAsNet, 1), 123},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_EQ(network_.routes()->blackholed(), 1u);
   EXPECT_EQ(network_.faults()->udp_dropped(), 0u);

@@ -198,17 +198,18 @@ TEST_F(NetworkTest, UdpDeliversToBoundEndpoint) {
   Endpoint client{addr(2), 1234};
   std::vector<std::uint8_t> received;
   network_.bind_udp(server, [&](const Datagram& dg) {
-    received = dg.payload;
+    received.assign(dg.payload.begin(), dg.payload.end());
     EXPECT_EQ(dg.src, client);
   });
-  network_.send_udp(client, server, {1, 2, 3});
+  network_.send_udp(client, server, std::vector<std::uint8_t>{1, 2, 3});
   events_.run();
   EXPECT_EQ(received, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(network_.udp_delivered(), 1u);
 }
 
 TEST_F(NetworkTest, UdpToUnboundIsSilent) {
-  network_.send_udp({addr(2), 1}, {addr(1), 9000}, {1});
+  network_.send_udp({addr(2), 1}, {addr(1), 9000},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_EQ(network_.udp_delivered(), 0u);
   EXPECT_EQ(network_.udp_sent(), 1u);
@@ -309,7 +310,7 @@ TEST_F(NetworkTest, DetachDropsBindingsAndRefcounts) {
   network_.detach(addr(1));
   EXPECT_FALSE(network_.online(addr(1)));
   // Binding gone: datagram is silent.
-  network_.send_udp({addr(2), 1}, {addr(1), 5}, {1});
+  network_.send_udp({addr(2), 1}, {addr(1), 5}, std::vector<std::uint8_t>{1});
   // Listener gone and host offline: the connect blackholes, not refused.
   int timeouts = 0;
   SimTime start = events_.now();
@@ -344,8 +345,8 @@ TEST_F(NetworkTest, DetachLeavesNeighbourBindingsDelivering) {
   network_.listen_tcp({addr(3), 80}, [&](TcpConnectionPtr) { ++accepted3; });
   network_.detach(addr(1));
   EXPECT_TRUE(network_.online(addr(3)));
-  network_.send_udp({addr(2), 1}, {addr(1), 5}, {1});
-  network_.send_udp({addr(2), 1}, {addr(3), 5}, {1});
+  network_.send_udp({addr(2), 1}, {addr(1), 5}, std::vector<std::uint8_t>{1});
+  network_.send_udp({addr(2), 1}, {addr(3), 5}, std::vector<std::uint8_t>{1});
   bool established = false;
   network_.connect_tcp({addr(2), 2}, {addr(3), 80},
                        [&](TcpConnectionPtr conn, bool) {
@@ -366,12 +367,14 @@ TEST_F(NetworkTest, OfflineBindingSurvivesUnrelatedDetach) {
   network_.attach(addr(3));
   network_.detach(addr(3));
   network_.detach(addr(1));  // never attached: a no-op
-  network_.send_udp({addr(2), 123}, {addr(1), 33000}, {1});
+  network_.send_udp({addr(2), 123}, {addr(1), 33000},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_EQ(got, 1);
   network_.attach(addr(1));
   network_.detach(addr(1));
-  network_.send_udp({addr(2), 123}, {addr(1), 33000}, {1});
+  network_.send_udp({addr(2), 123}, {addr(1), 33000},
+                    std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_EQ(got, 1);
 }
@@ -380,7 +383,7 @@ TEST_F(NetworkTest, RebindingAPortReplacesTheHandler) {
   int first = 0, second = 0;
   network_.bind_udp({addr(1), 9}, [&](const Datagram&) { ++first; });
   network_.bind_udp({addr(1), 9}, [&](const Datagram&) { ++second; });
-  network_.send_udp({addr(2), 1}, {addr(1), 9}, {1});
+  network_.send_udp({addr(2), 1}, {addr(1), 9}, std::vector<std::uint8_t>{1});
   network_.attach(addr(1));
   int first_tcp = 0, second_tcp = 0;
   network_.listen_tcp({addr(1), 80}, [&](TcpConnectionPtr) { ++first_tcp; });
@@ -394,7 +397,7 @@ TEST_F(NetworkTest, RebindingAPortReplacesTheHandler) {
   EXPECT_EQ(second_tcp, 1);
   // One unbind removes the port: no stale first handler is left behind.
   network_.unbind_udp({addr(1), 9});
-  network_.send_udp({addr(2), 1}, {addr(1), 9}, {2});
+  network_.send_udp({addr(2), 1}, {addr(1), 9}, std::vector<std::uint8_t>{2});
   events_.run();
   EXPECT_EQ(first + second, 1);
 }
@@ -468,7 +471,8 @@ TEST_F(NetworkTest, TapsSeeTrafficToUnboundAddresses) {
   network_.connect_tcp({addr(5), 1}, {addr(6), 3389},
                        [](TcpConnectionPtr, bool) {}, sec(1));
   // UDP datagram to a dark address.
-  network_.send_udp({addr(5), 1}, {addr(7), 5683}, {1, 2});
+  network_.send_udp({addr(5), 1}, {addr(7), 5683},
+                    std::vector<std::uint8_t>{1, 2});
   events_.run();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].proto, TransportProto::kTcp);
@@ -481,10 +485,10 @@ TEST_F(NetworkTest, TapRemoval) {
   auto monitored = *net::Ipv6Prefix::parse("2400:1::/32");
   int count = 0;
   auto id = network_.add_tap(monitored, [&](const TapEvent&) { ++count; });
-  network_.send_udp({addr(5), 1}, {addr(7), 1}, {1});
+  network_.send_udp({addr(5), 1}, {addr(7), 1}, std::vector<std::uint8_t>{1});
   events_.run();
   network_.remove_tap(id);
-  network_.send_udp({addr(5), 1}, {addr(7), 1}, {1});
+  network_.send_udp({addr(5), 1}, {addr(7), 1}, std::vector<std::uint8_t>{1});
   events_.run();
   EXPECT_EQ(count, 1);
 }
@@ -554,8 +558,9 @@ TEST_F(NetworkTest, UnbindDuringDeliveryIsSafe) {
     ++received;
     network_.unbind_udp(ep);
   });
-  network_.send_udp({addr(4), 1}, ep, {1});
-  network_.send_udp({addr(4), 1}, ep, {2});  // after unbind: silent
+  network_.send_udp({addr(4), 1}, ep, std::vector<std::uint8_t>{1});
+  network_.send_udp({addr(4), 1}, ep,
+                    std::vector<std::uint8_t>{2});  // after unbind: silent
   events_.run();
   EXPECT_EQ(received, 1);
 }
