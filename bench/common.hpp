@@ -92,10 +92,11 @@ inline void emit_bench_json(const std::string& name, const std::string& scale,
 /// (events, addresses, probes, pending peak, token wait) are bit-stable for
 /// a given seed and scale; the wall metrics (mean dispatch time,
 /// wall_seconds, throughput, RSS) vary with the machine — tools/benchdiff
-/// applies a separate tolerance to them.
+/// applies a separate tolerance to them. `extra` metrics follow the counts.
 inline void emit_bench_json(const std::string& name,
                             const core::Study& study, double wall_seconds,
-                            const std::string& scale) {
+                            const std::string& scale,
+                            const BenchMetrics& extra = {}) {
   BenchMetrics metrics;
   auto add_u64 = [&metrics](const std::string& key, std::uint64_t v) {
     metrics.emplace_back(key, std::to_string(v));
@@ -128,6 +129,7 @@ inline void emit_bench_json(const std::string& name,
   add_u64("scan_pending_peak", pending_peak);
   if (const scan::ScanEngine* ntp = study.ntp_engine())
     add_i64("token_wait_p95_us", ntp->token_wait().percentile(0.95));
+  metrics.insert(metrics.end(), extra.begin(), extra.end());
 
   const obs::Histogram& dispatch =
       study.network().events().dispatch_wall_ns();

@@ -1,8 +1,15 @@
 // Section 3.2: "we see a constant rate of new addresses over the complete
 // collection period" — the daily first-sighting timeline of the collector.
+//
+// The perf-smoke lane compares this binary's sample against the committed
+// BENCH_sec3_timeline.json. allocs_per_probe is the study's operator new
+// calls divided by the probes it launched: a function of the simulation
+// and the standard library, so it is gated like the counts.
 #include <algorithm>
+#include <cstdio>
 #include <iostream>
 
+#include "alloc_count.hpp"
 #include "common.hpp"
 #include "core/study.hpp"
 #include "util/format.hpp"
@@ -23,10 +30,21 @@ int main() {
   config.obs.enabled = true;
   core::Study study(config);
   std::int64_t t0 = bench::bench_wall_ns();
+  std::uint64_t allocs_before = bench::allocations();
   study.run();
+  std::uint64_t allocs = bench::allocations() - allocs_before;
   double wall_seconds =
       static_cast<double>(bench::bench_wall_ns() - t0) / 1e9;
-  bench::emit_bench_json("sec3_timeline", study, wall_seconds, "tiny");
+  std::uint64_t probes = 0;
+  for (const scan::ScanEngine* engine :
+       {study.ntp_engine(), study.hitlist_engine()})
+    if (engine) probes += engine->probes_launched();
+  char allocs_per_probe[32];
+  std::snprintf(allocs_per_probe, sizeof allocs_per_probe, "%.6g",
+                static_cast<double>(allocs) /
+                    static_cast<double>(std::max<std::uint64_t>(1, probes)));
+  bench::emit_bench_json("sec3_timeline", study, wall_seconds, "tiny",
+                         {{"allocs_per_probe", allocs_per_probe}});
 
   const auto& daily = study.collector().daily_new();
   std::vector<std::pair<std::int64_t, std::uint64_t>> days(daily.begin(),

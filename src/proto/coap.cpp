@@ -11,10 +11,10 @@ std::vector<std::uint8_t> CoapMessage::serialize() const {
   w.u8(static_cast<std::uint8_t>(
       (1u << 6) |  // version 1
       (static_cast<std::uint8_t>(type) << 4) |
-      (token.size() & 0x0f)));
+      (token.size & 0x0f)));
   w.u8(code);
   w.u16(message_id);
-  w.bytes(token);
+  w.bytes(token.view());
 
   // Options must be emitted in ascending option-number order with delta
   // encoding; we only emit Uri-Path (11) then Content-Format (12).
@@ -59,11 +59,12 @@ std::optional<CoapMessage> CoapMessage::parse(
     CoapMessage m;
     m.type = static_cast<CoapType>((head >> 4) & 0x3);
     std::uint8_t tkl = head & 0x0f;
-    if (tkl > 8) return std::nullopt;
+    if (tkl > CoapToken::kMaxSize) return std::nullopt;
     m.code = r.u8();
     m.message_id = r.u16();
     auto tok = r.bytes(tkl);
-    m.token.assign(tok.begin(), tok.end());
+    std::copy(tok.begin(), tok.end(), m.token.bytes.begin());
+    m.token.size = tkl;
 
     std::uint16_t option = 0;
     while (r.remaining() > 0) {
@@ -98,7 +99,8 @@ CoapMessage CoapMessage::well_known_core(std::uint16_t message_id,
   m.code = kCoapGet;
   m.message_id = message_id;
   for (int i = 0; i < 4; ++i)
-    m.token.push_back(static_cast<std::uint8_t>(token >> (24 - 8 * i)));
+    m.token.bytes[i] = static_cast<std::uint8_t>(token >> (24 - 8 * i));
+  m.token.size = 4;
   m.uri_path = {".well-known", "core"};
   return m;
 }

@@ -5,6 +5,8 @@
 // from the RFC 6690 link-format payload (Section 4.3.3).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -30,11 +32,24 @@ inline constexpr std::uint16_t kOptionUriPath = 11;
 inline constexpr std::uint16_t kOptionContentFormat = 12;
 inline constexpr std::uint8_t kContentFormatLinkFormat = 40;
 
+/// A message token. RFC 7252 caps its length (TKL) at 8 bytes, so it lives
+/// inline: parsing a reply that echoes a token allocates nothing for it.
+struct CoapToken {
+  static constexpr std::size_t kMaxSize = 8;
+  std::array<std::uint8_t, kMaxSize> bytes{};
+  std::uint8_t size = 0;  // at most kMaxSize
+
+  std::span<const std::uint8_t> view() const { return {bytes.data(), size}; }
+  friend bool operator==(const CoapToken& a, const CoapToken& b) {
+    return std::ranges::equal(a.view(), b.view());
+  }
+};
+
 struct CoapMessage {
   CoapType type = CoapType::kConfirmable;
   std::uint8_t code = kCoapGet;
   std::uint16_t message_id = 0;
-  std::vector<std::uint8_t> token;
+  CoapToken token;
   std::vector<std::string> uri_path;  // Uri-Path options, in order
   std::vector<std::uint8_t> payload;
 

@@ -335,13 +335,14 @@ void ScanEngine::launch(simnet::SimTime slot, simnet::SimTime now) {
   launch_probe(intent, now);
 }
 
-void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
+void ScanEngine::finish_probe(const ScanIntent& intent, Outcome outcome,
+                              ScanRecord* record) {
   simnet::SimTime now = network_.now();
-  bool timeout = record.outcome == Outcome::kTimeout;
+  bool timeout = outcome == Outcome::kTimeout;
   // Any answer — even an RST or garbage bytes — proves the path carries
   // packets; only silence counts against the prefix.
-  if (breaker_) breaker_->on_outcome(record.target, !timeout, now);
-  if (intent.attempt > 0 && record.outcome == Outcome::kSuccess)
+  if (breaker_) breaker_->on_outcome(intent.target, !timeout, now);
+  if (intent.attempt > 0 && outcome == Outcome::kSuccess)
     retry_success_.inc();
   const RetryPolicy& policy = config_.retry;
   if (timeout && intent.attempt < policy.max_retries) {
@@ -376,7 +377,14 @@ void ScanEngine::finish_probe(const ScanIntent& intent, ScanRecord record) {
     config_.tracer->instant(record_name_, intent.trace);
     config_.tracer->close(intent.lifecycle_span);
   }
-  results_.add(std::move(record));
+  if (outcome != Outcome::kSuccess) {
+    results_.tally(intent.dataset, static_cast<Protocol>(intent.chain_pos),
+                   outcome);
+    return;
+  }
+  assert(record && "a success made contact, so it built its record");
+  record->outcome = outcome;
+  results_.add(std::move(*record));
 }
 
 bool ScanEngine::drain_quarantine(simnet::SimTime now, bool announced) {
@@ -437,13 +445,8 @@ void ScanEngine::shed_probe(const ScanIntent& intent, simnet::SimTime now) {
   // that eventually re-closes the breaker. (A shed retry's successor was
   // already staged by its first attempt.)
   if (intent.attempt == 0) stage_successor(intent, now);
-  ScanRecord record;
-  record.dataset = intent.dataset;
-  record.protocol = static_cast<Protocol>(intent.chain_pos);
-  record.target = intent.target;
-  record.at = now;
-  record.outcome = Outcome::kTimeout;
-  results_.add(std::move(record));
+  results_.tally(intent.dataset, static_cast<Protocol>(intent.chain_pos),
+                 Outcome::kTimeout);
 }
 
 }  // namespace tts::scan

@@ -8,7 +8,7 @@
 // probes of one target, and a 3-day blackout before any address is scanned
 // again. Each protocol probe performs a full byte-level exchange (probe.cpp:
 // one dialogue per protocol over a client stream that owns its TLS framing)
-// and records one ScanRecord.
+// and records one outcome, with a full ScanRecord kept for a success.
 //
 // Pacing is pull-based and the engine owns no timer: submissions only
 // stage *intents* in a bounded PendingQueue and report the engine's
@@ -55,8 +55,49 @@ class FlightRecorder;
 
 namespace tts::scan {
 
-/// One probe in flight (defined in probe.cpp).
-struct ProbeState;
+class ScanEngine;
+class TlsClientSession;
+
+/// One probe in flight, in its ScanEngine slab slot from launch to finish:
+/// the intent it launched, the launch time, its span, source port and
+/// CoAP message id, the client stream of a TCP probe and, from first
+/// contact on, the record it fills. A probe that never reaches its target
+/// builds no record: its outcome is only tallied. The methods are in
+/// probe.cpp.
+struct ProbeState {
+  ScanEngine* engine = nullptr;
+  ScanIntent intent;
+  simnet::SimTime at = 0;  // launch
+  obs::Tracer::SpanId span = obs::Tracer::kNoSpan;  // "probe/<proto>"
+  /// This slot's index in the slab, and its generation: bumped each time
+  /// the slot is freed, so a callback of an earlier occupant is stale.
+  std::uint32_t index = 0;
+  std::uint32_t generation = 0;
+  std::uint32_t next_free = 0;  // while vacant: the next vacant slot
+  std::uint16_t src_port = 0;
+  /// The message id a CoAP probe's reply must echo.
+  std::uint16_t coap_message_id = 0;
+  simnet::TcpConnectionPtr conn;  // kept so finish() can close it
+  /// The TLS session of a TLS probe.
+  std::shared_ptr<TlsClientSession> tls;
+  /// Built at contact: a connect that succeeds, or a CoAP reply. Held
+  /// out of line, so a slot stays small for the probes that never get
+  /// one.
+  std::unique_ptr<ScanRecord> record;
+
+  Protocol protocol() const {
+    return static_cast<Protocol>(intent.chain_pos);
+  }
+  /// Build the record on first contact and return it.
+  ScanRecord& open_record();
+  /// Send one protocol message, framed as TLS application data when the
+  /// probe runs behind TLS.
+  void send(std::vector<std::uint8_t> wire);
+  /// Record `outcome` and free the slot; the probe must not be touched
+  /// afterwards.
+  void finish(Outcome outcome);
+  const std::string& sni() const;
+};
 
 struct ScanEngineConfig {
   /// Probe budget per second of virtual time for an engine that owns its
@@ -72,8 +113,9 @@ struct ScanEngineConfig {
   double budget_weight = 1.0;
   simnet::SimDuration min_protocol_delay = simnet::sec(10);
   simnet::SimDuration max_protocol_delay = simnet::minutes(10);
-  /// TCP connect give-up (must not exceed ScanEngine::kProbeTimeout, or
-  /// connects would outlive their own probe guard).
+  /// TCP connect give-up: a connect that never completes ends its probe
+  /// with kTimeout here, with no guard event. Must not exceed
+  /// ScanEngine::kProbeTimeout, the probe's own deadline.
   simnet::SimDuration connect_timeout = simnet::sec(5);
   /// Retry schedule applied to every protocol (default: no retries).
   RetryPolicy retry;
@@ -115,7 +157,12 @@ class ScanEngine : private PumpClient {
   /// A target accepted for scanning is skipped for this long afterwards
   /// (the paper's ethical-scanning rule, Section 4.1).
   static constexpr simnet::SimDuration kRescanBlackout = simnet::days(3);
-  /// Per-probe guard: a probe with no conclusion by then records kTimeout.
+  /// Per-probe deadline after launch: a probe with no conclusion by then
+  /// records kTimeout. Its guard event is armed only where something can
+  /// still be waiting at the deadline: on an established connection and on
+  /// a CoAP send. A connect that never completes is ended by its own
+  /// connect_timeout; one that reports at or after the deadline (only an
+  /// injected delay can make it that slow) records kTimeout too.
   static constexpr simnet::SimDuration kProbeTimeout = simnet::sec(8);
 
   /// Pull source for bulk feeds: return up to `max_n` fresh targets; an
@@ -252,21 +299,42 @@ class ScanEngine : private PumpClient {
   void end_stage_span(const ScanIntent& intent, obs::Tracer::NameId how);
   /// Stage the next protocol of `intent`'s chain after a launch at `slot`.
   void stage_successor(const ScanIntent& intent, simnet::SimTime slot);
-  /// Start the probe `intent` names (probe.cpp). One ProbeState carries
-  /// the intent, the record under construction and the connection, so
-  /// every callback of the probe captures just that state.
+  /// A probe callback's capture: the engine, the probe's slot and the
+  /// slot's generation at launch. 16 trivially copyable bytes, so it stays
+  /// inside std::function's local buffer and util::Task's inline one; once
+  /// the probe has finished, get() returns nullptr and the callback does
+  /// nothing (probe.cpp).
+  struct ProbeRef {
+    ScanEngine* engine;
+    std::uint32_t index;
+    std::uint32_t generation;
+    ProbeState* get() const;
+  };
+  /// Start the probe `intent` names (probe.cpp) in a slab slot; every
+  /// callback of the probe captures a ProbeRef to it.
   void launch_probe(const ScanIntent& intent, simnet::SimTime at);
+  /// The guard (probe.cpp): finish the probe `ref` names with kTimeout at
+  /// `deadline` unless it has finished by then.
+  void arm_guard(ProbeRef ref, simnet::SimTime deadline);
   /// The TCP probes (probe.cpp): connect, TLS handshake for the TLS
   /// protocols, then the protocol's dialogue over one client stream.
-  void probe_tcp(const std::shared_ptr<ProbeState>& probe);
+  void probe_tcp(ProbeState& probe, ProbeRef ref);
   /// The CoAP probe (probe.cpp): one confirmable GET over UDP.
-  void probe_coap(const std::shared_ptr<ProbeState>& probe);
-  /// Probe completion: invoked exactly once per launched probe, by
-  /// ProbeState::finish.
-  void complete_probe(ProbeState& probe);
+  void probe_coap(ProbeState& probe, ProbeRef ref);
+  /// Probe completion (probe.cpp): invoked exactly once per launched
+  /// probe, by ProbeState::finish; frees the probe's slot.
+  void complete_probe(ProbeState& probe, Outcome outcome);
   friend struct ProbeState;
-  /// Drop an intent refused by its prefix breaker: synthesize the timeout
-  /// record (conserving the one-outcome-per-probe tally) and keep the
+  /// A vacant slab slot, growing the slab by a chunk when none is left.
+  ProbeState& acquire_probe();
+  /// Vacate a finished probe's slot: bump its generation, drop its stream
+  /// and record.
+  void release_probe(ProbeState& probe);
+  ProbeState& probe_slot(std::uint32_t index) {
+    return probe_chunks_[index / kProbeChunk][index % kProbeChunk];
+  }
+  /// Drop an intent refused by its prefix breaker: tally a timeout
+  /// (conserving the one-outcome-per-probe tally) and keep the
   /// protocol chain going so later probes can close the breaker again.
   void shed_probe(const ScanIntent& intent, simnet::SimTime now);
   /// Re-stage quarantined intents whose routes have been re-announced.
@@ -276,8 +344,11 @@ class ScanEngine : private PumpClient {
   /// soon as a slot frees. An intent its lane cannot take gets no staging
   /// span. True when it staged any.
   bool drain_quarantine(simnet::SimTime now, bool announced);
-  /// Probe completion: breaker feedback, retry re-staging, result tally.
-  void finish_probe(const ScanIntent& intent, ScanRecord record);
+  /// Probe completion: breaker feedback, retry re-staging, then the final
+  /// outcome: a success stores `record` (built at contact, so non-null),
+  /// any other outcome is only tallied.
+  void finish_probe(const ScanIntent& intent, Outcome outcome,
+                    ScanRecord* record);
   void refill_from_sources();
   /// The budget's token-free step: refill, drain the quarantine, park or
   /// shed due heads until the head (if due) is launchable.
@@ -321,6 +392,13 @@ class ScanEngine : private PumpClient {
   SharedBudget::ClientId budget_id_ = 0;
   /// Dispatch category of the per-probe guard timers.
   simnet::EventQueue::CategoryId probe_cat_;
+  /// The probe slab: chunks of kProbeChunk slots that never move, so a
+  /// ProbeState& stays valid however the slab grows while it is held.
+  /// Vacant slots are threaded through ProbeState::next_free.
+  static constexpr std::uint32_t kProbeChunk = 256;
+  static constexpr std::uint32_t kNoProbe = ~std::uint32_t{0};
+  std::vector<std::unique_ptr<ProbeState[]>> probe_chunks_;
+  std::uint32_t free_probe_ = kNoProbe;
   std::uint64_t next_ephemeral_ = 40000;
   std::uint16_t next_coap_message_id_ = 1;
 

@@ -19,10 +19,17 @@
 // payload yields the advertised resources (Section 4.3.3).
 //
 // Every probe path — refusal, timeout, malformed reply, success — funnels
-// through ProbeState::finish, which guarantees exactly one ScanRecord per
-// probe. A probe's state is its only allocation at launch: the guard, the
-// connect result and the stream handlers all capture just its pointer.
+// through ProbeState::finish, which guarantees exactly one outcome per
+// probe. Most probes reach nothing, so a probe costs little until it makes
+// contact: its state is a reused slot of the engine's probe slab, every
+// callback captures a 16-byte ProbeRef (engine, slot, generation) that
+// stays inline in std::function and util::Task, and a callback whose probe
+// has finished finds a newer generation and does nothing. A TCP probe arms
+// its guard only once connected, since a connect that never completes
+// reports its own timeout; the ScanRecord is built only at contact, and
+// any probe without a success is only tallied.
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "proto/amqp.hpp"
@@ -37,54 +44,40 @@ namespace tts::scan {
 
 using simnet::TcpConnection;
 
-/// One probe in flight: the intent it launched, the record under
-/// construction, its completion latch and, for TCP probes, the client
-/// stream.
-struct ProbeState {
-  ScanEngine* engine = nullptr;
-  ScanIntent intent;
-  obs::Tracer::SpanId span = obs::Tracer::kNoSpan;  // "probe/<proto>"
-  simnet::Endpoint src;
-  ScanRecord record;
-  simnet::TcpConnectionPtr conn;  // kept so finish() can close it
-  /// The TLS session of a TLS probe. Its callbacks capture this state, so
-  /// finish() drops them to break the cycle.
-  std::shared_ptr<TlsClientSession> tls;
-  /// The message id a CoAP probe's reply must echo.
-  std::uint16_t coap_message_id = 0;
-  bool finished = false;
+ScanRecord& ProbeState::open_record() {
+  record = std::make_unique<ScanRecord>();
+  ScanRecord& r = *record;
+  r.dataset = intent.dataset;
+  r.protocol = protocol();
+  r.target = intent.target;
+  r.at = at;
+  return r;
+}
 
-  /// Send one protocol message, framed as TLS application data when the
-  /// probe runs behind TLS.
-  void send(std::vector<std::uint8_t> wire) {
-    if (tls)
-      tls->send(std::move(wire));
-    else
-      conn->send(TcpConnection::Side::kClient, std::move(wire));
-  }
+void ProbeState::send(std::vector<std::uint8_t> wire) {
+  if (tls)
+    tls->send(std::move(wire));
+  else
+    conn->send(TcpConnection::Side::kClient, std::move(wire));
+}
 
-  void finish(Outcome outcome) {
-    if (finished) return;
-    finished = true;
-    record.outcome = outcome;
-    if (conn && conn->open())
-      conn->close(TcpConnection::Side::kClient);
-    conn = nullptr;
-    if (tls) {
-      tls->drop_callbacks();
-      tls = nullptr;
-    }
-    engine->complete_probe(*this);
-  }
+void ProbeState::finish(Outcome outcome) {
+  if (conn && conn->open()) conn->close(TcpConnection::Side::kClient);
+  engine->complete_probe(*this, outcome);
+}
 
-  const std::string& sni() const { return engine->config_.sni; }
-};
+const std::string& ProbeState::sni() const { return engine->config_.sni; }
+
+ProbeState* ScanEngine::ProbeRef::get() const {
+  ProbeState& probe = engine->probe_slot(index);
+  return probe.generation == generation ? &probe : nullptr;
+}
 
 namespace {
 
 /// Send the message the client opens with once the stream is up.
 void open_dialogue(ProbeState& state) {
-  switch (state.record.protocol) {
+  switch (state.protocol()) {
     case Protocol::kHttp:
     case Protocol::kHttps: {
       proto::HttpRequest request;
@@ -112,22 +105,22 @@ void on_http_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
     state.finish(Outcome::kMalformed);
     return;
   }
-  state.record.http_status = response->status;
-  state.record.http_server = response->server;
+  state.record->http_status = response->status;
+  state.record->http_server = response->server;
   auto title = proto::extract_title(response->body);
-  state.record.http_has_title = title.has_value();
-  state.record.http_title = title.value_or("");
+  state.record->http_has_title = title.has_value();
+  state.record->http_title = title.value_or("");
   state.finish(Outcome::kSuccess);
 }
 
 void on_ssh_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
-  if (state.record.ssh_banner.empty()) {
+  if (state.record->ssh_banner.empty()) {
     auto banner = proto::parse_ssh_id(wire);
     if (!banner) {
       state.finish(Outcome::kMalformed);
       return;
     }
-    state.record.ssh_banner = *banner;
+    state.record->ssh_banner = *banner;
     state.send(proto::ssh_id_string("SSH-2.0-tts_scan_0.1 research-scan"));
     return;
   }
@@ -136,7 +129,7 @@ void on_ssh_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
     state.finish(Outcome::kMalformed);
     return;
   }
-  state.record.ssh_hostkey = *key;
+  state.record->ssh_hostkey = *key;
   state.finish(Outcome::kSuccess);
 }
 
@@ -146,7 +139,7 @@ void on_mqtt_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
     state.finish(Outcome::kMalformed);
     return;
   }
-  state.record.broker_auth_required =
+  state.record->broker_auth_required =
       ack->code != proto::MqttConnectReturn::kAccepted;
   state.finish(Outcome::kSuccess);
 }
@@ -166,11 +159,11 @@ void on_amqp_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
       return;
     }
     case proto::AmqpMethod::kTune:
-      state.record.broker_auth_required = false;
+      state.record->broker_auth_required = false;
       state.finish(Outcome::kSuccess);
       return;
     case proto::AmqpMethod::kClose:
-      state.record.broker_auth_required = frame->close_code == 403;
+      state.record->broker_auth_required = frame->close_code == 403;
       state.finish(Outcome::kSuccess);
       return;
     default:
@@ -181,9 +174,7 @@ void on_amqp_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
 
 /// Hand one server message to the probe's protocol.
 void on_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
-  // A reply still in flight when the probe finished has nobody to tell.
-  if (state.finished) return;
-  switch (state.record.protocol) {
+  switch (state.protocol()) {
     case Protocol::kHttp:
     case Protocol::kHttps:
       on_http_reply(state, wire);
@@ -204,6 +195,12 @@ void on_reply(ProbeState& state, std::span<const std::uint8_t> wire) {
   }
 }
 
+/// Whether std::function keeps a callable in its local buffer, so binding
+/// or copying it never allocates: 16 trivially copyable bytes (libstdc++).
+template <typename F>
+constexpr bool stays_local() {
+  return sizeof(F) <= 16 && std::is_trivially_copyable_v<F>;
+}
 }  // namespace
 
 void ScanEngine::launch_probe(const ScanIntent& intent, simnet::SimTime at) {
@@ -212,112 +209,162 @@ void ScanEngine::launch_probe(const ScanIntent& intent, simnet::SimTime at) {
   auto proto = static_cast<Protocol>(intent.chain_pos);
   probes_launched_.inc();
   launched_by_proto_[static_cast<std::size_t>(proto)].inc();
-  auto src_port =
-      static_cast<std::uint16_t>(1024 + (next_ephemeral_++ % 60000));
 
-  auto probe = std::make_shared<ProbeState>();
-  probe->engine = this;
-  probe->intent = intent;
-  probe->src = simnet::Endpoint{config_.scanner_address, src_port};
-  probe->record.dataset = intent.dataset;
-  probe->record.protocol = proto;
-  probe->record.target = intent.target;
-  probe->record.at = at;
+  ProbeState& probe = acquire_probe();
+  probe.intent = intent;
+  probe.at = at;
+  probe.src_port =
+      static_cast<std::uint16_t>(1024 + (next_ephemeral_++ % 60000));
   if (config_.tracer)
-    probe->span = config_.tracer->open(
+    probe.span = config_.tracer->open(
         span_ids_[static_cast<std::size_t>(proto)], intent.trace);
+  ProbeRef ref{this, probe.index, probe.generation};
+  static_assert(stays_local<ProbeRef>());
   if (proto == Protocol::kCoap)
-    probe_coap(probe);
+    probe_coap(probe, ref);
   else
-    probe_tcp(probe);
+    probe_tcp(probe, ref);
 }
 
-void ScanEngine::complete_probe(ProbeState& probe) {
+void ScanEngine::complete_probe(ProbeState& probe, Outcome outcome) {
   // Every completion path of a CoAP probe — reply or guard timeout —
   // releases its ephemeral reply port before reporting.
-  if (probe.record.protocol == Protocol::kCoap)
-    network_.unbind_udp(probe.src);
+  if (probe.protocol() == Protocol::kCoap)
+    network_.unbind_udp({config_.scanner_address, probe.src_port});
   probes_completed_.inc();
-  completed_by_proto_[static_cast<std::size_t>(probe.record.protocol)].inc();
-  probe_rtt_.record(network_.now() - probe.record.at);
+  completed_by_proto_[static_cast<std::size_t>(probe.protocol())].inc();
+  probe_rtt_.record(network_.now() - probe.at);
   if (config_.tracer) config_.tracer->close(probe.span);
-  finish_probe(probe.intent, std::move(probe.record));
+  finish_probe(probe.intent, outcome, probe.record.get());
+  release_probe(probe);
 }
 
-void ScanEngine::probe_tcp(const std::shared_ptr<ProbeState>& probe) {
-  // The guard: a probe nothing finished by then records a timeout.
-  network_.events().schedule_in(kProbeTimeout, probe_cat_, [probe] {
-    probe->finish(Outcome::kTimeout);
-  });
+ProbeState& ScanEngine::acquire_probe() {
+  if (free_probe_ == kNoProbe) {
+    auto base = static_cast<std::uint32_t>(probe_chunks_.size()) * kProbeChunk;
+    auto& chunk = probe_chunks_.emplace_back(
+        std::make_unique<ProbeState[]>(kProbeChunk));
+    for (std::uint32_t i = kProbeChunk; i-- > 0;) {
+      chunk[i].engine = this;
+      chunk[i].index = base + i;
+      chunk[i].next_free = free_probe_;
+      free_probe_ = base + i;
+    }
+  }
+  ProbeState& probe = probe_slot(free_probe_);
+  free_probe_ = probe.next_free;
+  return probe;
+}
 
-  simnet::Endpoint dst{probe->record.target, port_of(probe->record.protocol)};
-  auto connected = [probe](simnet::TcpConnectionPtr conn, bool refused) {
+void ScanEngine::release_probe(ProbeState& probe) {
+  ++probe.generation;  // every callback still holding a ref goes stale
+  probe.conn = nullptr;
+  probe.tls = nullptr;
+  probe.record.reset();
+  probe.next_free = free_probe_;
+  free_probe_ = probe.index;
+}
+
+void ScanEngine::arm_guard(ProbeRef ref, simnet::SimTime deadline) {
+  // A probe that finished first has left its slot, so its guard finds a
+  // newer generation there (or a vacant slot) and does nothing.
+  auto guard = [ref] {
+    if (ProbeState* live = ref.get()) live->finish(Outcome::kTimeout);
+  };
+  static_assert(simnet::EventQueue::Callback::fits_inline<decltype(guard)>());
+  network_.events().schedule_at(deadline, probe_cat_, std::move(guard));
+}
+
+void ScanEngine::probe_tcp(ProbeState& probe, ProbeRef ref) {
+  simnet::Endpoint src{config_.scanner_address, probe.src_port};
+  simnet::Endpoint dst{probe.intent.target, port_of(probe.protocol())};
+  // No guard yet: the connect always reports — connected, refused, or
+  // timed out at connect_timeout, which is within the probe's deadline.
+  auto connected = [ref](simnet::TcpConnectionPtr conn, bool refused) {
+    ProbeState* state = ref.get();
+    if (!state) return;
+    ScanEngine& engine = *ref.engine;
+    simnet::SimTime deadline = state->at + kProbeTimeout;
+    // A report at or after the deadline comes too late, whatever it says.
+    bool late = engine.network_.now() >= deadline;
     if (!conn) {
-      probe->finish(refused ? Outcome::kRefused : Outcome::kTimeout);
+      state->finish(refused && !late ? Outcome::kRefused : Outcome::kTimeout);
       return;
     }
-    probe->conn = conn;
-    conn->set_on_close(TcpConnection::Side::kClient, [probe] {
+    state->conn = conn;
+    if (late) {
+      state->finish(Outcome::kTimeout);
+      return;
+    }
+    engine.arm_guard(ref, deadline);
+    state->open_record();
+    auto closed = [ref] {
       // A hang-up before the dialogue concluded is malformed — except
       // an SSH banner without a key, which still counts as a grab.
-      probe->finish(probe->record.ssh_banner.empty()
-                        ? Outcome::kMalformed
-                        : Outcome::kSuccess);
-    });
-    auto reply = [probe](std::vector<std::uint8_t> data) {
-      on_reply(*probe, data);
+      if (ProbeState* live = ref.get())
+        live->finish(live->record->ssh_banner.empty() ? Outcome::kMalformed
+                                                      : Outcome::kSuccess);
     };
-    if (!is_tls(probe->record.protocol)) {
-      conn->set_on_data(TcpConnection::Side::kClient, std::move(reply));
-      open_dialogue(*probe);
+    static_assert(stays_local<decltype(closed)>());
+    conn->set_on_close(TcpConnection::Side::kClient, closed);
+    auto reply = [ref](std::vector<std::uint8_t> data) {
+      if (ProbeState* live = ref.get()) on_reply(*live, data);
+    };
+    static_assert(stays_local<decltype(reply)>());
+    if (!is_tls(state->protocol())) {
+      conn->set_on_data(TcpConnection::Side::kClient, reply);
+      open_dialogue(*state);
       return;
     }
-    probe->tls = TlsClientSession::create(conn, probe->sni());
-    probe->tls->set_on_app_data(std::move(reply));
-    probe->tls->handshake([probe](TlsHandshakeResult result) {
+    state->tls = TlsClientSession::create(conn, state->sni());
+    state->tls->set_on_app_data(reply);
+    auto handshaken = [ref](TlsHandshakeResult result) {
+      ProbeState* live = ref.get();
+      if (!live) return;
       if (!result.ok) {
-        probe->finish(Outcome::kTlsFailed);
+        live->finish(Outcome::kTlsFailed);
         return;
       }
-      probe->record.certificate = std::move(result.certificate);
-      open_dialogue(*probe);
-    });
+      live->record->certificate = std::move(result.certificate);
+      open_dialogue(*live);
+    };
+    static_assert(
+        TlsClientSession::HandshakeFn::fits_inline<decltype(handshaken)>());
+    state->tls->handshake(std::move(handshaken));
   };
   static_assert(simnet::ConnectResult::fits_inline<decltype(connected)>());
-  network_.connect_tcp(probe->src, dst, std::move(connected),
+  network_.connect_tcp(src, dst, std::move(connected),
                        config_.connect_timeout);
 }
 
-void ScanEngine::probe_coap(const std::shared_ptr<ProbeState>& probe) {
-  simnet::Endpoint dst{probe->record.target, port_of(Protocol::kCoap)};
+void ScanEngine::probe_coap(ProbeState& probe, ProbeRef ref) {
+  simnet::Endpoint src{config_.scanner_address, probe.src_port};
+  simnet::Endpoint dst{probe.intent.target, port_of(Protocol::kCoap)};
   std::uint16_t message_id = next_coap_message_id_++;
   std::uint64_t token = 0x9e3779b9u ^ (message_id * 2654435761u);
-  probe->coap_message_id = message_id;
+  probe.coap_message_id = message_id;
 
-  // The handler holds a raw pointer, so std::function keeps it inline and
-  // no delivery copies it to the heap. The guard below owns the state;
-  // every finish() path runs complete_probe, which unbinds this handler
-  // before the guard can let the state die.
-  ProbeState* state = probe.get();
-  network_.bind_udp(probe->src, [state](const simnet::Datagram& dg) {
+  auto answered = [ref](const simnet::Datagram& dg) {
+    ProbeState* state = ref.get();
+    if (!state) return;
     auto response = proto::CoapMessage::parse(dg.payload);
     if (!response || response->message_id != state->coap_message_id ||
         response->code != proto::kCoapContent) {
       state->finish(Outcome::kMalformed);
       return;
     }
-    std::string payload(response->payload.begin(), response->payload.end());
-    state->record.coap_resources = proto::parse_link_format(payload);
+    std::string_view links(
+        reinterpret_cast<const char*>(response->payload.data()),
+        response->payload.size());
+    state->open_record().coap_resources = proto::parse_link_format(links);
     state->finish(Outcome::kSuccess);
-  });
+  };
+  static_assert(stays_local<decltype(answered)>());
+  network_.bind_udp(src, answered);
   network_.send_udp(
-      probe->src, dst,
-      proto::CoapMessage::well_known_core_wire(message_id, token));
-
+      src, dst, proto::CoapMessage::well_known_core_wire(message_id, token));
   // UDP silence (no listener, lost packet, filtered) = timeout.
-  network_.events().schedule_in(kProbeTimeout, probe_cat_, [probe] {
-    probe->finish(Outcome::kTimeout);
-  });
+  arm_guard(ref, probe.at + kProbeTimeout);
 }
 
 }  // namespace tts::scan

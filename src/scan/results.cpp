@@ -82,9 +82,7 @@ std::string_view to_string(Outcome o) {
 }
 
 void ResultStore::add(ScanRecord record) {
-  ++counts_[static_cast<std::size_t>(record.dataset)]
-           [static_cast<std::size_t>(record.protocol)]
-           [static_cast<std::size_t>(record.outcome)];
+  tally(record.dataset, record.protocol, record.outcome);
   if (record.outcome == Outcome::kSuccess)
     records_.push_back(std::move(record));
 }

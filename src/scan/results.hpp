@@ -85,7 +85,16 @@ struct ScanRecord {
 /// millions of probes a sweep of mostly unresponsive space produces.
 class ResultStore {
  public:
+  /// Count one probe's outcome; a success also keeps the record.
   void add(ScanRecord record);
+  /// Count one outcome of a probe that keeps no record (anything but a
+  /// success): the scanner tallies most probes this way, without building
+  /// a ScanRecord at all.
+  void tally(Dataset dataset, Protocol protocol, Outcome outcome) {
+    ++counts_[static_cast<std::size_t>(dataset)]
+             [static_cast<std::size_t>(protocol)]
+             [static_cast<std::size_t>(outcome)];
+  }
 
   /// Successful records (the only ones kept in full).
   const std::vector<ScanRecord>& records() const { return records_; }

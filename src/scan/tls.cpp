@@ -54,12 +54,7 @@ void TlsClientSession::on_record(std::vector<std::uint8_t> data) {
       }
       break;
     case proto::TlsMessage::Kind::kAppData:
-      if (established_ && on_app_data_) {
-        // Invoke a copy: the handler may finish the probe, which drops
-        // on_app_data_ itself via drop_callbacks() mid-call.
-        AppDataFn fn = on_app_data_;
-        fn(std::move(msg->app_data));
-      }
+      if (established_ && on_app_data_) on_app_data_(std::move(msg->app_data));
       break;
     case proto::TlsMessage::Kind::kClientHello:
       break;  // a client never receives a ClientHello; drop

@@ -42,15 +42,6 @@ class TlsClientSession
   /// Receive unwrapped application data.
   void set_on_app_data(AppDataFn fn) { on_app_data_ = std::move(fn); }
 
-  /// Release both user callbacks. The probe's closures capture its state,
-  /// which owns the session: a shared_ptr cycle. The probe calls this from
-  /// its finish path so a completed or timed-out session can actually be
-  /// destroyed.
-  void drop_callbacks() {
-    on_handshake_ = nullptr;
-    on_app_data_ = nullptr;
-  }
-
  private:
   TlsClientSession(simnet::TcpConnectionPtr conn, std::string sni)
       : conn_(std::move(conn)), sni_(std::move(sni)) {}

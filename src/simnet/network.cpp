@@ -225,6 +225,10 @@ void Network::erase_host(const net::Ipv6Address& addr, Host& host) {
     host.udp.clear();
     spare_udp_ = std::move(host.udp);
   }
+  if (spare_tcp_.capacity() == 0 && host.tcp.capacity() > 0) {
+    host.tcp.clear();
+    spare_tcp_ = std::move(host.tcp);
+  }
   hosts_.erase(addr);
 }
 
@@ -310,7 +314,9 @@ void Network::send_udp(const Endpoint& src, const Endpoint& dst,
 
 void Network::listen_tcp(const Endpoint& ep, TcpAcceptor acceptor) {
   std::lock_guard<std::mutex> lk(maps_mu_);  // ttslint: allow(thread-confine) reason=maps_mu_ protocol: host-table structure is touched from every domain
-  bind_port(hosts_[ep.addr].tcp, ep.port, std::move(acceptor));
+  Host& host = hosts_[ep.addr];
+  if (host.tcp.capacity() == 0) host.tcp.swap(spare_tcp_);
+  bind_port(host.tcp, ep.port, std::move(acceptor));
 }
 
 void Network::unlisten_tcp(const Endpoint& ep) {

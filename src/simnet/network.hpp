@@ -327,8 +327,8 @@ class Network {
   /// Erase `addr`'s entry once it is offline and holds no binding.
   /// Requires maps_mu_.
   void drop_if_idle(const net::Ipv6Address& addr, Host& host);
-  /// Erase `addr`'s entry, keeping its UDP table's buffer in spare_udp_
-  /// when that is empty. Requires maps_mu_.
+  /// Erase `addr`'s entry, keeping its UDP and TCP tables' buffers in
+  /// spare_udp_ and spare_tcp_ when those are empty. Requires maps_mu_.
   void erase_host(const net::Ipv6Address& addr, Host& host);
   /// Whether `dst` is online; copies its acceptor into `acceptor`: the
   /// exact listener, else a wildcard prefix listener (whose region counts
@@ -345,6 +345,9 @@ class Network {
   /// never attached creates and drops an entry per poll, and reusing the
   /// buffer keeps that round trip free of a table allocation.
   std::vector<std::pair<std::uint16_t, UdpHandler>> spare_udp_;
+  /// The same for TCP listener tables: a churned device detaches its old
+  /// address and listens on its new one, which reuses the table it left.
+  std::vector<std::pair<std::uint16_t, TcpAcceptor>> spare_tcp_;
 
   struct Tap {
     std::uint64_t id;

@@ -154,10 +154,11 @@ TEST(Alloc, CoapProbeReplyDeliveryAllocatesNothing) {
   simnet::Network network(events, net_config);
   scan::ResultStore results;
 
-  // A CoAP device answering with the wrong message id and no token: the
-  // reply parses without allocating, and the probe records kMalformed, a
-  // tally with no stored record. So the delivery allocates nothing unless
-  // copying the probe's reply handler does.
+  // A CoAP device answering with the wrong message id, echoing the probe's
+  // 4-byte token: the reply parses without allocating (the token is held
+  // inline), and the probe records kMalformed, a tally with no stored
+  // record. So the delivery allocates nothing unless copying the probe's
+  // reply handler does.
   const net::Ipv6Address target = addr(0x2a00000000000001ULL, 5);
   network.attach(target);
   bool replied = false;
@@ -170,6 +171,8 @@ TEST(Alloc, CoapProbeReplyDeliveryAllocatesNothing) {
                      reply.code = proto::kCoapContent;
                      reply.message_id =
                          static_cast<std::uint16_t>(request->message_id + 1);
+                     reply.token = request->token;
+                     EXPECT_EQ(reply.token.size, 4u);
                      network.send_udp(dg.dst, dg.src, reply.serialize());
                      replied = true;
                    });
@@ -190,6 +193,42 @@ TEST(Alloc, CoapProbeReplyDeliveryAllocatesNothing) {
                        scan::Outcome::kMalformed) == 0)
     ASSERT_TRUE(events.step());
   EXPECT_EQ(count(), 0u);
+  events.run();
+}
+
+TEST(Alloc, DeadTcpProbesAllocateNothingOnceTheSlabIsWarm) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  scan::ResultStore results;
+  scan::ScanEngineConfig config;
+  config.scanner_address = addr(0x2a00000000000002ULL, 1);
+  // One probe at a time: each TCP probe gives up at the connect timeout
+  // (5 s) before the next protocol launches.
+  config.min_protocol_delay = simnet::sec(10);
+  config.max_protocol_delay = simnet::sec(10);
+  config.max_pps = 100000;
+  scan::ScanEngine engine(network, results, config);
+
+  // Warm-up: one dead target's whole chain sizes the probe slab, the
+  // event heap and the staging queue.
+  engine.submit(addr(0x2a00000000000001ULL, 7));
+  events.run();
+  ASSERT_EQ(engine.probes_completed(), scan::kProtocolCount);
+
+  // A second dead target. Its submission adds a blackout entry (one node
+  // per new target), so counting starts after its first launch and covers
+  // its seven TCP probes: launch, blackholed connect, timeout, tally.
+  engine.submit(addr(0x2a00000000000001ULL, 8));
+  while (engine.probes_launched() == scan::kProtocolCount)
+    ASSERT_TRUE(events.step());
+  AllocCount count;
+  while (engine.probes_completed(scan::Protocol::kAmqps) < 2)
+    ASSERT_TRUE(events.step());
+  EXPECT_EQ(count(), 0u);
+  EXPECT_EQ(engine.probes_launched(scan::Protocol::kCoap), 1u);
+  EXPECT_EQ(results.count(scan::Dataset::kNtp, scan::Protocol::kAmqps,
+                          scan::Outcome::kTimeout),
+            2u);
   events.run();
 }
 

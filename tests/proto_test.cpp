@@ -223,7 +223,8 @@ TEST(Coap, WellKnownCoreRequest) {
   ASSERT_EQ(parsed->uri_path.size(), 2u);
   EXPECT_EQ(parsed->uri_path[0], ".well-known");
   EXPECT_EQ(parsed->uri_path[1], "core");
-  EXPECT_EQ(parsed->token.size(), 4u);
+  EXPECT_EQ(parsed->token.size, 4u);
+  EXPECT_EQ(parsed->token, req.token);
   // The scanner's one-pass encoding writes exactly these bytes.
   for (std::uint16_t id : {0, 1, 42, 0xffff})
     for (std::uint64_t token : {0ULL, 0xdeadbeefULL, ~0ULL})
@@ -232,12 +233,31 @@ TEST(Coap, WellKnownCoreRequest) {
           << id << " " << token;
 }
 
+TEST(Coap, TokenHoldsUpToEightBytes) {
+  CoapMessage msg;
+  msg.token = {.bytes = {1, 2, 3, 4, 5, 6, 7, 8}, .size = 8};
+  auto wire = msg.serialize();
+  auto parsed = CoapMessage::parse(wire);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->token, msg.token);
+  // Tokens compare by their first `size` bytes only.
+  CoapToken shorter = msg.token;
+  shorter.size = 7;
+  EXPECT_NE(shorter, msg.token);
+  shorter.bytes[7] = 0;
+  EXPECT_EQ(shorter, (CoapToken{.bytes = {1, 2, 3, 4, 5, 6, 7, 9}, .size = 7}));
+  // RFC 7252: TKL 9-15 are reserved and a message carrying one is rejected.
+  wire[0] = static_cast<std::uint8_t>((wire[0] & 0xf0) | 9);
+  wire.push_back(0);
+  EXPECT_FALSE(CoapMessage::parse(wire));
+}
+
 TEST(Coap, ResponseWithPayloadRoundTrip) {
   CoapMessage resp;
   resp.type = CoapType::kAck;
   resp.code = kCoapContent;
   resp.message_id = 7;
-  resp.token = {1, 2, 3, 4};
+  resp.token = {.bytes = {1, 2, 3, 4}, .size = 4};
   std::string links = link_format({"/castDeviceSearch", "/qlink/ping"});
   resp.payload.assign(links.begin(), links.end());
   auto parsed = CoapMessage::parse(resp.serialize());

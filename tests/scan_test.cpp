@@ -361,6 +361,150 @@ TEST_F(ScanTest, CoapReplyWithWrongMessageIdIsMalformed) {
             1u);
 }
 
+// ---- probe lifecycle: one slab slot per probe, a guard only on contact ----
+
+/// Step `events` until `done()` holds; false if the queue ran dry first.
+template <typename Done>
+bool step_until(simnet::EventQueue& events, Done done) {
+  while (!done())
+    if (!events.step()) return false;
+  return true;
+}
+
+/// A config whose protocol chain waits 10 s between probes, so one
+/// target's TCP probes run one at a time and each ends before the next.
+ScanEngineConfig spaced_config() {
+  ScanEngineConfig c;
+  c.scanner_address = addr(0xdead);
+  c.min_protocol_delay = simnet::sec(10);
+  c.max_protocol_delay = simnet::sec(10);
+  c.max_pps = 100000;
+  return c;
+}
+
+simnet::FaultRule stall_http(const net::Ipv6Address& target) {
+  return {.prefix = net::Ipv6Prefix(target, 128),
+          .kind = simnet::FaultKind::kStall,
+          .dst_port = proto::kHttpPort};
+}
+
+TEST_F(ScanTest, StalledConnectionTimesOutAtTheProbeDeadline) {
+  serve_http(addr(30), "never seen");
+  simnet::FaultScenario scenario;
+  scenario.rules.push_back(stall_http(addr(30)));
+  network_.install_faults(scenario);
+  ScanEngine engine(network_, results_, spaced_config());
+  engine.submit(addr(30));
+  ASSERT_TRUE(
+      step_until(events_, [&] { return engine.probes_launched() == 1; }));
+  const simnet::SimTime launched = events_.now();
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kHttp) == 1;
+  }));
+  EXPECT_EQ(network_.tcp_established(), 1u);  // it did connect
+  EXPECT_EQ(events_.now() - launched, ScanEngine::kProbeTimeout);
+  ASSERT_EQ(engine.probe_rtt().count(), 1u);
+  EXPECT_EQ(engine.probe_rtt().max(), ScanEngine::kProbeTimeout);
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kTimeout),
+            1u);
+  events_.run();
+}
+
+TEST_F(ScanTest, BlackholedConnectEndsItsProbeWithoutAGuard) {
+  // addr(31) is offline: every connect is blackholed and gives up at the
+  // connect timeout, which ends the probe; no guard event is scheduled.
+  auto config = spaced_config();
+  config.connect_timeout = simnet::sec(3);
+  ScanEngine engine(network_, results_, config);
+  const auto probe_cat = events_.register_category("scan_probe");
+  engine.submit(addr(31));
+  ASSERT_TRUE(
+      step_until(events_, [&] { return engine.probes_launched() == 1; }));
+  const simnet::SimTime launched = events_.now();
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kHttp) == 1;
+  }));
+  EXPECT_EQ(events_.now() - launched, config.connect_timeout);
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kTimeout),
+            1u);
+  // Every TCP probe of the chain (CoAP, last, has not launched yet).
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kAmqps) == 1;
+  }));
+  EXPECT_EQ(engine.probes_launched(Protocol::kCoap), 0u);
+  EXPECT_EQ(engine.probes_completed(), kProtocolCount - 1);
+  EXPECT_EQ(events_.category_executed(probe_cat), 0u);
+  // The CoAP probe does arm its guard: UDP silence has no other end.
+  events_.run();
+  EXPECT_EQ(events_.category_executed(probe_cat), 1u);
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kCoap, Outcome::kTimeout),
+            1u);
+}
+
+TEST_F(ScanTest, StaleGuardDoesNotEndTheSlotsNextProbe) {
+  // addr(32)'s HTTP probe succeeds within milliseconds, leaving its guard
+  // armed for launch + 8 s. addr(33)'s HTTP probe launches next, takes the
+  // slot the first one freed (the only vacant slot it could take: nothing
+  // else is in flight) and stalls. The first guard fires while the second
+  // probe is still waiting, and must not end it.
+  serve_http(addr(32), "quick");
+  serve_http(addr(33), "stalled");
+  simnet::FaultScenario scenario;
+  scenario.rules.push_back(stall_http(addr(33)));
+  network_.install_faults(scenario);
+  ScanEngine engine(network_, results_, spaced_config());
+  engine.submit(addr(32));
+  ASSERT_TRUE(
+      step_until(events_, [&] { return engine.probes_launched() == 1; }));
+  const simnet::SimTime first_launch = events_.now();
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kHttp) == 1;
+  }));
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kSuccess),
+            1u);
+  ASSERT_TRUE(step_until(events_, [&] {
+    return events_.now() > first_launch + simnet::sec(1);
+  }));
+
+  engine.submit(addr(33));
+  ASSERT_TRUE(
+      step_until(events_, [&] { return engine.probes_launched() == 2; }));
+  const simnet::SimTime second_launch = events_.now();
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kHttp) == 2;
+  }));
+  EXPECT_GT(events_.now(), first_launch + ScanEngine::kProbeTimeout);
+  EXPECT_EQ(events_.now() - second_launch, ScanEngine::kProbeTimeout);
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kTimeout),
+            1u);
+  events_.run();
+}
+
+TEST_F(ScanTest, ConnectReportedAfterTheDeadlineIsATimeout) {
+  // A 5 s one-way delay makes the handshake take over 10 s, past the
+  // probe's 8 s deadline: the late connection is a timeout, and closed.
+  serve_http(addr(34), "late");
+  simnet::FaultScenario scenario;
+  scenario.rules.push_back({.prefix = net::Ipv6Prefix(addr(34), 128),
+                            .kind = simnet::FaultKind::kDelay,
+                            .added_latency = simnet::sec(5),
+                            .udp = false,
+                            .dst_port = proto::kHttpPort});
+  network_.install_faults(scenario);
+  ScanEngine engine(network_, results_, spaced_config());
+  engine.submit(addr(34));
+  ASSERT_TRUE(step_until(events_, [&] {
+    return engine.probes_completed(Protocol::kHttp) == 1;
+  }));
+  EXPECT_EQ(network_.tcp_established(), 1u);
+  EXPECT_GT(engine.probe_rtt().max(), ScanEngine::kProbeTimeout);
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kTimeout),
+            1u);
+  events_.run();
+  EXPECT_EQ(results_.count(Dataset::kNtp, Protocol::kHttp, Outcome::kSuccess),
+            0u);
+}
+
 TEST_F(ScanTest, ResultStoreTotals) {
   serve_http(addr(1), "t");
   ScanEngine engine(network_, results_, fast_config());
