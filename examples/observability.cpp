@@ -2,7 +2,7 @@
 // everything tts::obs records along the way — the heartbeat timeline (one
 // row per virtual day), the final metrics table (per-protocol scan
 // counters, per-server collection counts, event-queue dispatch histogram),
-// the span aggregates, machine-readable JSONL / Prometheus dumps, a
+// the span aggregates, a machine-readable JSONL dump, a
 // Perfetto-loadable causal trace of probe lifecycles, and a flight-recorder
 // dump of the same telemetry ring.
 #include <fstream>
@@ -69,17 +69,6 @@ int main() {
     return 1;
   }
   std::cout << "  ... (round-trips through obs::parse_jsonl)\n";
-
-  std::string prom = obs::to_prometheus(snap);
-  std::cout << "\nPrometheus export: " << prom.size()
-            << " bytes. Sample:\n";
-  pos = prom.find("# TYPE scan_probes_launched");
-  if (pos != std::string::npos) {
-    std::size_t stop = pos;
-    for (int lines = 0; lines < 4 && stop != std::string::npos; ++lines)
-      stop = prom.find('\n', stop + 1);
-    std::cout << prom.substr(pos, stop - pos) << "\n";
-  }
 
   // Causal probe-lifecycle traces on the virtual-time axis: load
   // tts_trace.json at ui.perfetto.dev (or chrome://tracing). Every probe

@@ -321,11 +321,11 @@ void Study::run() {
       if (ntp_engine_->try_submit(rec.addr) != scan::SubmitResult::kQueueFull)
         return;
       // Backpressure: a collector-fed address must not be silently lost to
-      // a momentarily full lane, so it overflows into a study-side buffer
-      // the engine drains as a pull source once staging room frees up. The
-      // buffer itself is capped: a feed that outruns the scan budget for
-      // long enough drops (and counts) the excess instead of growing
-      // without bound.
+      // a momentarily full staging queue, so it overflows into a study-side
+      // buffer the engine drains as a pull source once staging room frees
+      // up. The buffer itself is capped: a feed that outruns the scan
+      // budget for long enough drops (and counts) the excess instead of
+      // growing without bound.
       if (ntp_overflow_.size() >= config_.overflow_cap) {
         overflow_dropped_.inc();
         return;

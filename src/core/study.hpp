@@ -85,9 +85,9 @@ struct StudyConfig {
   /// equal fair shares of this single rate. An idle engine's share is
   /// lent to the busy one and reclaimed within about one token gap.
   double scan_pps = 2000;
-  /// Per-dataset cap on each engine's staged probe intents: bounds the
-  /// pending queue (and memory) regardless of hitlist size; a full lane
-  /// pushes back on the feed instead of queueing (scan_backpressure_events).
+  /// Cap on each engine's staged probe intents: bounds the pending queue
+  /// (and memory) regardless of hitlist size; a full queue pushes back on
+  /// the feed instead of queueing (scan_backpressure_events).
   std::size_t scan_max_pending = 4096;
   /// Cap on the study-side buffer of collector addresses refused with
   /// kQueueFull. Beyond it addresses are dropped and counted

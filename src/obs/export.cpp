@@ -271,7 +271,7 @@ struct RolledValue {
   std::size_t folded = 0;
 };
 
-/// The shared rollup pass behind to_table/to_jsonl/to_prometheus: keep the
+/// The shared rollup pass behind to_table and apply_rollup: keep the
 /// top_n largest members of each listed family, fold the rest into one
 /// {series=other} aggregate.
 std::vector<RolledValue> roll_values(const RegistrySnapshot& snapshot,
@@ -409,11 +409,6 @@ std::string to_jsonl(const RegistrySnapshot& snapshot) {
   return out;
 }
 
-std::string to_jsonl(const RegistrySnapshot& snapshot,
-                     const TableRollup& rollup) {
-  return to_jsonl(apply_rollup(snapshot, rollup));
-}
-
 std::optional<RegistrySnapshot> parse_jsonl(const std::string& text) {
   RegistrySnapshot snap;
   std::size_t pos = 0;
@@ -478,68 +473,6 @@ std::optional<RegistrySnapshot> parse_jsonl(const std::string& text) {
     snap.values.push_back(std::move(v));
   }
   return snap;
-}
-
-// ------------------------------------------------------------ prometheus
-
-std::string to_prometheus(const RegistrySnapshot& snapshot) {
-  std::string out;
-  auto labels_text = [](const Labels& labels,
-                        const std::string& extra = {}) -> std::string {
-    if (labels.empty() && extra.empty()) return "";
-    std::string s = "{";
-    bool first = true;
-    for (const auto& [k, val] : labels) {
-      if (!first) s += ',';
-      first = false;
-      s += util::cat(k, "=\"", val, "\"");
-    }
-    if (!extra.empty()) {
-      if (!first) s += ',';
-      s += extra;
-    }
-    s += '}';
-    return s;
-  };
-  std::string last_typed;
-  for (const auto& v : snapshot.values) {
-    if (v.name != last_typed) {
-      out += util::cat("# TYPE ", v.name, " ", to_string(v.kind), "\n");
-      last_typed = v.name;
-    }
-    switch (v.kind) {
-      case Kind::kCounter:
-        out += util::cat(v.name, labels_text(v.labels), " ", v.count, "\n");
-        break;
-      case Kind::kGauge:
-        out += util::cat(v.name, labels_text(v.labels), " ", v.value, "\n");
-        break;
-      case Kind::kHistogram: {
-        std::uint64_t cum = 0;
-        auto bucket = [&](const std::string& le) {
-          out += util::cat(v.name, "_bucket",
-                           labels_text(v.labels, util::cat("le=\"", le, "\"")),
-                           " ", cum, "\n");
-        };
-        for (std::size_t i = 0; i < v.bucket_counts.size(); ++i) {
-          cum += v.bucket_counts[i];
-          bucket(util::cat(Histogram::bucket_upper(i)));
-        }
-        bucket("+Inf");
-        out += util::cat(v.name, "_sum", labels_text(v.labels), " ", v.value,
-                         "\n");
-        out += util::cat(v.name, "_count", labels_text(v.labels), " ",
-                         v.count, "\n");
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::string to_prometheus(const RegistrySnapshot& snapshot,
-                          const TableRollup& rollup) {
-  return to_prometheus(apply_rollup(snapshot, rollup));
 }
 
 // -------------------------------------------------------------- timeline

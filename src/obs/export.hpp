@@ -1,7 +1,7 @@
 // Exporters: turn registry snapshots, heartbeat timelines and tracer
-// aggregates into a human-readable table (util::TextTable), a JSONL dump
+// aggregates into a human-readable table (util::TextTable) and a JSONL dump
 // (one instrument per line, machine-parseable — parse_jsonl() reads it
-// back) and a Prometheus-style text exposition.
+// back).
 #pragma once
 
 #include <optional>
@@ -40,7 +40,8 @@ util::TextTable to_table(const RegistrySnapshot& snapshot, std::string title,
 /// Apply a rollup to a snapshot: listed families keep their top_n largest
 /// members plus one synthetic "<name>{series=other}" aggregate. The result
 /// feeds any exporter (and keeps the snapshot's sorted-by-name family
-/// grouping, so Prometheus "# TYPE" runs stay contiguous).
+/// grouping): bounded-cardinality machine output is
+/// to_jsonl(apply_rollup(snapshot, rollup)).
 RegistrySnapshot apply_rollup(const RegistrySnapshot& snapshot,
                               const TableRollup& rollup);
 
@@ -50,17 +51,6 @@ RegistrySnapshot apply_rollup(const RegistrySnapshot& snapshot,
 /// the last non-empty bucket of the fixed layout, bucket i ending at
 /// Histogram::bucket_upper(i).
 std::string to_jsonl(const RegistrySnapshot& snapshot);
-/// to_jsonl() after apply_rollup(): bounded-cardinality machine output.
-std::string to_jsonl(const RegistrySnapshot& snapshot,
-                     const TableRollup& rollup);
-
-/// Prometheus text format: "# TYPE" comments, name{labels} value lines;
-/// histograms expand to _bucket{le=...}/_sum/_count series, one le edge
-/// per carried bucket plus le="+Inf".
-std::string to_prometheus(const RegistrySnapshot& snapshot);
-/// to_prometheus() after apply_rollup(): bounded-cardinality exposition.
-std::string to_prometheus(const RegistrySnapshot& snapshot,
-                          const TableRollup& rollup);
 
 /// Parse a to_jsonl() dump back into a snapshot (values sorted as emitted).
 /// Returns nullopt on malformed input. Only the subset of JSON that

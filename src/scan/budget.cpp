@@ -41,13 +41,8 @@ SharedBudget::~SharedBudget() {
 }
 
 SharedBudget::ClientId SharedBudget::add_client(std::string name,
-                                                double weight,
                                                 PumpClient* client) {
-  if (!(weight > 0) || !std::isfinite(weight))
-    throw std::invalid_argument(
-        "SharedBudget: client weight must be positive and finite");
   auto c = std::make_unique<Client>();
-  c->weight = weight;
   c->pump = client;
   // Late joiners enter at the current virtual time, same as an idle->busy
   // transition: no retroactive claim on capacity spent before they existed.
@@ -120,9 +115,9 @@ void SharedBudget::pump() {
     }
     if (winner == none) break;  // nothing due
     Client& c = *clients_[winner];
-    double start = start_tag(c);
+    std::uint64_t start = start_tag(c);
     if (idle != none) {
-      double theirs = start_tag(*clients_[idle]);
+      std::uint64_t theirs = start_tag(*clients_[idle]);
       if (theirs < start || (theirs == start && idle < winner))
         c.borrowed.inc();
     }
@@ -131,7 +126,7 @@ void SharedBudget::pump() {
         slot + gap_ + static_cast<simnet::SimDuration>(frac_acc_ >> 32);
     frac_acc_ &= 0xffffffffULL;
     vtime_ = start;
-    c.finish = start + 1.0 / c.weight;
+    c.finish = start + 1;
     c.grants.inc();
     if (c.wanted_since >= 0) {
       c.reclaim.record(now - c.wanted_since);

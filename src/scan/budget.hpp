@@ -5,14 +5,13 @@
 // observers see and classify, so it must be a first-class invariant rather
 // than an emergent property of per-engine token buckets. SharedBudget is
 // that single token source and the single scheduler that spends it:
-// clients (scan engines) register with a weight, and tokens are granted by
-// start-time fair queuing over the clients with work due, which makes the
-// budget
+// clients (scan engines) register, and tokens are granted by start-time
+// fair queuing over the clients with work due, which makes the budget
 //
 //   - work-conserving: an idle client's share is lendable — the sole busy
 //     client takes every token (counted in scan_budget_borrowed_slots);
-//   - weighted: under saturation, grants converge to the configured weight
-//     ratios (each client's virtual finish tag advances by 1/weight per
+//   - equal-share: under saturation, every busy client gets the same
+//     number of grants (each client's virtual finish tag advances by 1 per
 //     grant, and the smallest start tag wins the next token);
 //   - promptly reclaimable: a client going idle->busy re-enters at the
 //     current virtual time (no credit for the idle period, no banked debt
@@ -97,12 +96,10 @@ class SharedBudget {
   SharedBudget(const SharedBudget&) = delete;
   SharedBudget& operator=(const SharedBudget&) = delete;
 
-  /// Register a client, which must stay alive until remove_client. Weight
-  /// must be positive; ties in the fair-queue arbitration break towards
-  /// earlier registrations. A null client holds a share that never has
-  /// work.
-  ClientId add_client(std::string name, double weight,
-                      PumpClient* client = nullptr);
+  /// Register a client, which must stay alive until remove_client. Ties
+  /// in the fair-queue arbitration break towards earlier registrations. A
+  /// null client holds a share that never has work.
+  ClientId add_client(std::string name, PumpClient* client = nullptr);
   /// Deregister: the budget never calls the client again and drops its
   /// instruments.
   void remove_client(ClientId id);
@@ -142,15 +139,14 @@ class SharedBudget {
       std::numeric_limits<simnet::SimTime>::max();
 
   struct Client {
-    double weight = 1.0;
     /// Null once removed (or for a share that never has work); every
     /// other field of a null client is ignored.
     PumpClient* pump = nullptr;
     /// Earliest launchable time of the client's staged work (kIdle: none).
     simnet::SimTime due = kIdle;
-    /// SFQ finish tag: advances 1/weight per grant; max(finish, vtime_) is
-    /// the start tag arbitration compares.
-    double finish = 0.0;
+    /// SFQ finish tag: advances 1 per grant; max(finish, vtime_) is the
+    /// start tag arbitration compares.
+    std::uint64_t finish = 0;
     /// Time the client reported due work; -1 when idle or already served.
     simnet::SimTime wanted_since = -1;
     obs::Counter grants;
@@ -159,7 +155,7 @@ class SharedBudget {
     obs::Histogram reclaim;
   };
 
-  double start_tag(const Client& c) const {
+  std::uint64_t start_tag(const Client& c) const {
     return c.finish > vtime_ ? c.finish : vtime_;
   }
   /// One timer firing: settle, grant every banked token in fair order,
@@ -185,7 +181,7 @@ class SharedBudget {
   simnet::SimTime next_accrual_ = 0;
   /// SFQ virtual time: start tag of the last granted token. Freshly busy
   /// clients re-enter here, which is exactly the no-banked-credit rule.
-  double vtime_ = 0.0;
+  std::uint64_t vtime_ = 0;
   std::vector<std::unique_ptr<Client>> clients_;
   GrantFn on_grant_;
   std::uint64_t wakes_ = 0;

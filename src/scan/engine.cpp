@@ -1,7 +1,6 @@
 #include "scan/engine.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/flight.hpp"
@@ -19,9 +18,6 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
       probe_cat_(network.events().register_category("scan_probe")) {
   if (!config_.budget && config_.max_pps <= 0)
     throw std::invalid_argument("ScanEngine: max_pps must be positive");
-  if (!(config_.budget_weight > 0) || !std::isfinite(config_.budget_weight))
-    throw std::invalid_argument(
-        "ScanEngine: budget_weight must be positive and finite");
   if (config_.min_protocol_delay < 0)
     throw std::invalid_argument(
         "ScanEngine: min_protocol_delay must be non-negative");
@@ -85,17 +81,6 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
           if (kind == obs::FlightKind::kBreakerOpen)
             flight->trigger("breaker-open");
         });
-    obs::Tracer::NameId as_note = flight->tracer().intern("as");
-    breaker_->set_as_transition_observer(
-        [flight, as_note](const net::Ipv6Address& as_key, bool open,
-                          simnet::SimTime /*now*/) {
-          flight->record(open ? obs::FlightKind::kBreakerOpen
-                              : obs::FlightKind::kBreakerClose,
-                         as_note, /*trace=*/0,
-                         static_cast<std::int64_t>(as_key.hi64()),
-                         static_cast<std::int64_t>(as_key.lo64()));
-          if (open) flight->trigger("as-breaker-open");
-        });
   }
 
   if (config_.budget) {
@@ -106,8 +91,7 @@ ScanEngine::ScanEngine(simnet::Network& network, ResultStore& results,
         SharedBudgetConfig{config_.max_pps, config_.registry});
     budget_ = own_budget_.get();
   }
-  budget_id_ = budget_->add_client(std::string(label(config_.dataset)),
-                                   config_.budget_weight, this);
+  budget_id_ = budget_->add_client(std::string(label(config_.dataset)), this);
   enroll_metrics();
 }
 
@@ -149,23 +133,21 @@ void ScanEngine::enroll_metrics() {
   }
 }
 
-SubmitResult ScanEngine::try_submit(const net::Ipv6Address& target,
-                                    Dataset lane) {
+SubmitResult ScanEngine::try_submit(const net::Ipv6Address& target) {
   simnet::SimTime now = network_.now();
   auto it = last_scan_.find(target);
   if (it != last_scan_.end() && now - it->second < kRescanBlackout) {
     skipped_blackout_.inc();
     return SubmitResult::kBlackout;
   }
-  if (queue_.full(lane)) {
+  if (queue_.full()) {
     // Backpressure: the target is NOT blackout-marked, so the feed may
-    // resubmit it once the lane drains.
+    // resubmit it once the queue drains.
     backpressure_.inc();
-    if (on_backpressure_) on_backpressure_(lane);
     return SubmitResult::kQueueFull;
   }
   last_scan_[target] = now;
-  stage_target(target, lane);
+  stage_target(target);
   report_due();
   return SubmitResult::kAccepted;
 }
@@ -189,20 +171,19 @@ void ScanEngine::submit_bulk(const std::vector<net::Ipv6Address>& targets) {
   });
 }
 
-void ScanEngine::add_source(SourceFn fn, Dataset lane) {
-  sources_.push_back(Source{std::move(fn), lane});
+void ScanEngine::add_source(SourceFn fn) {
+  sources_.push_back(std::move(fn));
   report_due();
 }
 
-void ScanEngine::stage_target(const net::Ipv6Address& target, Dataset lane) {
+void ScanEngine::stage_target(const net::Ipv6Address& target) {
   ScanIntent intent{.not_before = network_.now(),
-                    .dataset = lane,
                     .chain_pos = 0,
                     .attempt = 0,
                     .target = target};
   begin_intent_trace(intent);
   bool ok = queue_.push(std::move(intent));
-  assert(ok && "stage_target called on a full lane");
+  assert(ok && "stage_target called on a full queue");
   (void)ok;
   submitted_.inc();
   update_pending_gauges();
@@ -221,7 +202,6 @@ void ScanEngine::stage_successor(const ScanIntent& intent,
                      rng_.below(static_cast<std::uint64_t>(span)))
                : 0;
   ScanIntent successor{.not_before = slot + config_.min_protocol_delay + jitter,
-                       .dataset = intent.dataset,
                        .chain_pos = static_cast<std::uint8_t>(next),
                        .attempt = 0,
                        .target = intent.target};
@@ -232,7 +212,7 @@ void ScanEngine::stage_successor(const ScanIntent& intent,
 }
 
 void ScanEngine::begin_intent_trace(ScanIntent& intent) {
-  intent.trace = mint_trace(intent.dataset);
+  intent.trace = mint_trace();
   obs::Tracer* tracer = config_.tracer;
   if (!tracer || !tracer->enabled()) return;
   auto proto = static_cast<Protocol>(intent.chain_pos);
@@ -252,11 +232,10 @@ void ScanEngine::end_stage_span(const ScanIntent& intent,
 
 void ScanEngine::refill_from_sources() {
   for (std::size_t i = 0; i < sources_.size();) {
-    Source& source = sources_[i];
     bool drained = false;
     std::size_t room;
-    while ((room = queue_.free_slots(source.lane)) > 0) {
-      std::vector<net::Ipv6Address> batch = source.fn(room);
+    while ((room = queue_.free_slots()) > 0) {
+      std::vector<net::Ipv6Address> batch = sources_[i](room);
       if (batch.empty()) {  // a source is dry when it returns nothing
         drained = true;
         break;
@@ -269,7 +248,7 @@ void ScanEngine::refill_from_sources() {
           continue;
         }
         last_scan_[target] = now;
-        stage_target(target, source.lane);
+        stage_target(target);
       }
     }
     if (drained)
@@ -280,8 +259,7 @@ void ScanEngine::refill_from_sources() {
 }
 
 std::optional<simnet::SimTime> ScanEngine::due() const {
-  for (const Source& source : sources_)
-    if (queue_.free_slots(source.lane) > 0) return network_.now();
+  if (!sources_.empty() && !queue_.full()) return network_.now();
   return queue_.next_not_before();
 }
 
@@ -367,7 +345,7 @@ void ScanEngine::finish_probe(const ScanIntent& intent, Outcome outcome,
       report_due();
       return;
     }
-    retry_dropped_.inc();  // lane full: give up, record the timeout
+    retry_dropped_.inc();  // queue full: give up, record the timeout
     if (config_.tracer) config_.tracer->close(again.stage_span);
     if (config_.flight)
       config_.flight->record(obs::FlightKind::kRetryDropped, /*detail=*/0,
@@ -378,7 +356,7 @@ void ScanEngine::finish_probe(const ScanIntent& intent, Outcome outcome,
     config_.tracer->close(intent.lifecycle_span);
   }
   if (outcome != Outcome::kSuccess) {
-    results_.tally(intent.dataset, static_cast<Protocol>(intent.chain_pos),
+    results_.tally(config_.dataset, static_cast<Protocol>(intent.chain_pos),
                    outcome);
     return;
   }
@@ -389,21 +367,18 @@ void ScanEngine::finish_probe(const ScanIntent& intent, Outcome outcome,
 
 bool ScanEngine::drain_quarantine(simnet::SimTime now, bool announced) {
   // Only an announce can route a parked target again; between announces
-  // only intents that found their lane full can leave, once it has room.
-  bool room = announced;
-  for (std::size_t d = 0; d < kDatasetCount; ++d)
-    room |= (full_lanes_ >> d & 1u) != 0 &&
-            !queue_.full(static_cast<Dataset>(d));
-  if (!room) return false;
+  // only intents that found the queue full can leave, once it has room.
+  const bool room = quarantine_found_full_ && !queue_.full();
+  if (!announced && !room) return false;
   std::size_t kept = 0;
-  std::uint8_t full_lanes = 0;
+  bool found_full = false;
   bool staged = false;
   for (ScanIntent& intent : quarantine_) {
-    // Its lane has no room, or still unrouted: keep it parked (FIFO), with
-    // no staging span. A full lane is retried when it frees a slot, a
-    // withdrawn route at the next announce.
-    if (queue_.full(intent.dataset)) {
-      full_lanes |= lane_bit(intent.dataset);
+    // The queue has no room, or still unrouted: keep it parked (FIFO),
+    // with no staging span. A full queue is retried when it frees a slot,
+    // a withdrawn route at the next announce.
+    if (queue_.full()) {
+      found_full = true;
       quarantine_[kept++] = std::move(intent);
       continue;
     }
@@ -417,13 +392,13 @@ bool ScanEngine::drain_quarantine(simnet::SimTime now, bool announced) {
     if (config_.tracer && intent.trace != 0)
       intent.stage_span = config_.tracer->open(stage_name_, intent.trace);
     bool ok = queue_.push(std::move(intent));
-    assert(ok && "the lane had room");
+    assert(ok && "the queue had room");
     (void)ok;
     route_requeued_.inc();
     staged = true;
   }
   quarantine_.resize(kept);
-  full_lanes_ = full_lanes;
+  quarantine_found_full_ = found_full;
   if (staged) update_pending_gauges();
   return staged;
 }
@@ -445,7 +420,7 @@ void ScanEngine::shed_probe(const ScanIntent& intent, simnet::SimTime now) {
   // that eventually re-closes the breaker. (A shed retry's successor was
   // already staged by its first attempt.)
   if (intent.attempt == 0) stage_successor(intent, now);
-  results_.tally(intent.dataset, static_cast<Protocol>(intent.chain_pos),
+  results_.tally(config_.dataset, static_cast<Protocol>(intent.chain_pos),
                  Outcome::kTimeout);
 }
 

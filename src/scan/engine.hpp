@@ -3,7 +3,7 @@
 // Targets arrive either in real time (the AddressCollector feeds every new
 // NTP-sourced address) or in bulk (the hitlist sweep, pulled in chunks).
 // The engine enforces the study's ethical-scanning mechanics: a shared
-// packet budget (SharedBudget — one uplink across engines, weighted fair
+// packet budget (SharedBudget — one uplink across engines, equal-share fair
 // borrowing), randomised 10 s - 10 min delays between the per-protocol
 // probes of one target, and a 3-day blackout before any address is scanned
 // again. Each protocol probe performs a full byte-level exchange (probe.cpp:
@@ -15,11 +15,11 @@
 // earliest due time to its budget, whose single pump timer drives the
 // engine through two steps (PumpClient). settle() does the token-free work
 // — pull bulk sources into free staging room, re-stage quarantined intents
-// whose lane has room, park due heads whose route is withdrawn and shed
+// once the queue has room, park due heads whose route is withdrawn and shed
 // those an open breaker refuses — and launch() starts the due head on a
 // granted token, inline. The budget re-settles the engine after every
 // launch, so a slot the launch frees is refilled (or taken by a parked
-// intent) at once. A full lane applies backpressure to the submitter, so
+// intent) at once. A full queue applies backpressure to the submitter, so
 // the pending depth stays O(max_pending) instead of O(total targets) and
 // `scan_token_wait_us` measures the real pacing delay (launch minus token
 // accrual, bounded by the burst bank) rather than the position of a probe
@@ -29,7 +29,9 @@
 // per-protocol splits, the token-bucket wait and queue-delay histograms,
 // pending depth/peak, backpressure events, pump wake-ups) are obs
 // instruments; the accessors read the same cells, and a Registry in the
-// config exports them labelled with the campaign dataset.
+// config exports them labelled with the campaign dataset. An engine scans
+// one dataset: its records, tallies and trace ids carry config.dataset,
+// and a study runs one engine per dataset on a shared budget.
 #pragma once
 
 #include <array>
@@ -109,8 +111,6 @@ struct ScanEngineConfig {
   /// (which must outlive the engine) instead of a private one; max_pps is
   /// then ignored. Optional.
   SharedBudget* budget = nullptr;
-  /// Fair-share weight of this engine on the (shared) budget.
-  double budget_weight = 1.0;
   simnet::SimDuration min_protocol_delay = simnet::sec(10);
   simnet::SimDuration max_protocol_delay = simnet::minutes(10);
   /// TCP connect give-up: a connect that never completes ends its probe
@@ -121,8 +121,8 @@ struct ScanEngineConfig {
   RetryPolicy retry;
   /// Per-routed-prefix circuit breaking (default off).
   BreakerConfig breaker;
-  /// Per-dataset-lane cap on staged probe intents: bounds pending_depth()
-  /// and therefore the engine's memory, whatever the bulk feed size.
+  /// Cap on staged probe intents: bounds pending_depth() and therefore
+  /// the engine's memory, whatever the bulk feed size.
   std::size_t max_pending = 4096;
   net::Ipv6Address scanner_address;
   Dataset dataset = Dataset::kNtp;
@@ -148,7 +148,7 @@ struct ScanEngineConfig {
 enum class SubmitResult : std::uint8_t {
   kAccepted,  ///< staged; the pump will launch it as the budget allows
   kBlackout,  ///< inside its rescan blackout; skipped (counted)
-  kQueueFull, ///< staging lane at capacity; backpressure (counted, the
+  kQueueFull, ///< staging queue at capacity; backpressure (counted, the
               ///< target is NOT blackout-marked and may be resubmitted)
 };
 
@@ -171,12 +171,10 @@ class ScanEngine : private PumpClient {
   /// cursor between calls.
   using SourceFn =
       std::function<std::vector<net::Ipv6Address>(std::size_t max_n)>;
-  /// Invoked (if set) every time a submission is refused with kQueueFull.
-  using BackpressureFn = std::function<void(Dataset)>;
 
   /// Throws std::invalid_argument on inverted protocol-delay ranges,
-  /// non-positive max_pps (private budget), non-positive budget_weight,
-  /// a zero max_pending, or a connect_timeout outside (0, kProbeTimeout].
+  /// non-positive max_pps (private budget), a zero max_pending, or a
+  /// connect_timeout outside (0, kProbeTimeout].
   ScanEngine(simnet::Network& network, ResultStore& results,
              ScanEngineConfig config);
   ~ScanEngine();
@@ -190,11 +188,7 @@ class ScanEngine : private PumpClient {
   bool submit(const net::Ipv6Address& target) {
     return try_submit(target) == SubmitResult::kAccepted;
   }
-  SubmitResult try_submit(const net::Ipv6Address& target) {
-    return try_submit(target, config_.dataset);
-  }
-  /// Submit into a specific dataset lane (results are tagged with `lane`).
-  SubmitResult try_submit(const net::Ipv6Address& target, Dataset lane);
+  SubmitResult try_submit(const net::Ipv6Address& target);
 
   /// Queue many targets (hitlist sweep). The vector is copied into an
   /// internal pull source and fed to the pump chunk-by-chunk, so staging
@@ -202,14 +196,9 @@ class ScanEngine : private PumpClient {
   void submit_bulk(const std::vector<net::Ipv6Address>& targets);
 
   /// Register a pull source the pump drains as staging room frees up.
-  void add_source(SourceFn fn) { add_source(std::move(fn), config_.dataset); }
-  void add_source(SourceFn fn, Dataset lane);
+  void add_source(SourceFn fn);
   /// Sources registered and not yet drained.
   std::size_t sources_pending() const { return sources_.size(); }
-
-  void set_backpressure_callback(BackpressureFn fn) {
-    on_backpressure_ = std::move(fn);
-  }
 
   std::uint64_t submitted() const { return submitted_.value(); }
   std::uint64_t skipped_blackout() const { return skipped_blackout_.value(); }
@@ -228,7 +217,7 @@ class ScanEngine : private PumpClient {
   std::uint64_t retries_staged() const { return retries_.value(); }
   /// Retry attempts (attempt > 0) that completed with kSuccess.
   std::uint64_t retry_successes() const { return retry_success_.value(); }
-  /// Retries abandoned because the staging lane was full at re-stage time.
+  /// Retries abandoned because the staging queue was full at re-stage time.
   std::uint64_t retries_dropped() const { return retry_dropped_.value(); }
   /// Probes shed at admission by an open breaker (recorded as timeouts).
   std::uint64_t breaker_shed() const {
@@ -267,11 +256,11 @@ class ScanEngine : private PumpClient {
   /// budget's burst bank (~kBurstSlots token gaps).
   const obs::Histogram& token_wait() const { return token_wait_; }
   /// Staging delay per probe (us): launch time minus the intent's
-  /// not-before time. Shows token starvation of a backlogged lane.
+  /// not-before time. Shows token starvation of a backlogged engine.
   const obs::Histogram& queue_delay() const { return queue_delay_; }
   /// Virtual launch-to-completion time per probe (us), all protocols.
   const obs::Histogram& probe_rtt() const { return probe_rtt_; }
-  /// Staged intents right now (bounded by max_pending per lane).
+  /// Staged intents right now (bounded by max_pending).
   std::size_t pending_depth() const { return queue_.size(); }
   /// Lifetime high-water mark of pending_depth().
   std::size_t pending_peak() const { return queue_.peak(); }
@@ -284,12 +273,13 @@ class ScanEngine : private PumpClient {
 
  private:
   /// Stage the first-protocol intent for an accepted target.
-  void stage_target(const net::Ipv6Address& target, Dataset lane);
-  /// Mint the next seed-stable TraceId for `lane` (staging order is
-  /// deterministic, so same-seed runs mint identical ids; the lane tag in
-  /// the top byte keeps ids engine-distinct when lanes are per-engine).
-  std::uint64_t mint_trace(Dataset lane) {
-    return ((static_cast<std::uint64_t>(lane) + 1) << 56) | ++next_trace_;
+  void stage_target(const net::Ipv6Address& target);
+  /// Mint the next seed-stable TraceId (staging order is deterministic, so
+  /// same-seed runs mint identical ids; the dataset tag in the top byte
+  /// keeps the ids of a study's engines distinct).
+  std::uint64_t mint_trace() {
+    return ((static_cast<std::uint64_t>(config_.dataset) + 1) << 56) |
+           ++next_trace_;
   }
   /// Attach trace context to a freshly built intent: mint its TraceId and
   /// open the lifecycle ("target/<proto>") and staging ("probe/stage")
@@ -339,10 +329,10 @@ class ScanEngine : private PumpClient {
   void shed_probe(const ScanIntent& intent, simnet::SimTime now);
   /// Re-stage quarantined intents whose routes have been re-announced.
   /// Runs at route-announce commits (`announced`: every parked intent is
-  /// checked) and in every settle(), where it is a no-op unless a lane an
-  /// intent found full has room again — so a lane-full park re-stages as
-  /// soon as a slot frees. An intent its lane cannot take gets no staging
-  /// span. True when it staged any.
+  /// checked) and in every settle(), where it is a no-op unless the queue
+  /// an intent found full has room again — so a queue-full park re-stages
+  /// as soon as a slot frees. An intent the queue cannot take gets no
+  /// staging span. True when it staged any.
   bool drain_quarantine(simnet::SimTime now, bool announced);
   /// Probe completion: breaker feedback, retry re-staging, then the final
   /// outcome: a success stores `record` (built at contact, so non-null),
@@ -374,18 +364,9 @@ class ScanEngine : private PumpClient {
   /// Intents pulled due while their target sat in withdrawn space: parked
   /// FIFO here (no token, no record) until re-announcement re-stages them.
   std::vector<ScanIntent> quarantine_;
-  /// Bit d set: a quarantined intent found Dataset lane d full and waits
-  /// for room there.
-  std::uint8_t full_lanes_ = 0;
-  static std::uint8_t lane_bit(Dataset lane) {
-    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(lane));
-  }
-  struct Source {
-    SourceFn fn;
-    Dataset lane;
-  };
-  std::vector<Source> sources_;
-  BackpressureFn on_backpressure_;
+  /// A quarantined intent found the queue full and waits for room there.
+  bool quarantine_found_full_ = false;
+  std::vector<SourceFn> sources_;
   /// Engines without a shared budget own a single-client one.
   std::unique_ptr<SharedBudget> own_budget_;
   SharedBudget* budget_ = nullptr;
@@ -433,7 +414,7 @@ class ScanEngine : private PumpClient {
   obs::Tracer::NameId shed_name_ = 0;
   obs::Tracer::NameId record_name_ = 0;
   obs::Tracer::NameId quarantine_name_ = 0;
-  /// Per-lane monotone trace counter (see mint_trace).
+  /// Monotone trace counter (see mint_trace).
   std::uint64_t next_trace_ = 0;
 };
 

@@ -4,12 +4,10 @@
 
 namespace tts::scan {
 
-PendingQueue::PendingQueue(std::size_t lane_capacity)
-    : lane_capacity_(lane_capacity) {}
+PendingQueue::PendingQueue(std::size_t capacity) : capacity_(capacity) {}
 
 bool PendingQueue::push(ScanIntent intent) {
-  Lane& lane = lanes_[static_cast<std::size_t>(intent.dataset)];
-  if (lane.size() >= lane_capacity_) return false;
+  if (heap_.size() >= capacity_) return false;
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slab_.size());
@@ -19,55 +17,30 @@ bool PendingQueue::push(ScanIntent intent) {
     free_.pop_back();
     slab_[slot] = intent;
   }
-  lane.push_back(Key{intent.not_before, next_seq_++, slot});
-  std::push_heap(lane.begin(), lane.end(), Later{});
+  heap_.push_back(Key{intent.not_before, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   peak_ = std::max(peak_, size());
   return true;
 }
 
-std::size_t PendingQueue::free_slots(Dataset lane) const {
-  std::size_t used = lanes_[static_cast<std::size_t>(lane)].size();
-  return used >= lane_capacity_ ? 0 : lane_capacity_ - used;
-}
-
-std::size_t PendingQueue::lane_size(Dataset lane) const {
-  return lanes_[static_cast<std::size_t>(lane)].size();
-}
-
 std::optional<simnet::SimTime> PendingQueue::next_not_before() const {
-  std::optional<simnet::SimTime> earliest;
-  for (const Lane& lane : lanes_) {
-    if (lane.empty()) continue;
-    simnet::SimTime t = lane.front().not_before;
-    if (!earliest || t < *earliest) earliest = t;
-  }
-  return earliest;
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().not_before;
 }
 
 const ScanIntent* PendingQueue::peek_due(simnet::SimTime now) const {
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    std::size_t li = (rr_next_ + i) % lanes_.size();
-    const Lane& lane = lanes_[li];
-    if (lane.empty() || lane.front().not_before > now) continue;
-    return &slab_[lane.front().slot];
-  }
-  return nullptr;
+  if (heap_.empty() || heap_.front().not_before > now) return nullptr;
+  return &slab_[heap_.front().slot];
 }
 
 std::optional<ScanIntent> PendingQueue::pull_due(simnet::SimTime now) {
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    std::size_t li = (rr_next_ + i) % lanes_.size();
-    Lane& lane = lanes_[li];
-    if (lane.empty() || lane.front().not_before > now) continue;
-    std::pop_heap(lane.begin(), lane.end(), Later{});
-    const std::uint32_t slot = lane.back().slot;
-    lane.pop_back();
-    ScanIntent intent = std::move(slab_[slot]);
-    free_.push_back(slot);
-    rr_next_ = (li + 1) % lanes_.size();
-    return intent;
-  }
-  return std::nullopt;
+  if (heap_.empty() || heap_.front().not_before > now) return std::nullopt;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  ScanIntent intent = std::move(slab_[slot]);
+  free_.push_back(slot);
+  return intent;
 }
 
 }  // namespace tts::scan

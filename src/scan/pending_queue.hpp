@@ -1,24 +1,22 @@
-// Bounded, dataset-fair staging for scan probe intents.
+// Bounded staging for one scan engine's probe intents.
 //
 // The pull-based pacing pump (scan::SharedBudget's one timer driving each
 // ScanEngine's settle and launch steps) stores *intents* here — (target,
 // position in the protocol chain, not-before time) — instead of
 // pre-reserving rate-limiter slots at submission; slots come from the
-// engine's scan::SharedBudget at launch time. Each dataset gets its own
-// lane with its own capacity, so a bulk hitlist sweep can never crowd out
-// the real-time NTP feed: pulls round-robin across lanes with due work, and
-// a full lane pushes back on the submitter instead of growing without
-// bound. Ties at equal not-before times break by staging order, keeping
-// pull order (and therefore every downstream RNG draw) deterministic.
+// engine's scan::SharedBudget at launch time. The queue has one capacity,
+// and a full queue pushes back on the submitter instead of growing without
+// bound; fairness between datasets is the budget's job, since each dataset
+// has its own engine. Pulls are earliest-first, and ties at equal
+// not-before times break by staging order, keeping pull order (and
+// therefore every downstream RNG draw) deterministic.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "net/ipv6.hpp"
-#include "scan/results.hpp"
 #include "simnet/time.hpp"
 
 namespace tts::scan {
@@ -27,7 +25,6 @@ namespace tts::scan {
 /// or after `not_before`.
 struct ScanIntent {
   simnet::SimTime not_before = 0;
-  Dataset dataset = Dataset::kNtp;
   /// Index into the engine's protocol order (the stagger chain position).
   std::uint8_t chain_pos = 0;
   /// Retry attempt: 0 for the first probe, incremented each re-stage.
@@ -48,34 +45,33 @@ struct ScanIntent {
 
 class PendingQueue {
  public:
-  explicit PendingQueue(std::size_t lane_capacity);
+  explicit PendingQueue(std::size_t capacity);
 
-  /// Stage an intent. False when the intent's lane is at capacity — the
-  /// caller must apply backpressure instead of queueing.
+  /// Stage an intent. False when the queue is at capacity — the caller
+  /// must apply backpressure instead of queueing.
   bool push(ScanIntent intent);
 
-  bool full(Dataset lane) const { return free_slots(lane) == 0; }
-  std::size_t free_slots(Dataset lane) const;
+  bool full() const { return heap_.size() == capacity_; }
+  /// push() never lets size() pass the capacity.
+  std::size_t free_slots() const { return capacity_ - heap_.size(); }
 
-  /// Earliest not_before across all lanes (nullopt when empty).
+  /// Earliest not_before (nullopt when empty).
   std::optional<simnet::SimTime> next_not_before() const;
-  /// Pop one intent with not_before <= now, round-robin across lanes with
-  /// due work so no dataset starves another. nullopt when nothing is due.
+  /// Pop the earliest intent with not_before <= now; nullopt when nothing
+  /// is due.
   std::optional<ScanIntent> pull_due(simnet::SimTime now);
-  /// The intent the next pull_due(now) would return, without popping or
-  /// advancing the round-robin cursor — lets the pump decide (breaker
-  /// admission) before spending a budget token on it.
+  /// The intent the next pull_due(now) would return, without popping it —
+  /// lets the pump decide (breaker admission) before spending a budget
+  /// token on it.
   const ScanIntent* peek_due(simnet::SimTime now) const;
 
-  std::size_t size() const { return slab_.size() - free_.size(); }
-  std::size_t lane_size(Dataset lane) const;
-  std::size_t lane_capacity() const { return lane_capacity_; }
+  std::size_t size() const { return heap_.size(); }
   /// High-water mark of size() over the queue's lifetime.
   std::size_t peak() const { return peak_; }
-  bool empty() const { return size() == 0; }
+  bool empty() const { return heap_.empty(); }
 
  private:
-  /// A staged intent's place in its lane: the heap orders these 24-byte
+  /// A staged intent's place in the queue: the heap orders these 24-byte
   /// keys, and the intent itself stays put in slab_ until it is pulled.
   struct Key {
     simnet::SimTime not_before;
@@ -88,16 +84,14 @@ class PendingQueue {
       return a.seq > b.seq;
     }
   };
-  /// A binary min-heap of keys kept with std::push_heap / std::pop_heap.
-  using Lane = std::vector<Key>;
 
-  std::array<Lane, kDatasetCount> lanes_;
+  /// A binary min-heap of keys kept with std::push_heap / std::pop_heap.
+  std::vector<Key> heap_;
   std::vector<ScanIntent> slab_;
   std::vector<std::uint32_t> free_;  // vacant slab_ indices
-  std::size_t lane_capacity_;
+  std::size_t capacity_;
   std::size_t peak_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t rr_next_ = 0;  // lane offset the next pull starts from
 };
 
 }  // namespace tts::scan

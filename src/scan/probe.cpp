@@ -47,7 +47,7 @@ using simnet::TcpConnection;
 ScanRecord& ProbeState::open_record() {
   record = std::make_unique<ScanRecord>();
   ScanRecord& r = *record;
-  r.dataset = intent.dataset;
+  r.dataset = engine->config_.dataset;
   r.protocol = protocol();
   r.target = intent.target;
   r.at = at;

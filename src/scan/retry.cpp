@@ -36,43 +36,6 @@ void CircuitBreakerSet::enroll(obs::Registry& registry,
   registry.enroll(shed_, "scan_breaker_shed", labels, owner);
   registry.enroll(tripped_gauge_, "scan_breaker_tripped_prefixes", labels,
                   owner);
-  registry.enroll(as_opens_, "scan_breaker_as_opens", labels, owner);
-  registry.enroll(as_closes_, "scan_breaker_as_closes", labels, owner);
-  registry.enroll(as_open_gauge_, "scan_breaker_open_as", labels, owner);
-}
-
-bool CircuitBreakerSet::as_open(const net::Ipv6Address& target) const {
-  if (config_.as_open_after == 0) return false;
-  auto it = by_as_.find(as_key_of(target));
-  return it != by_as_.end() && it->second.open;
-}
-
-void CircuitBreakerSet::child_tripped(const net::Ipv6Address& prefix,
-                                      simnet::SimTime now) {
-  if (config_.as_open_after == 0) return;
-  net::Ipv6Address as_key = prefix.masked(config_.as_prefix_len);
-  AsTier& tier = by_as_[as_key];
-  if (++tier.tripped_children >= config_.as_open_after && !tier.open) {
-    tier.open = true;
-    as_opens_.inc();
-    as_open_gauge_.add(1);
-    if (on_as_transition_) on_as_transition_(as_key, true, now);
-  }
-}
-
-void CircuitBreakerSet::child_restored(const net::Ipv6Address& prefix,
-                                       simnet::SimTime now) {
-  if (config_.as_open_after == 0) return;
-  auto it = by_as_.find(prefix.masked(config_.as_prefix_len));
-  if (it == by_as_.end() || it->second.tripped_children == 0) return;
-  AsTier& tier = it->second;
-  --tier.tripped_children;
-  if (tier.open && tier.tripped_children < config_.as_open_after) {
-    tier.open = false;
-    as_closes_.inc();
-    as_open_gauge_.add(-1);
-    if (on_as_transition_) on_as_transition_(it->first, false, now);
-  }
 }
 
 CircuitBreakerSet::State CircuitBreakerSet::state(
@@ -84,11 +47,6 @@ CircuitBreakerSet::State CircuitBreakerSet::state(
 bool CircuitBreakerSet::would_admit(const net::Ipv6Address& target,
                                     simnet::SimTime now) const {
   auto it = by_prefix_.find(key_of(target));
-  // The AS tier sheds only *closed*-prefix targets: open/half-open children
-  // keep their own recovery trials, so an escalated AS can still heal.
-  if ((it == by_prefix_.end() || it->second.state == State::kClosed) &&
-      as_open(target))
-    return false;
   if (it == by_prefix_.end()) return true;
   const Breaker& b = it->second;
   switch (b.state) {
@@ -97,9 +55,9 @@ bool CircuitBreakerSet::would_admit(const net::Ipv6Address& target,
     case State::kOpen:
       // Past the cool-down the breaker will half-open on the next launch;
       // admit iff a trial slot would be free.
-      return now >= b.open_until && config_.half_open_probes > 0;
+      return now >= b.open_until;
     case State::kHalfOpen:
-      return b.trials_in_flight < config_.half_open_probes;
+      return b.trials_in_flight < kHalfOpenProbes;
   }
   return true;
 }
@@ -122,10 +80,7 @@ void CircuitBreakerSet::note_launch(const net::Ipv6Address& target,
 void CircuitBreakerSet::open(const net::Ipv6Address& prefix, Breaker& b,
                              simnet::SimTime now) {
   State from = b.state;
-  if (b.state == State::kClosed) {
-    tripped_gauge_.add(1);
-    child_tripped(prefix, now);
-  }
+  if (b.state == State::kClosed) tripped_gauge_.add(1);
   b.state = State::kOpen;
   b.open_until = now + config_.open_for;
   b.trials_in_flight = 0;
@@ -148,7 +103,6 @@ void CircuitBreakerSet::on_outcome(const net::Ipv6Address& target,
       State from = b.state;
       b.state = State::kClosed;
       tripped_gauge_.add(-1);
-      child_restored(key, now);
       closes_.inc();
       notify(key, from, State::kClosed, now);
     }

@@ -9,11 +9,7 @@
 // opens the breaker and probes to the prefix are shed at admission; after a
 // cool-down the breaker half-opens and admits a trickle of trial probes — a
 // conclusive outcome (anything proving the path answers: success, refusal,
-// even a malformed reply) closes it, a trial timeout re-opens it. An
-// optional AS-level tier escalates: when enough prefix breakers inside one
-// AS aggregate are tripped at once, the whole AS sheds its still-closed
-// prefixes too (the tripped children keep running their own recovery
-// trials, so the tier de-escalates itself as they close).
+// even a malformed reply) closes it, a trial timeout re-opens it.
 //
 // Both mechanisms are pure state machines over sim-time; all transitions
 // and shed decisions are counted so the chaos harness can prove probe
@@ -59,17 +55,6 @@ struct BreakerConfig {
   std::uint32_t open_after = 8;
   /// Cool-down before an open breaker half-opens.
   simnet::SimDuration open_for = simnet::minutes(5);
-  /// Trial probes admitted while half-open (in flight at once).
-  std::uint32_t half_open_probes = 1;
-  /// AS-level escalation tier: when this many prefix breakers inside one
-  /// AS aggregate (target & /as_prefix_len) are tripped at once, the whole
-  /// AS trips and closed-prefix targets in it are shed wholesale. 0
-  /// disables the tier. The AS breaker is derived state — it de-escalates
-  /// automatically as its children recover, and it never blocks the
-  /// open/half-open children's own trial probes, so recovery always flows.
-  std::uint32_t as_open_after = 0;
-  /// Aggregation mask for the AS tier (must be <= prefix_len to aggregate).
-  unsigned as_prefix_len = 32;
 };
 
 /// The per-prefix breaker collection. Pure decision logic — the engine
@@ -79,6 +64,8 @@ struct BreakerConfig {
 class CircuitBreakerSet {
  public:
   enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
+  /// Trial probes a half-open breaker admits (in flight at once).
+  static constexpr std::uint32_t kHalfOpenProbes = 1;
 
   explicit CircuitBreakerSet(BreakerConfig config);
 
@@ -102,13 +89,6 @@ class CircuitBreakerSet {
   net::Ipv6Address key_of(const net::Ipv6Address& target) const {
     return target.masked(config_.prefix_len);
   }
-  /// AS-tier key of a target (target & /as_prefix_len).
-  net::Ipv6Address as_key_of(const net::Ipv6Address& target) const {
-    return target.masked(config_.as_prefix_len);
-  }
-  /// Is the target's AS tier currently escalated (tripped children >=
-  /// as_open_after)? Always false when the tier is disabled.
-  bool as_open(const net::Ipv6Address& target) const;
 
   const BreakerConfig& config() const { return config_; }
   std::uint64_t opens() const { return opens_.value(); }
@@ -117,10 +97,6 @@ class CircuitBreakerSet {
   std::uint64_t sheds() const { return shed_.value(); }
   /// Prefixes currently open or half-open (i.e. not admitting freely).
   std::int64_t tripped_now() const { return tripped_gauge_.value(); }
-  std::uint64_t as_opens() const { return as_opens_.value(); }
-  std::uint64_t as_closes() const { return as_closes_.value(); }
-  /// AS aggregates currently escalated.
-  std::int64_t as_open_now() const { return as_open_gauge_.value(); }
 
   /// Enroll the breaker instruments into `registry` under `labels`,
   /// attributed to `owner` (the engine enrolls these next to its own).
@@ -137,14 +113,6 @@ class CircuitBreakerSet {
     on_transition_ = std::move(fn);
   }
 
-  /// Called when an AS tier escalates (open=true) or de-escalates. At most
-  /// one observer; empty function detaches.
-  using AsTransitionFn = std::function<void(const net::Ipv6Address& as_key,
-                                            bool open, simnet::SimTime now)>;
-  void set_as_transition_observer(AsTransitionFn fn) {
-    on_as_transition_ = std::move(fn);
-  }
-
  private:
   struct Breaker {
     State state = State::kClosed;
@@ -152,39 +120,25 @@ class CircuitBreakerSet {
     simnet::SimTime open_until = 0;
     std::uint32_t trials_in_flight = 0;
   };
-  struct AsTier {
-    std::uint32_t tripped_children = 0;
-    bool open = false;
-  };
 
   void open(const net::Ipv6Address& prefix, Breaker& b, simnet::SimTime now);
   void notify(const net::Ipv6Address& prefix, State from, State to,
               simnet::SimTime now) {
     if (on_transition_) on_transition_(prefix, from, to, now);
   }
-  /// A child prefix breaker tripped (closed -> open) / fully recovered
-  /// (tripped -> closed): maintain the AS tier's derived open state.
-  void child_tripped(const net::Ipv6Address& prefix, simnet::SimTime now);
-  void child_restored(const net::Ipv6Address& prefix, simnet::SimTime now);
 
   BreakerConfig config_;
   TransitionFn on_transition_;
-  AsTransitionFn on_as_transition_;
   /// Keyed lookups only — never iterated, so the unordered map cannot leak
   /// hash order into any observable behaviour.
   std::unordered_map<net::Ipv6Address, Breaker, net::Ipv6AddressHash>
       by_prefix_;
-  /// Keyed lookups only (same rule as by_prefix_).
-  std::unordered_map<net::Ipv6Address, AsTier, net::Ipv6AddressHash> by_as_;
 
   obs::Counter opens_;
   obs::Counter closes_;
   obs::Counter half_opens_;
   obs::Counter shed_;
   obs::Gauge tripped_gauge_;
-  obs::Counter as_opens_;
-  obs::Counter as_closes_;
-  obs::Gauge as_open_gauge_;
 };
 
 }  // namespace tts::scan

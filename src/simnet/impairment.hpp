@@ -178,8 +178,6 @@ class ImpairmentPlane {
   /// (category "fault_window") once a recorder is attached, since they
   /// only record. `events`, and the recorder, must outlive the plane.
   void arm(EventQueue& events);
-  /// Same as arm().
-  void arm_windows(EventQueue& events) { arm(events); }
 
   /// Effective (state-changing) route transitions.
   std::size_t transition_count() const { return transitions_; }

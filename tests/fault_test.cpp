@@ -300,7 +300,7 @@ TEST_F(FaultPlaneTest, WindowEdgesRecordFlightEvents) {
   obs::FlightRecorder flight(tracer);
   FaultPlane plane = make_plane(scenario);
   plane.set_flight_recorder(&flight);
-  plane.arm_windows(events);
+  plane.arm(events);
   events.run();
 
   int opens = 0, closes = 0;

@@ -26,6 +26,7 @@
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
+#include <limits>
 #include <sstream>
 
 namespace tts {
@@ -442,8 +443,7 @@ TEST(Fuzz, ObsJsonlParser) {
   auto parse = [](const std::vector<std::uint8_t>& b) {
     auto snap = obs::parse_jsonl(std::string(view_of(b)));
     if (!snap) return;
-    // The other exporters read every carried bucket's edge.
-    (void)obs::to_prometheus(*snap);
+    // The table reads every carried bucket's edge.
     (void)obs::to_table(*snap).to_string();
     // Whatever parses re-exports to a dump that parses to itself.
     std::string jsonl = obs::to_jsonl(*snap);
@@ -473,8 +473,16 @@ TEST(Fuzz, ObsJsonlParser) {
   };
   auto widest = obs::parse_jsonl(histogram(obs::Histogram::kBuckets, ""));
   ASSERT_TRUE(widest.has_value());
-  EXPECT_NE(obs::to_prometheus(*widest).find("le=\"9223372036854775807\""),
-            std::string::npos);
+  // The widest dump carries the top bucket, which ends at INT64_MAX, and
+  // re-exports every count.
+  EXPECT_EQ(obs::Histogram::bucket_upper(obs::Histogram::kBuckets - 1),
+            std::numeric_limits<std::int64_t>::max());
+  auto rewidened = obs::parse_jsonl(obs::to_jsonl(*widest));
+  ASSERT_TRUE(rewidened.has_value());
+  EXPECT_EQ(rewidened->values[0].bucket_counts.size(),
+            obs::Histogram::kBuckets);
+  EXPECT_EQ(rewidened->values[0].bucket_counts,
+            widest->values[0].bucket_counts);
   EXPECT_FALSE(
       obs::parse_jsonl(histogram(obs::Histogram::kBuckets + 1, "")).has_value());
   EXPECT_FALSE(

@@ -1,11 +1,12 @@
-// SharedBudget property harness: randomised (weights, pps, work sizes)
-// scenarios driven through FakePacer clients, asserting the three pacing
-// invariants — no 1-second window exceeds the shared cap, saturated
-// clients converge to their weighted shares (and none starves), and the
-// whole grant sequence is bit-identical between same-configuration runs.
+// SharedBudget property harness: randomised (client count, pps, work
+// sizes) scenarios driven through FakePacer clients, asserting the three
+// pacing invariants — no 1-second window exceeds the shared cap, n
+// saturated clients each converge to an equal 1/n share (and none
+// starves), and the whole grant sequence is bit-identical between
+// same-configuration runs.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -22,18 +23,16 @@ using scan::SharedBudgetConfig;
 
 struct Scenario {
   double pps = 1000;
-  std::vector<double> weights;
+  /// Work per client, one entry per client.
   std::vector<std::uint64_t> work;
 };
 
 Scenario random_scenario(util::Rng& rng) {
   Scenario s;
   s.pps = rng.uniform(200.0, 5000.0);
-  std::size_t clients = 2 + rng.below(2);
-  for (std::size_t i = 0; i < clients; ++i) {
-    s.weights.push_back(rng.uniform(0.5, 4.0));
+  std::size_t clients = 2 + rng.below(3);
+  for (std::size_t i = 0; i < clients; ++i)
     s.work.push_back(500 + rng.below(1500));
-  }
   return s;
 }
 
@@ -43,9 +42,9 @@ std::vector<Grant> run_scenario(const Scenario& s, SharedBudget& budget,
   GrantLog log;
   log.attach(budget);
   std::vector<std::unique_ptr<FakePacer>> pacers;
-  for (std::size_t i = 0; i < s.weights.size(); ++i)
-    pacers.push_back(std::make_unique<FakePacer>(
-        events, budget, "c" + std::to_string(i), s.weights[i]));
+  for (std::size_t i = 0; i < s.work.size(); ++i)
+    pacers.push_back(std::make_unique<FakePacer>(events, budget,
+                                                 "c" + std::to_string(i)));
   for (std::size_t i = 0; i < pacers.size(); ++i)
     pacers[i]->add_work(s.work[i]);
   events.run();
@@ -56,7 +55,7 @@ std::vector<Grant> run_scenario(const Scenario& s, SharedBudget& budget,
 
 /// Launches inside any window of length W consume tokens whose accrual
 /// times span at most W + burst * gap, so the count is bounded by
-/// ceil(W / gap) + burst + 1 whatever the weights or client mix.
+/// ceil(W / gap) + burst + 1 whatever the client mix.
 std::size_t window_cap(const SharedBudget& budget, simnet::SimDuration w) {
   return static_cast<std::size_t>((w + budget.gap() - 1) / budget.gap()) +
          static_cast<std::size_t>(budget.burst_slots()) + 1;
@@ -89,7 +88,7 @@ TEST(BudgetHarness, RandomisedScenariosNeverExceedCapInAnyWindow) {
   }
 }
 
-TEST(BudgetHarness, SaturatedSharesConvergeToWeightsAndNobodyStarves) {
+TEST(BudgetHarness, SaturatedClientsGetEqualSharesAndNobodyStarves) {
   util::Rng rng(0x5fa1c0de);
   for (int iter = 0; iter < 12; ++iter) {
     Scenario s = random_scenario(rng);
@@ -98,12 +97,12 @@ TEST(BudgetHarness, SaturatedSharesConvergeToWeightsAndNobodyStarves) {
     auto grants = run_scenario(s, budget, events);
 
     // All clients are backlogged until the earliest last-grant time; the
-    // weighted-share property is asserted over that fully contended prefix.
-    std::vector<simnet::SimTime> last(s.weights.size(), 0);
+    // equal-share property is asserted over that fully contended prefix.
+    std::vector<simnet::SimTime> last(s.work.size(), 0);
     for (const Grant& g : grants) last[g.client] = g.at;
     simnet::SimTime cutoff = *std::min_element(last.begin(), last.end());
 
-    std::vector<std::uint64_t> before(s.weights.size(), 0);
+    std::vector<std::uint64_t> before(s.work.size(), 0);
     std::uint64_t total_before = 0;
     for (const Grant& g : grants)
       if (g.at < cutoff) {
@@ -112,13 +111,11 @@ TEST(BudgetHarness, SaturatedSharesConvergeToWeightsAndNobodyStarves) {
       }
     ASSERT_GT(total_before, 200u) << "iter " << iter;
 
-    double weight_sum = 0;
-    for (double w : s.weights) weight_sum += w;
-    for (std::size_t i = 0; i < s.weights.size(); ++i) {
-      double share = s.weights[i] / weight_sum;
-      double expected = share * static_cast<double>(total_before);
-      // Within 5% of the weighted share (plus a constant few-grant slack
-      // for the SFQ quantisation at the interval edges)...
+    const double expected = static_cast<double>(total_before) /
+                            static_cast<double>(s.work.size());
+    for (std::size_t i = 0; i < s.work.size(); ++i) {
+      // Within 5% of 1/n (plus a constant few-grant slack for the SFQ
+      // quantisation at the interval edges)...
       EXPECT_NEAR(static_cast<double>(before[i]), expected,
                   0.05 * expected + 4.0)
           << "iter " << iter << " client " << i;
@@ -148,8 +145,8 @@ TEST(BudgetHarness, IdleShareIsLentAndReclaimedWithinOneGap) {
   SharedBudget budget(events, SharedBudgetConfig{1000, nullptr});  // gap = 1 ms
   GrantLog log;
   log.attach(budget);
-  FakePacer a(events, budget, "a", 1.0);
-  FakePacer b(events, budget, "b", 1.0);
+  FakePacer a(events, budget, "a");
+  FakePacer b(events, budget, "b");
   a.add_work(4000);  // 4 s of work at the full (borrowed) rate
   events.schedule_at(simnet::sec(1), [&] { b.add_work(500); });
   events.run();
@@ -184,7 +181,7 @@ TEST(BudgetHarness, FractionalGapRateIsExactOverLongWindows) {
     SharedBudget budget(events, SharedBudgetConfig{4096, nullptr});
     GrantLog log;
     log.attach(budget);
-    FakePacer pacer(events, budget, "solo", 1.0);
+    FakePacer pacer(events, budget, "solo");
     pacer.add_work(2'460'000);  // saturated past the 600 s window
     events.run();
     return log.grants();
@@ -208,9 +205,6 @@ TEST(BudgetHarness, ConfigValidation) {
                std::invalid_argument);
   EXPECT_THROW(SharedBudget(events, SharedBudgetConfig{-5, nullptr}),
                std::invalid_argument);
-  SharedBudget ok(events, SharedBudgetConfig{100, nullptr});
-  EXPECT_THROW(ok.add_client("bad", 0.0), std::invalid_argument);
-  EXPECT_THROW(ok.add_client("bad", -1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -123,9 +123,9 @@ class Fnv64 {
 class FakePacer : private scan::PumpClient {
  public:
   FakePacer(simnet::EventQueue& events, scan::SharedBudget& budget,
-            std::string name, double weight)
+            std::string name)
       : events_(events), budget_(budget) {
-    id_ = budget_.add_client(std::move(name), weight, this);
+    id_ = budget_.add_client(std::move(name), this);
   }
   ~FakePacer() { budget_.remove_client(id_); }
 

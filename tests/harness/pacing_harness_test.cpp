@@ -1,7 +1,7 @@
 // Two real ScanEngines on one SharedBudget: the end-to-end pacing
 // properties the study relies on — a sole busy engine borrows the whole
-// shared cap (and sustains >= 95% of it), weighted shares converge under
-// two-way saturation, a newly busy engine reclaims its share within a
+// shared cap (and sustains >= 95% of it), two saturated engines converge
+// to equal shares, a newly busy engine reclaims its share within a
 // token gap or two, the aggregate launch rate never exceeds the cap in any
 // 1-second window, the budget's one pump timer keeps its wake-up count well
 // under one event per probe (contended or not), and an engine destroyed
@@ -40,12 +40,11 @@ class PacingHarness : public ::testing::Test {
   PacingHarness() : network_(events_) {}
 
   ScanEngineConfig engine_config(Dataset dataset, std::uint64_t scanner_lo,
-                                 SharedBudget* budget, double weight) {
+                                 SharedBudget* budget) {
     ScanEngineConfig c;
     c.scanner_address = addr(scanner_lo);
     c.dataset = dataset;
     c.budget = budget;
-    c.budget_weight = weight;
     // Near-zero protocol stagger keeps a fed engine continuously
     // backlogged, so the budget is the only pacing force.
     c.min_protocol_delay = simnet::usec(0);
@@ -53,7 +52,7 @@ class PacingHarness : public ::testing::Test {
     return c;
   }
 
-  /// Endless-enough cursor feed into the engine's own dataset lane.
+  /// Endless-enough cursor feed into the engine.
   static void feed(ScanEngine& engine, std::uint64_t n, std::uint64_t base) {
     struct Cursor {
       std::vector<net::Ipv6Address> list;
@@ -81,9 +80,9 @@ TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,
-                 engine_config(Dataset::kNtp, 0xa1, &budget, 1.0));
+                 engine_config(Dataset::kNtp, 0xa1, &budget));
   ScanEngine hitlist(network_, results_,
-                     engine_config(Dataset::kHitlist, 0xa2, &budget, 1.0));
+                     engine_config(Dataset::kHitlist, 0xa2, &budget));
 
   hitlist.submit_bulk(targets(1000, 5000));
   events_.run();
@@ -110,14 +109,14 @@ TEST_F(PacingHarness, SoleBusyEngineSustainsSharedCapAndCoalescesWakes) {
   EXPECT_LE(hitlist.pump_wakes() * 2, hitlist.probes_launched());
 }
 
-TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
+TEST_F(PacingHarness, EqualSharesConvergeUnderSaturation) {
   SharedBudget budget(events_, SharedBudgetConfig{2000, nullptr});
   ScanEngine ntp(network_, results_,
-                 engine_config(Dataset::kNtp, 0xb1, &budget, 3.0));
+                 engine_config(Dataset::kNtp, 0xb1, &budget));
   ScanEngine hitlist(network_, results_,
-                     engine_config(Dataset::kHitlist, 0xb2, &budget, 1.0));
+                     engine_config(Dataset::kHitlist, 0xb2, &budget));
   feed(ntp, 2500, 10000);      // 20000 probes: saturated well past 5 s
-  feed(hitlist, 1500, 50000);  // 12000 probes at a quarter share
+  feed(hitlist, 1500, 50000);  // 12000 probes: saturated at half the cap
 
   events_.run_until(simnet::sec(5));
 
@@ -127,8 +126,8 @@ TEST_F(PacingHarness, WeightedSharesConvergeUnderSaturation) {
   ASSERT_GT(total, 9000u);  // the shared cap was actually saturated
   double ntp_share =
       static_cast<double>(ntp_grants) / static_cast<double>(total);
-  // Weights 3:1 -> shares 75% / 25%, within 5% relative.
-  EXPECT_NEAR(ntp_share, 0.75, 0.75 * 0.05);
+  // Equal shares: 50% each, within 5% relative.
+  EXPECT_NEAR(ntp_share, 0.5, 0.5 * 0.05);
 }
 
 TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
@@ -136,9 +135,9 @@ TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
   GrantLog log;
   log.attach(budget);
   ScanEngine ntp(network_, results_,
-                 engine_config(Dataset::kNtp, 0xc1, &budget, 1.0));
+                 engine_config(Dataset::kNtp, 0xc1, &budget));
   ScanEngine hitlist(network_, results_,
-                     engine_config(Dataset::kHitlist, 0xc2, &budget, 1.0));
+                     engine_config(Dataset::kHitlist, 0xc2, &budget));
 
   hitlist.submit_bulk(targets(800, 5000));  // saturates from t = 0
   const simnet::SimTime join = simnet::sec(2);
@@ -168,9 +167,9 @@ TEST_F(PacingHarness, LateJoinerReclaimsItsShareWithinAGap) {
 TEST_F(PacingHarness, ContendedEnginesShareBatchedWakes) {
   SharedBudget budget(events_, SharedBudgetConfig{2000, nullptr});
   ScanEngine ntp(network_, results_,
-                 engine_config(Dataset::kNtp, 0xd1, &budget, 3.0));
+                 engine_config(Dataset::kNtp, 0xd1, &budget));
   ScanEngine hitlist(network_, results_,
-                     engine_config(Dataset::kHitlist, 0xd2, &budget, 1.0));
+                     engine_config(Dataset::kHitlist, 0xd2, &budget));
   feed(ntp, 2500, 10000);
   feed(hitlist, 1500, 50000);
 
@@ -194,12 +193,12 @@ TEST_F(PacingHarness, RemovingAnEngineMidRunLeavesItsPeerTheCap) {
   // NTP engine holds only intents due minutes later, so destroying it
   // leaves no probe in flight but a due time the budget must forget.
   ScanEngineConfig ntp_config =
-      engine_config(Dataset::kNtp, 0xe1, &budget, 1.0);
+      engine_config(Dataset::kNtp, 0xe1, &budget);
   ntp_config.min_protocol_delay = simnet::minutes(5);
   ntp_config.max_protocol_delay = simnet::minutes(5);
   auto ntp = std::make_unique<ScanEngine>(network_, results_, ntp_config);
   ScanEngine hitlist(network_, results_,
-                     engine_config(Dataset::kHitlist, 0xe2, &budget, 1.0));
+                     engine_config(Dataset::kHitlist, 0xe2, &budget));
   const SharedBudget::ClientId ntp_id = ntp->budget_client();
   for (std::uint64_t i = 0; i < 20; ++i)
     ASSERT_TRUE(ntp->submit(addr(70000 + i)));

@@ -1,12 +1,12 @@
 // Route-plane harness: a full Study under a scripted reachability flap — a
 // whole eyeball AS withdrawn mid-run and re-announced, one of our pool
 // servers' /48 withdrawn alongside it, and an inbound-only loss window that
-// trips prefix breakers hard enough to escalate their AS tier. Asserts the
-// stack degrades and recovers end to end: probe-record conservation
-// including the deferred term, the quarantine drains back through the
-// queue, the AS breaker opens AND re-closes, the pool monitor demotes on
-// withdrawal and re-promotes on convergence, and the whole perturbed run
-// keeps bit-identical same-seed digests at shard counts 1, 2 and 4.
+// trips prefix breakers. Asserts the stack degrades and recovers end to
+// end: probe-record conservation including the deferred term, the
+// quarantine drains back through the queue, prefix breakers open AND
+// re-close, the pool monitor demotes on withdrawal and re-promotes on
+// convergence, and the whole perturbed run keeps bit-identical same-seed
+// digests at shard counts 1, 2 and 4.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,8 +22,8 @@
 namespace tts::harness {
 namespace {
 
-/// The flap windows, in sim time. The loss window runs first so the AS
-/// breaker escalates on real timeout streaks; the withdrawal follows so
+/// The flap windows, in sim time. The loss window runs first so the prefix
+/// breakers trip on real timeout streaks; the withdrawal follows so
 /// quarantined targets are deferred without ever launching (no token spent,
 /// no record synthesized), then drain back when the routes return.
 constexpr simnet::SimTime kLossFrom = simnet::hours(6);
@@ -41,8 +41,7 @@ void install_flap(core::Study& study) {
   ASSERT_FALSE(eyeballs.empty());
 
   // Inbound-only total loss into the eyeball space for six hours: every
-  // probe into it times out, tripping per-/40 breakers until their /32
-  // AS tier escalates.
+  // probe into it times out, tripping per-/40 breakers.
   simnet::FaultScenario faults;
   for (const inet::AsInfo* as : eyeballs) {
     for (const net::Ipv6Prefix& prefix : as->prefixes) {
@@ -84,14 +83,11 @@ core::StudyConfig flap_config() {
   config.scan_retry.max_retries = 2;
   config.scan_retry.base_backoff = simnet::sec(30);
 
-  // Fine-grained breakers inside coarse AS tiers: /40 children under a /32
-  // AS mask, escalating once two children trip.
+  // Fine-grained breakers: one per /40.
   config.scan_breaker.enabled = true;
   config.scan_breaker.prefix_len = 40;
   config.scan_breaker.open_after = 3;
   config.scan_breaker.open_for = simnet::minutes(10);
-  config.scan_breaker.as_open_after = 2;
-  config.scan_breaker.as_prefix_len = 32;
 
   config.enable_pool_monitor = true;
   config.pool_monitor.check_interval = simnet::minutes(30);
@@ -138,9 +134,7 @@ std::uint64_t flap_digest(const core::StudyConfig& config) {
         .mix(engine->route_deferred())
         .mix(engine->route_requeued())
         .mix(engine->breaker()->opens())
-        .mix(engine->breaker()->closes())
-        .mix(engine->breaker()->as_opens())
-        .mix(engine->breaker()->as_closes());
+        .mix(engine->breaker()->closes());
   }
   f.mix(study.pool_monitor()->route_demotions())
       .mix(study.pool_monitor()->route_promotions());
@@ -175,17 +169,17 @@ TEST(RouteHarness, StudyAdaptsToReachabilityFlap) {
   expect_conserved(*study.ntp_engine(), study.results());
   expect_conserved(*study.hitlist_engine(), study.results());
 
-  // The loss window tripped enough /40 children to escalate the /32 AS
-  // tier, and post-window recovery trials de-escalated it again.
-  std::uint64_t as_opens = 0, as_closes = 0;
+  // The loss window tripped /40 breakers, and post-window recovery trials
+  // closed them again.
+  std::uint64_t opens = 0, closes = 0;
   for (const scan::ScanEngine* engine :
        {study.ntp_engine(), study.hitlist_engine()}) {
     ASSERT_NE(engine->breaker(), nullptr);
-    as_opens += engine->breaker()->as_opens();
-    as_closes += engine->breaker()->as_closes();
+    opens += engine->breaker()->opens();
+    closes += engine->breaker()->closes();
   }
-  EXPECT_GT(as_opens, 0u);
-  EXPECT_GT(as_closes, 0u);
+  EXPECT_GT(opens, 0u);
+  EXPECT_GT(closes, 0u);
 
   // The pool monitor fast-demoted the server in the withdrawn /48 at the
   // withdrawal barrier and restored its score on re-announcement.
@@ -209,7 +203,7 @@ TEST(RouteHarness, SameSeedSameFlapBitIdentical) {
 TEST(RouteHarness, ShardedFlapMatchesSingleShardDigest) {
   // Route transitions commit at window barriers and the verdict itself is
   // draw-free, so the full flap pipeline — blackholes, quarantine and
-  // re-staging, AS escalation, the monitor's demote/promote — must be
+  // re-staging, breaker trips, the monitor's demote/promote — must be
   // shard-count-invariant.
   auto config = flap_config();
   config.shards.shards = 1;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 
 #include "ntp/collector.hpp"
 #include "obs/export.hpp"
@@ -415,36 +416,29 @@ TEST(Exporters, ParseJsonlRejectsGarbage) {
   EXPECT_TRUE(parse_jsonl("").has_value());  // empty dump is an empty snap
 }
 
-TEST(Exporters, PrometheusTextFormat) {
+TEST(Exporters, JsonlHistogramCountsEndAtTheLastNonEmptyBucket) {
   Registry reg;
-  Counter c;
   Histogram h;
-  reg.enroll(c, "reqs", {{"zone", "IN"}});
   reg.enroll(h, "lat");
-  c.inc(9);
   h.record(3);
   h.record(70);
 
-  std::string text = to_prometheus(reg.snapshot());
-  EXPECT_NE(text.find("# TYPE reqs counter"), std::string::npos);
-  EXPECT_NE(text.find("reqs{zone=\"IN\"} 9"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE lat histogram"), std::string::npos);
-  // One cumulative le edge per carried bucket: 0..70's bucket [64, 71].
-  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 0"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"3\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"71\"} 2"), std::string::npos);
-  EXPECT_EQ(text.find("lat_bucket{le=\"79\"}"), std::string::npos);
-  const auto edges = Histogram::bucket_index(70) + 2;  // and +Inf
-  std::size_t lines = 0;
-  for (std::size_t at = 0; (at = text.find("lat_bucket", at)) !=
-                           std::string::npos;
-       ++at)
-    ++lines;
-  EXPECT_EQ(lines, edges);
-  // Prometheus buckets are cumulative; the +Inf bucket equals the count.
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 2"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 73"), std::string::npos);
+  std::string jsonl = to_jsonl(reg.snapshot());
+  EXPECT_NE(jsonl.find("\"count\":2,\"sum\":73,\"min\":3,\"max\":70"),
+            std::string::npos);
+  auto parsed = parse_jsonl(jsonl);
+  ASSERT_TRUE(parsed.has_value());
+  const std::vector<std::uint64_t>& counts =
+      parsed->find("lat")->bucket_counts;
+  // One count per bucket up to 70's bucket [64, 71], leading empties
+  // included; nothing past it.
+  ASSERT_EQ(counts.size(), Histogram::bucket_index(70) + 1);
+  EXPECT_EQ(Histogram::bucket_upper(counts.size() - 1), 71);
+  EXPECT_EQ(counts[Histogram::bucket_index(2)], 0u);
+  EXPECT_EQ(counts[Histogram::bucket_index(3)], 1u);
+  EXPECT_EQ(counts.back(), 1u);
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+            2u);
 }
 
 TEST(Exporters, TimelineTableShowsColumnsAndMissingDash) {
@@ -553,7 +547,7 @@ TEST(Exporters, TableRollupLeavesSmallFamiliesAlone) {
   EXPECT_EQ(text.find("series=other"), std::string::npos);
 }
 
-TEST(Exporters, RollupAppliesToJsonlAndPrometheus) {
+TEST(Exporters, RollupFeedsJsonl) {
   Registry reg;
   std::array<Counter, 6> picks;
   for (std::size_t i = 0; i < picks.size(); ++i) {
@@ -575,23 +569,13 @@ TEST(Exporters, RollupAppliesToJsonlAndPrometheus) {
   EXPECT_EQ(rolled.values[2].count, 1000u);  // 100+200+300+400
   EXPECT_EQ(rolled.values[3].full_name(), "scan_submitted{dataset=ntp}");
 
-  // The JSONL overload emits the rolled set and still round-trips.
-  std::string jsonl = to_jsonl(reg.snapshot(), rollup);
+  // JSONL of the rolled snapshot emits the rolled set and round-trips.
+  std::string jsonl = to_jsonl(rolled);
   auto parsed = parse_jsonl(jsonl);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->values.size(), 4u);
   EXPECT_EQ(parsed->values[2].full_name(), "pool_selections{series=other}");
   EXPECT_EQ(parsed->values[2].count, 1000u);
-
-  // Prometheus: folded members gone, family stays one contiguous TYPE run.
-  std::string prom = to_prometheus(reg.snapshot(), rollup);
-  EXPECT_NE(prom.find("pool_selections{series=\"other\"} 1000"),
-            std::string::npos);
-  EXPECT_EQ(prom.find("server=\"s0\""), std::string::npos);
-  std::size_t first = prom.find("# TYPE pool_selections");
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(prom.find("# TYPE pool_selections", first + 1),
-            std::string::npos);
 }
 
 TEST(Exporters, RollupAddsHistogramsBucketByBucket) {

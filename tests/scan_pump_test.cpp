@@ -1,5 +1,6 @@
-// Pull-based pacing pump: bounded staging, lane fairness, backpressure,
-// token-wait semantics, and config validation.
+// Pull-based pacing pump: bounded staging, fairness between dataset
+// engines on one budget, backpressure, token-wait semantics, and config
+// validation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -42,47 +43,44 @@ class ScanPumpTest : public ::testing::Test {
 
 // ------------------------------------------------------------ PendingQueue
 
-TEST(PendingQueue, PerLaneCapAndPeak) {
+TEST(PendingQueue, CapAndPeak) {
   PendingQueue q(2);
-  auto intent = [](simnet::SimTime at, Dataset lane, net::Ipv6Address target) {
-    return ScanIntent{.not_before = at, .dataset = lane, .target = target};
+  auto intent = [](simnet::SimTime at, net::Ipv6Address target) {
+    return ScanIntent{.not_before = at, .target = target};
   };
-  EXPECT_TRUE(q.push(intent(0, Dataset::kNtp, addr(1))));
-  EXPECT_TRUE(q.push(intent(0, Dataset::kNtp, addr(2))));
-  EXPECT_FALSE(q.push(intent(0, Dataset::kNtp, addr(3))));  // ntp lane full
-  EXPECT_TRUE(q.full(Dataset::kNtp));
-  EXPECT_TRUE(
-      q.push(intent(0, Dataset::kHitlist, addr(3))));  // other lane free
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.peak(), 3u);
-  EXPECT_EQ(q.free_slots(Dataset::kNtp), 0u);
-  EXPECT_EQ(q.free_slots(Dataset::kHitlist), 1u);
+  EXPECT_EQ(q.free_slots(), 2u);
+  EXPECT_TRUE(q.push(intent(0, addr(1))));
+  EXPECT_TRUE(q.push(intent(0, addr(2))));
+  EXPECT_FALSE(q.push(intent(0, addr(3))));  // at capacity
+  EXPECT_TRUE(q.full());
+  EXPECT_EQ(q.free_slots(), 0u);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peak(), 2u);
   q.pull_due(0);
+  EXPECT_EQ(q.free_slots(), 1u);
+  EXPECT_TRUE(q.push(intent(0, addr(3))));  // a pull frees its slot
   q.pull_due(0);
   q.pull_due(0);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.peak(), 3u);  // high-water mark sticks
+  EXPECT_EQ(q.peak(), 2u);  // high-water mark sticks
 }
 
-TEST(PendingQueue, PullsEarliestDueAndRoundRobinsLanes) {
+TEST(PendingQueue, PullsEarliestDueInStagingOrder) {
   PendingQueue q(8);
-  auto intent = [](simnet::SimTime at, Dataset lane, net::Ipv6Address target) {
-    return ScanIntent{.not_before = at, .dataset = lane, .target = target};
+  auto intent = [](simnet::SimTime at, net::Ipv6Address target) {
+    return ScanIntent{.not_before = at, .target = target};
   };
-  q.push(intent(50, Dataset::kNtp, addr(1)));
-  q.push(intent(10, Dataset::kNtp, addr(2)));
-  q.push(intent(20, Dataset::kHitlist, addr(3)));
-  q.push(intent(90, Dataset::kNtp, addr(4)));  // not due yet
+  q.push(intent(50, addr(1)));
+  q.push(intent(10, addr(2)));
+  q.push(intent(20, addr(3)));
+  q.push(intent(20, addr(4)));  // ties with addr(3): staged later
+  q.push(intent(90, addr(5)));  // not due yet
 
-  auto a = q.pull_due(60);
-  auto b = q.pull_due(60);
-  auto c = q.pull_due(60);
-  ASSERT_TRUE(a && b && c);
-  // One pull per lane before revisiting (fairness), earliest-first inside
-  // a lane.
-  EXPECT_NE(a->dataset, b->dataset);
-  EXPECT_EQ(a->not_before + b->not_before + c->not_before, 10 + 20 + 50);
-  EXPECT_FALSE(q.pull_due(60));  // the t=90 intent is not due at t=60
+  EXPECT_EQ(q.peek_due(60)->target, addr(2));
+  std::vector<net::Ipv6Address> pulled;
+  while (auto next = q.pull_due(60)) pulled.push_back(next->target);
+  EXPECT_EQ(pulled, (std::vector{addr(2), addr(3), addr(4), addr(1)}));
+  EXPECT_EQ(q.peek_due(60), nullptr);  // the t=90 intent is not due at t=60
   EXPECT_EQ(*q.next_not_before(), 90);
 }
 
@@ -107,43 +105,34 @@ TEST_F(ScanPumpTest, BulkSubmitKeepsPendingBounded) {
   EXPECT_EQ(engine.pending_depth(), 0u);
 }
 
-TEST_F(ScanPumpTest, LanesShareTheBudgetFairly) {
+TEST_F(ScanPumpTest, DatasetEnginesShareTheBudgetFairly) {
+  // The study's shape: one engine per dataset, both drawing from one
+  // budget, which alone keeps the two datasets progressing together.
+  SharedBudget budget(events_, SharedBudgetConfig{100, nullptr});  // 10 ms
   auto config = fast_config();
-  config.max_pps = 100;  // 10 ms per slot
+  config.budget = &budget;
   config.max_pending = 64;
   config.min_protocol_delay = simnet::usec(0);
   config.max_protocol_delay = simnet::usec(1);
-  ScanEngine engine(network_, results_, config);
-
-  struct Feed {
-    std::vector<net::Ipv6Address> list;
-    std::size_t next = 0;
-  };
-  for (auto [lane, base] :
-       {std::pair{Dataset::kNtp, std::uint64_t{1000}},
-        std::pair{Dataset::kHitlist, std::uint64_t{9000}}}) {
-    auto feed = std::make_shared<Feed>(Feed{targets(200, base), 0});
-    engine.add_source(
-        [feed](std::size_t max_n) {
-          std::size_t n = std::min(max_n, feed->list.size() - feed->next);
-          std::vector<net::Ipv6Address> out(
-              feed->list.begin() + static_cast<std::ptrdiff_t>(feed->next),
-              feed->list.begin() +
-                  static_cast<std::ptrdiff_t>(feed->next + n));
-          feed->next += n;
-          return out;
-        },
-        lane);
-  }
+  config.dataset = Dataset::kNtp;
+  ScanEngine ntp(network_, results_, config);
+  config.dataset = Dataset::kHitlist;
+  config.scanner_address = addr(0xbeee);
+  ScanEngine hitlist(network_, results_, config);
+  ntp.submit_bulk(targets(200, 1000));
+  hitlist.submit_bulk(targets(200, 9000));
 
   // Mid-sweep snapshot: launches before t-8s have recorded their timeout.
   events_.run_until(simnet::sec(18));
-  auto ntp = results_.total(Dataset::kNtp);
-  auto hitlist = results_.total(Dataset::kHitlist);
-  ASSERT_GT(ntp + hitlist, 600u);
-  // Round-robin pulls keep both datasets progressing at the same rate.
-  EXPECT_GT(ntp, (ntp + hitlist) * 2 / 5);
-  EXPECT_GT(hitlist, (ntp + hitlist) * 2 / 5);
+  auto ntp_done = results_.total(Dataset::kNtp);
+  auto hitlist_done = results_.total(Dataset::kHitlist);
+  ASSERT_GT(ntp_done + hitlist_done, 600u);
+  EXPECT_GT(ntp_done, (ntp_done + hitlist_done) * 2 / 5);
+  EXPECT_GT(hitlist_done, (ntp_done + hitlist_done) * 2 / 5);
+  const std::uint64_t ntp_grants = budget.grants(ntp.budget_client());
+  const std::uint64_t hitlist_grants = budget.grants(hitlist.budget_client());
+  EXPECT_GT(ntp_grants, (ntp_grants + hitlist_grants) * 2 / 5);
+  EXPECT_GT(hitlist_grants, (ntp_grants + hitlist_grants) * 2 / 5);
 }
 
 TEST_F(ScanPumpTest, BackpressureAtCapThenRecovery) {
@@ -151,19 +140,13 @@ TEST_F(ScanPumpTest, BackpressureAtCapThenRecovery) {
   config.max_pending = 4;
   ScanEngine engine(network_, results_, config);
 
-  std::vector<Dataset> pushed_back;
-  engine.set_backpressure_callback(
-      [&](Dataset lane) { pushed_back.push_back(lane); });
-
   for (std::uint64_t i = 0; i < 4; ++i)
     EXPECT_EQ(engine.try_submit(addr(1 + i)), SubmitResult::kAccepted);
   EXPECT_EQ(engine.try_submit(addr(5)), SubmitResult::kQueueFull);
   EXPECT_FALSE(engine.submit(addr(5)));
   EXPECT_EQ(engine.backpressure_events(), 2u);
-  ASSERT_EQ(pushed_back.size(), 2u);
-  EXPECT_EQ(pushed_back[0], Dataset::kNtp);
   // Backpressure did not consume the blackout: the refused target is
-  // accepted once the lane drains.
+  // accepted once the queue drains.
   events_.run();
   EXPECT_EQ(engine.try_submit(addr(5)), SubmitResult::kAccepted);
   events_.run();
@@ -191,15 +174,6 @@ TEST_F(ScanPumpTest, TokenWaitMeasuresPacingNotBacklog) {
   // The backlog delay is visible in the queue-delay histogram instead.
   EXPECT_EQ(engine.queue_delay().count(), engine.token_wait().count());
   EXPECT_GT(engine.queue_delay().mean(), engine.token_wait().mean());
-}
-
-TEST_F(ScanPumpTest, ExplicitLaneTagsResults) {
-  ScanEngine engine(network_, results_, fast_config());
-  EXPECT_EQ(engine.try_submit(addr(1), Dataset::kHitlist),
-            SubmitResult::kAccepted);
-  events_.run();
-  EXPECT_EQ(results_.total(Dataset::kHitlist), kProtocolCount);
-  EXPECT_EQ(results_.total(Dataset::kNtp), 0u);
 }
 
 TEST_F(ScanPumpTest, EqualMinAndMaxDelayIsValid) {

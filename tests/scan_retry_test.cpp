@@ -116,7 +116,6 @@ BreakerConfig breaker_config() {
   c.prefix_len = 48;
   c.open_after = 3;
   c.open_for = simnet::minutes(1);
-  c.half_open_probes = 1;
   return c;
 }
 
@@ -196,87 +195,6 @@ TEST(CircuitBreaker, TrialTimeoutReopens) {
   EXPECT_FALSE(b.would_admit(t, after + simnet::sec(30)));
   EXPECT_TRUE(
       b.would_admit(t, after + simnet::sec(8) + simnet::minutes(1) + 1));
-}
-
-// ------------------------------------------------------- AS escalation tier
-
-BreakerConfig as_breaker_config() {
-  BreakerConfig c = breaker_config();
-  c.as_open_after = 2;  // two tripped /48s escalate their /32
-  c.as_prefix_len = 32;
-  return c;
-}
-
-// Three /48s inside one /32 (kNetA's AS), plus kNetB in another AS.
-constexpr std::uint64_t kNetA2 = 0x20010db800020000ULL;
-constexpr std::uint64_t kNetA3 = 0x20010db800030000ULL;
-
-TEST(CircuitBreaker, AsTierEscalatesWhenEnoughChildrenTrip) {
-  CircuitBreakerSet b(as_breaker_config());
-  auto p1 = addr(kNetA, 1), p2 = addr(kNetA2, 1), p3 = addr(kNetA3, 1);
-  ASSERT_EQ(b.as_key_of(p1), b.as_key_of(p3));
-
-  for (int i = 0; i < 3; ++i) b.on_outcome(p1, false, i);
-  EXPECT_FALSE(b.as_open(p1));  // one tripped child: below the threshold
-  EXPECT_TRUE(b.would_admit(p3, simnet::sec(1)));
-  for (int i = 0; i < 3; ++i) b.on_outcome(p2, false, i);
-  EXPECT_TRUE(b.as_open(p1));
-  EXPECT_EQ(b.as_opens(), 1u);
-  EXPECT_EQ(b.as_open_now(), 1);
-  // The untouched (closed) /48 inside the AS is now shed wholesale…
-  EXPECT_FALSE(b.would_admit(p3, simnet::sec(1)));
-  // …other ASes are unaffected…
-  EXPECT_TRUE(b.would_admit(addr(kNetB, 1), simnet::sec(1)));
-  // …and the tripped children's own recovery trials still flow, so the
-  // escalated AS can heal itself.
-  EXPECT_TRUE(b.would_admit(p1, simnet::minutes(1) + simnet::sec(3)));
-}
-
-TEST(CircuitBreaker, AsTierDeEscalatesAsChildrenRecover) {
-  CircuitBreakerSet b(as_breaker_config());
-  auto p1 = addr(kNetA, 1), p2 = addr(kNetA2, 1), p3 = addr(kNetA3, 1);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p1, false, i);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p2, false, i);
-  ASSERT_TRUE(b.as_open(p1));
-
-  // One child runs its half-open trial and the path answers: the child
-  // closes, dropping the tripped count below the threshold.
-  simnet::SimTime after = simnet::minutes(1) + simnet::sec(3);
-  b.note_launch(p1, after);
-  b.on_outcome(p1, true, after + simnet::sec(1));
-  EXPECT_FALSE(b.as_open(p1));
-  EXPECT_EQ(b.as_closes(), 1u);
-  EXPECT_EQ(b.as_open_now(), 0);
-  EXPECT_TRUE(b.would_admit(p3, after + simnet::sec(2)));
-}
-
-TEST(CircuitBreaker, AsTierObserverSeesEscalationEdges) {
-  CircuitBreakerSet b(as_breaker_config());
-  std::vector<bool> edges;
-  b.set_as_transition_observer(
-      [&](const net::Ipv6Address& as_key, bool open, simnet::SimTime) {
-        EXPECT_EQ(as_key, b.as_key_of(addr(kNetA, 1)));
-        edges.push_back(open);
-      });
-  auto p1 = addr(kNetA, 1), p2 = addr(kNetA2, 1);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p1, false, i);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p2, false, i);
-  simnet::SimTime after = simnet::minutes(1) + simnet::sec(3);
-  b.note_launch(p1, after);
-  b.on_outcome(p1, true, after + simnet::sec(1));
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_TRUE(edges[0]);
-  EXPECT_FALSE(edges[1]);
-}
-
-TEST(CircuitBreaker, AsTierDisabledByDefault) {
-  CircuitBreakerSet b(breaker_config());  // as_open_after = 0
-  auto p1 = addr(kNetA, 1), p2 = addr(kNetA2, 1), p3 = addr(kNetA3, 1);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p1, false, i);
-  for (int i = 0; i < 3; ++i) b.on_outcome(p2, false, i);
-  EXPECT_FALSE(b.as_open(p1));
-  EXPECT_EQ(b.as_opens(), 0u);
-  EXPECT_TRUE(b.would_admit(p3, simnet::sec(1)));
 }
 
 // ----------------------------------------------------------- engine level
@@ -436,7 +354,7 @@ TEST_F(RetryEngineTest, ReParkingAQuarantinedIntentOpensNoStageSpan) {
   EXPECT_EQ(stage_spans, 2);
 }
 
-TEST_F(RetryEngineTest, ParkedIntentReStagesWhenTheLastLaunchFreesItsLane) {
+TEST_F(RetryEngineTest, ParkedIntentReStagesWhenTheLastLaunchFreesAStagingSlot) {
   // kNetA is withdrawn from t=0 to 30 s: its target parks in the route
   // quarantine. One routed chain (kNetB, 10 s between protocols) holds the
   // only staging slot from t=1 s to its last launch at 71 s, across the

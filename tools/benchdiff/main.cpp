@@ -64,6 +64,8 @@ class Parser {
       } else if (key == "schema") {
         double v;
         if (!parse_number(v)) return false;
+        // Range-checked before the cast, which is undefined outside int.
+        if (std::fabs(v) > 1e6) return false;
         out.schema = static_cast<int>(v);
       } else if (key == "name") {
         if (!parse_string(out.name)) return false;
@@ -102,10 +104,12 @@ class Parser {
     }
     return eat('"');
   }
+  // A finite number: strtod also reads "nan", "inf" and overflows to
+  // infinity, and any of those would compare as within tolerance.
   bool parse_number(double& out) {
     char* end = nullptr;
     out = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return false;
+    if (end == text_.c_str() + pos_ || !std::isfinite(out)) return false;
     pos_ = static_cast<std::size_t>(end - text_.c_str());
     return true;
   }
@@ -178,6 +182,14 @@ Class classify(const std::string& key) {
   return Class::kSimCount;
 }
 
+// A tolerance flag's value: the whole text must be one number; anything
+// else reads as NaN, which the usage check rejects.
+double parse_ratio(const char* text) {
+  char* end = nullptr;
+  double r = std::strtod(text, &end);
+  return end != text && *end == '\0' ? r : std::nan("");
+}
+
 std::string pct(double ratio) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%+.1f%%", ratio * 100.0);
@@ -194,9 +206,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--tolerance=", 12) == 0) {
-      tolerance = std::strtod(arg + 12, nullptr);
+      tolerance = parse_ratio(arg + 12);
     } else if (std::strncmp(arg, "--wall-tolerance=", 17) == 0) {
-      wall_tolerance = std::strtod(arg + 17, nullptr);
+      wall_tolerance = parse_ratio(arg + 17);
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else if (arg[0] == '-') {
@@ -206,7 +218,8 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.size() != 2 || tolerance <= 0 || wall_tolerance <= 0) {
+  auto valid = [](double r) { return r > 0 && std::isfinite(r); };
+  if (files.size() != 2 || !valid(tolerance) || !valid(wall_tolerance)) {
     std::fprintf(stderr,
                  "usage: benchdiff <baseline.json> <current.json> "
                  "[--tolerance=R] [--wall-tolerance=R] [--quiet]\n");
