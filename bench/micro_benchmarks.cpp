@@ -188,18 +188,21 @@ static void BM_RngStream(benchmark::State& state) {
 }
 BENCHMARK(BM_RngStream);
 
-// The classic hold model at the depth a kSmall study runs at (~25 k events
-// pending): every iteration pops the earliest event, whose callback pushes
-// one successor at now + a random delay of up to 8 s (a probe guard's
-// horizon), so the depth never changes. The capture is a probe-sized one:
-// a shared pointer plus two plain pointers.
+// The classic hold model: every iteration pops the earliest event, whose
+// callback pushes one successor at now + a random delay of up to 8 s (a
+// probe guard's horizon), so the depth never changes. At 25 k this is a
+// kSmall study's depth but not its shape: all 25 k events are due within
+// 8 s, where the study's are mostly parked minutes ahead (next case). The
+// capture is a probe-sized one: a shared pointer plus two plain pointers.
 struct HoldEvent {
   simnet::EventQueue* queue;
   util::Rng* rng;
   std::shared_ptr<int> state;
+  simnet::SimDuration horizon = simnet::sec(8);
   void operator()() {
-    auto delay = static_cast<simnet::SimDuration>(rng->below(8'000'000));
-    queue->schedule_in(delay, HoldEvent{queue, rng, std::move(state)});
+    auto delay = static_cast<simnet::SimDuration>(
+        rng->below(static_cast<std::uint64_t>(horizon)));
+    queue->schedule_in(delay, HoldEvent{queue, rng, std::move(state), horizon});
   }
 };
 
@@ -216,6 +219,36 @@ static void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueHold)->Arg(1'000)->Arg(25'000);
+
+// A kSmall study's shape: about 22 k long timers (NTP polls, churn) parked
+// 10-20 min ahead, each re-arming as it fires, under a hold of 100 near
+// events re-armed within 1 s (protocol steps, probe guards), which take
+// about nine pops in ten, as the study's near events do.
+struct ParkedEvent {
+  static constexpr simnet::SimDuration kPark = simnet::minutes(10);
+  simnet::EventQueue* queue;
+  util::Rng* rng;
+  void operator()() const {
+    auto delay = kPark + static_cast<simnet::SimDuration>(
+                             rng->below(static_cast<std::uint64_t>(kPark)));
+    queue->schedule_in(delay, ParkedEvent{*this});
+  }
+};
+
+static void BM_EventQueueStudyShape(benchmark::State& state) {
+  constexpr std::uint64_t kSeed = 0x5a11;
+  simnet::EventQueue queue;
+  util::Rng rng(kSeed);
+  auto shared = std::make_shared<int>(0);
+  // Each call schedules one event from now = 0.
+  for (int i = 0; i < 22'000; ++i) ParkedEvent{&queue, &rng}();
+  for (int i = 0; i < 100; ++i)
+    HoldEvent{&queue, &rng, shared, simnet::sec(1)}();
+  for (auto _ : state) queue.step();
+  benchmark::DoNotOptimize(queue.pending());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueStudyShape);
 
 // The network's host table at a kSmall study's size (~16 k online hosts):
 // online() is one locked lookup, as every delivery and connect makes. A

@@ -87,14 +87,28 @@ std::optional<HttpRequest> HttpRequest::parse(
 }
 
 std::vector<std::uint8_t> HttpResponse::serialize() const {
-  std::string out = util::cat("HTTP/1.1 ", status, " ", reason_phrase(status),
-                              "\r\n");
-  if (!server.empty()) out += "Server: " + server + "\r\n";
-  out += "Content-Type: text/html; charset=utf-8\r\n";
-  out += util::cat("Content-Length: ", body.size(), "\r\n");
-  out += "Connection: close\r\n\r\n";
-  out += body;
-  return std::vector<std::uint8_t>(out.begin(), out.end());
+  // Every device HTTP reply comes through here: write the bytes straight
+  // into the one buffer returned (the fixed head is under 160 bytes).
+  std::vector<std::uint8_t> out;
+  out.reserve(160 + server.size() + body.size());
+  auto put = [&out](std::string_view s) {
+    out.insert(out.end(), s.begin(), s.end());
+  };
+  put("HTTP/1.1 ");
+  put(std::to_string(status));
+  put(" ");
+  put(reason_phrase(status));
+  put("\r\n");
+  if (!server.empty()) {
+    put("Server: ");
+    put(server);
+    put("\r\n");
+  }
+  put("Content-Type: text/html; charset=utf-8\r\nContent-Length: ");
+  put(std::to_string(body.size()));
+  put("\r\nConnection: close\r\n\r\n");
+  put(body);
+  return out;
 }
 
 std::optional<HttpResponse> HttpResponse::parse(

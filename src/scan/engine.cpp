@@ -135,8 +135,8 @@ void ScanEngine::enroll_metrics() {
 
 SubmitResult ScanEngine::try_submit(const net::Ipv6Address& target) {
   simnet::SimTime now = network_.now();
-  auto it = last_scan_.find(target);
-  if (it != last_scan_.end() && now - it->second < kRescanBlackout) {
+  const simnet::SimTime* last = last_scan_.find(target);
+  if (last && now - *last < kRescanBlackout) {
     skipped_blackout_.inc();
     return SubmitResult::kBlackout;
   }
@@ -242,8 +242,8 @@ void ScanEngine::refill_from_sources() {
       }
       simnet::SimTime now = network_.now();
       for (const auto& target : batch) {
-        auto it = last_scan_.find(target);
-        if (it != last_scan_.end() && now - it->second < kRescanBlackout) {
+        const simnet::SimTime* last = last_scan_.find(target);
+        if (last && now - *last < kRescanBlackout) {
           skipped_blackout_.inc();
           continue;
         }

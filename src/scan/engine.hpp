@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -49,6 +48,7 @@
 #include "scan/results.hpp"
 #include "scan/retry.hpp"
 #include "simnet/network.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace tts::obs {
@@ -358,7 +358,7 @@ class ScanEngine : private PumpClient {
   util::Rng rng_;
   std::optional<CircuitBreakerSet> breaker_;
 
-  std::unordered_map<net::Ipv6Address, simnet::SimTime, net::Ipv6AddressHash>
+  util::FlatMap<net::Ipv6Address, simnet::SimTime, net::Ipv6AddressFlatHash>
       last_scan_;
   PendingQueue queue_;
   /// Intents pulled due while their target sat in withdrawn space: parked

@@ -315,7 +315,7 @@ std::size_t EventQueue::pending() const {
 
 void EventQueue::EventHeap::push(SimTime at, DomainId src, std::uint64_t seq,
                                  CategoryId cat, Callback&& fn) {
-  static_assert(sizeof(Group) == 64 && sizeof(Slot) == 64);
+  static_assert(sizeof(Slot) == 64);
   if (seq >> 48)
     throw std::overflow_error("EventQueue: 2^48 events from one domain");
   std::uint32_t slot = free_head_;
@@ -328,6 +328,23 @@ void EventQueue::EventHeap::push(SimTime at, DomainId src, std::uint64_t seq,
   slab_[slot].fn = std::move(fn);
   slab_[slot].cat = cat;
   const Key k{at, static_cast<std::uint64_t>(src) << 48 | seq};
+  (at > last_at_ + kNearHorizon ? far_ : near_).push(k, slot);
+}
+
+EventQueue::EventHeap::Popped EventQueue::EventHeap::pop() {
+  KeyHeap& tier = near_first() ? near_ : far_;
+  const std::uint32_t slot = tier.top_slot();
+  last_at_ = tier.top().at;
+  tier.pop();
+  Slot& top = slab_[slot];
+  Popped out{last_at_, top.cat, std::move(top.fn)};
+  top.next_free = free_head_;
+  free_head_ = slot;
+  return out;
+}
+
+void EventQueue::EventHeap::KeyHeap::push(const Key& k, std::uint32_t slot) {
+  static_assert(sizeof(Group) == 64);
   // Sift up through a hole: parents move down until the key fits.
   std::size_t j = slots_.size();
   slots_.push_back(slot);
@@ -343,17 +360,12 @@ void EventQueue::EventHeap::push(SimTime at, DomainId src, std::uint64_t seq,
   slots_[j] = slot;
 }
 
-EventQueue::EventHeap::Popped EventQueue::EventHeap::pop() {
-  const SimTime at = top_at();
-  Slot& top = slab_[slots_[0]];
-  Popped out{at, top.cat, std::move(top.fn)};
-  top.next_free = free_head_;
-  free_head_ = slots_[0];
+void EventQueue::EventHeap::KeyHeap::pop() {
   const std::size_t n = slots_.size() - 1;  // the heap's size after this
   const Key last = key(n);
   const std::uint32_t last_slot = slots_[n];
   slots_.pop_back();
-  if (n == 0) return out;
+  if (n == 0) return;
   // Floyd's pop: walk the hole from the root to a leaf along the earliest
   // child, then sift the former last key up from there. The last key
   // belongs near the bottom (successors are scheduled later than what
@@ -383,7 +395,6 @@ EventQueue::EventHeap::Popped EventQueue::EventHeap::pop() {
   }
   key(i) = last;
   slots_[i] = last_slot;
-  return out;
 }
 
 // ------------------------------------------------------- NextEvents

@@ -4,10 +4,12 @@
 // (a monotonic sequence number breaks ties), so runs are reproducible
 // regardless of heap internals.
 //
-// Each domain's pending events sit in an EventHeap: a 4-ary min-heap of
+// Each domain's pending events sit in an EventHeap: 4-ary min-heaps of
 // 16-byte (at, src:seq) keys, four siblings to a cache line, over a slab
-// of {callback, category} slots with a free list. Sifting moves keys and
-// slab indices only; a callback is written into its slot once at schedule
+// of {callback, category} slots with a free list. Events due within a
+// minute of the last pop sit in a small near heap, later ones in a far
+// heap, and a pop takes the earlier top. Sifting moves keys and slab
+// indices only; a callback is written into its slot once at schedule
 // time and moved out once at dispatch.
 // Callbacks are util::Task (move-only, inline captures up to 48 bytes), so
 // a typical schedule allocates nothing.
@@ -207,13 +209,16 @@ class EventQueue {
     Callback fn;
   };
 
-  /// One domain's pending events in (at, src, seq) order: a 4-ary min-heap
-  /// of 16-byte keys over a slab of 64-byte {callback, category} slots,
-  /// recycled through a free list threaded through the vacant slots. The
-  /// keys sit four siblings to a 64-byte-aligned group, so choosing a
-  /// child reads one cache line; each key's slab index rides in a parallel
-  /// array. The keys are unique, so the pop order is the total order
-  /// whatever the heap's shape.
+  /// One domain's pending events in (at, src, seq) order, over a slab of
+  /// 64-byte {callback, category} slots recycled through a free list
+  /// threaded through the vacant slots. The keys sit in two KeyHeaps: an
+  /// event due more than kNearHorizon past the last pop is parked in far_,
+  /// any other goes to near_. Most pops come from the few events due soon,
+  /// so they sift a small heap that stays in cache while the long timers
+  /// (polls, churn, protocol gaps) wait apart. Keys never move between
+  /// tiers: top_at() and pop() take the earlier of the two tops, and the
+  /// keys are unique, so the pop order is the total order whichever tier
+  /// holds a key and whatever either heap's shape.
   class EventHeap {
    public:
     struct Popped {
@@ -221,10 +226,10 @@ class EventQueue {
       CategoryId cat;
       Callback fn;
     };
-    bool empty() const { return slots_.empty(); }
-    std::size_t size() const { return slots_.size(); }
+    bool empty() const { return near_.empty() && far_.empty(); }
+    std::size_t size() const { return near_.size() + far_.size(); }
     /// Time of the earliest event; the heap must not be empty.
-    SimTime top_at() const { return groups_[0].keys[3].at; }
+    SimTime top_at() const { return (near_first() ? near_ : far_).top().at; }
     /// `src` must be below kMaxDomains and `seq` below 2^48.
     void push(SimTime at, DomainId src, std::uint64_t seq, CategoryId cat,
               Callback&& fn);
@@ -232,32 +237,66 @@ class EventQueue {
     Popped pop();
 
    private:
+    /// Far enough that a protocol gap or a poll interval parks, near
+    /// enough that the near tier holds only the next few seconds' work.
+    static constexpr SimDuration kNearHorizon = sec(60);
+
     /// (at, src, seq) in 16 bytes: the tie packs the sending domain above
     /// a 48-bit sender sequence, so one compare orders both.
     struct Key {
       SimTime at;
       std::uint64_t tie;
     };
-    /// Node j lives at position j + 3: the root ends group 0, and the four
-    /// children of node j fill group j + 1.
-    struct alignas(64) Group {
-      Key keys[4];
+    static bool before(const Key& a, const Key& b) {
+      return a.at != b.at ? a.at < b.at : a.tie < b.tie;
+    }
+
+    /// A 4-ary min-heap of keys, four siblings to a 64-byte-aligned
+    /// group, so choosing a child reads one cache line; each key's slab
+    /// index rides in a parallel array.
+    class KeyHeap {
+     public:
+      bool empty() const { return slots_.empty(); }
+      std::size_t size() const { return slots_.size(); }
+      /// The earliest key and its slab index; the heap must not be empty.
+      const Key& top() const { return groups_[0].keys[3]; }
+      std::uint32_t top_slot() const { return slots_[0]; }
+      void push(const Key& k, std::uint32_t slot);
+      /// Remove the earliest key.
+      void pop();
+
+     private:
+      /// Node j lives at position j + 3: the root ends group 0, and the
+      /// four children of node j fill group j + 1.
+      struct alignas(64) Group {
+        Key keys[4];
+      };
+      Key& key(std::size_t j) {
+        return groups_[(j + 3) >> 2].keys[(j + 3) & 3];
+      }
+
+      std::vector<Group> groups_;
+      std::vector<std::uint32_t> slots_;  // slots_[j]: node j's slab index
     };
+
     struct Slot {
       Callback fn;
       CategoryId cat = 0;
       std::uint32_t next_free = kNoSlot;  // while vacant: the next vacancy
     };
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-    static bool before(const Key& a, const Key& b) {
-      return a.at != b.at ? a.at < b.at : a.tie < b.tie;
-    }
-    Key& key(std::size_t j) { return groups_[(j + 3) >> 2].keys[(j + 3) & 3]; }
 
-    std::vector<Group> groups_;
-    std::vector<std::uint32_t> slots_;  // slots_[j]: node j's slab index
+    /// Whether near_ holds the earliest key; the heap must not be empty.
+    bool near_first() const {
+      return far_.empty() ||
+             (!near_.empty() && before(near_.top(), far_.top()));
+    }
+
+    KeyHeap near_;
+    KeyHeap far_;
     std::vector<Slot> slab_;
     std::uint32_t free_head_ = kNoSlot;  // most recently vacated slot
+    SimTime last_at_ = 0;                // time of the last pop
   };
 
   // Counter/Histogram hold atomics (non-movable), so categories own them

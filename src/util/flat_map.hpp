@@ -1,16 +1,21 @@
 // An open-addressed hash map for hot lookups.
 //
-// FlatMap<Key, Value, Hash> keeps its values in one dense vector and
-// indexes them through a power-of-two table of {key, index} slots probed
-// linearly. The table stays at most half full, so a miss usually costs one
-// cache line and never touches a value; a hit costs that line plus the
-// value's. Erase shifts the following cluster back (no tombstones) and
-// moves the last dense value into the freed place, so both arrays stay
-// compact however the map churns.
+// FlatMap<Key, Value, Hash> keeps its entries in one dense vector and
+// indexes them through a power-of-two table of 8-byte {tag, index} slots
+// probed linearly, where the tag is the low 32 bits of the key's hash. A
+// probe compares tags and reads a key in the dense vector only on a tag
+// match, so the table stays small whatever the key's size. It stays at
+// most half full, so a miss usually costs one cache line and never
+// touches an entry; a hit costs that line plus the entry's. Erase shifts
+// the following cluster back (no tombstones) and moves the last dense
+// entry into the freed place, so both arrays stay compact however the map
+// churns.
 //
-// The slot index is hash(key) & (slots - 1): the hash must spread its low
-// bits. Pointers and references to values are invalidated by any insert
-// or erase. There is no iteration: callers that need an order keep one.
+// The slot index is hash(key) & (slots - 1), which the tag carries, so
+// the table rehashes on growth without reading a key: the hash must
+// spread its low bits. Pointers and references to values are invalidated
+// by any insert or erase. There is no iteration: callers that need an
+// order keep one.
 #pragma once
 
 #include <cstddef>
@@ -39,13 +44,15 @@ class FlatMap {
   /// The value under `key`, default-constructed when absent.
   Value& operator[](const Key& key) {
     if (2 * (dense_.size() + 1) > slots_.size()) grow();
-    std::size_t i = home(key);
+    const std::uint32_t tag = tag_of(key);
+    std::size_t i = tag & mask_;
     for (;; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
       if (slot.index == kEmpty) break;
-      if (slot.key == key) return dense_[slot.index].second;
+      if (slot.tag == tag && dense_[slot.index].first == key)
+        return dense_[slot.index].second;
     }
-    slots_[i] = Slot{key, static_cast<std::uint32_t>(dense_.size())};
+    slots_[i] = Slot{tag, static_cast<std::uint32_t>(dense_.size())};
     dense_.emplace_back(key, Value{});
     return dense_.back().second;
   }
@@ -60,7 +67,7 @@ class FlatMap {
     // sequence ever crosses an empty slot it should not.
     for (std::size_t j = (hole + 1) & mask_; slots_[j].index != kEmpty;
          j = (j + 1) & mask_) {
-      std::size_t dist_home = (j - home(slots_[j].key)) & mask_;
+      std::size_t dist_home = (j - slots_[j].tag) & mask_;
       std::size_t dist_hole = (j - hole) & mask_;
       if (dist_home >= dist_hole) {
         slots_[hole] = slots_[j];
@@ -68,11 +75,14 @@ class FlatMap {
       }
     }
     slots_[hole].index = kEmpty;
-    // Keep the values dense: the last one moves into the freed place.
+    // Keep the entries dense: the last one moves into the freed place,
+    // and its slot, found by index along its probe sequence, follows.
     const auto last = static_cast<std::uint32_t>(dense_.size() - 1);
     if (index != last) {
+      std::size_t i = tag_of(dense_[last].first) & mask_;
+      while (slots_[i].index != last) i = (i + 1) & mask_;
+      slots_[i].index = index;
       dense_[index] = std::move(dense_[last]);
-      slots_[locate(dense_[index].first)].index = index;
     }
     dense_.pop_back();
     return true;
@@ -84,30 +94,35 @@ class FlatMap {
   static constexpr std::size_t kMinSlots = 16;
 
   struct Slot {
-    Key key{};
+    std::uint32_t tag = 0;         // the key's hash, low 32 bits
     std::uint32_t index = kEmpty;  // into dense_, or kEmpty
   };
 
-  std::size_t home(const Key& key) const { return hash_(key) & mask_; }
+  std::uint32_t tag_of(const Key& key) const {
+    return static_cast<std::uint32_t>(hash_(key));
+  }
 
   /// The slot holding `key`, or kNone.
   std::size_t locate(const Key& key) const {
     if (slots_.empty()) return kNone;
-    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    const std::uint32_t tag = tag_of(key);
+    for (std::size_t i = tag & mask_;; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
       if (slot.index == kEmpty) return kNone;
-      if (slot.key == key) return i;
+      if (slot.tag == tag && dense_[slot.index].first == key) return i;
     }
   }
 
+  /// Double the table (32-bit indexes keep it within the tag's reach).
   void grow() {
-    std::size_t n = slots_.empty() ? kMinSlots : 2 * slots_.size();
-    slots_.assign(n, Slot{});
-    mask_ = n - 1;
-    for (std::size_t d = 0; d < dense_.size(); ++d) {
-      std::size_t i = home(dense_[d].first);
+    std::vector<Slot> old(slots_.empty() ? kMinSlots : 2 * slots_.size());
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.index == kEmpty) continue;
+      std::size_t i = s.tag & mask_;
       while (slots_[i].index != kEmpty) i = (i + 1) & mask_;
-      slots_[i] = Slot{dense_[d].first, static_cast<std::uint32_t>(d)};
+      slots_[i] = s;
     }
   }
 

@@ -215,9 +215,10 @@ TEST(Alloc, DeadTcpProbesAllocateNothingOnceTheSlabIsWarm) {
   events.run();
   ASSERT_EQ(engine.probes_completed(), scan::kProtocolCount);
 
-  // A second dead target. Its submission adds a blackout entry (one node
-  // per new target), so counting starts after its first launch and covers
-  // its seven TCP probes: launch, blackholed connect, timeout, tally.
+  // A second dead target. Its submission may grow the blackout table (see
+  // FreshTargetsGrowTheBlackoutTableGeometrically), so counting starts
+  // after its first launch and covers its seven TCP probes: launch,
+  // blackholed connect, timeout, tally.
   engine.submit(addr(0x2a00000000000001ULL, 8));
   while (engine.probes_launched() == scan::kProtocolCount)
     ASSERT_TRUE(events.step());
@@ -230,6 +231,27 @@ TEST(Alloc, DeadTcpProbesAllocateNothingOnceTheSlabIsWarm) {
                           scan::Outcome::kTimeout),
             2u);
   events.run();
+}
+
+// The rescan blackout table holds every target a feed ever submitted (a
+// paper_small study stages about 110k): growing it costs O(log N)
+// allocations, not one per target.
+TEST(Alloc, FreshTargetsGrowTheBlackoutTableGeometrically) {
+  simnet::EventQueue events;
+  simnet::Network network(events);
+  scan::ResultStore results;
+  scan::ScanEngineConfig config;
+  config.scanner_address = addr(0x2a00000000000002ULL, 1);
+  scan::ScanEngine engine(network, results, config);
+  constexpr std::uint64_t kTargets = 2000;
+  ASSERT_GE(config.max_pending, kTargets);
+  AllocCount count;
+  for (std::uint64_t i = 0; i < kTargets; ++i)
+    ASSERT_EQ(engine.try_submit(addr(0x2a00000000000001ULL, i + 1)),
+              scan::SubmitResult::kAccepted);
+  EXPECT_LT(count(), 64u);
+  EXPECT_EQ(engine.try_submit(addr(0x2a00000000000001ULL, 1)),
+            scan::SubmitResult::kBlackout);
 }
 
 }  // namespace

@@ -452,13 +452,27 @@ TEST(BarrierSafetyWillFail, DISABLED_ShortLookaheadHasNoViolations) {
 /// queue run the same script. Offsets are mostly 0-2 us, some negative
 /// (clamped to now): long runs of equal timestamps, nested schedules from
 /// inside callbacks, and a slab whose slots are reused all the time.
+///
+/// A far script also draws minutes-to-hours delays and short hops, both
+/// rounded up to a 10 s grid: the long ones park beyond the queue's near
+/// horizon, the short ones land on the same grid points from near, so
+/// events parked far share their time with events pushed near later.
 struct EventScript {
   std::uint64_t seed;
   std::size_t budget;  // events scheduled in total, roots included
+  bool far = false;
+
+  static constexpr simnet::SimDuration kGrid = simnet::sec(10);
 
   struct Child {
     simnet::SimDuration offset;
     std::uint64_t id;
+    bool on_grid = false;
+    /// The child's time when scheduled at `now` (the queue clamps it).
+    simnet::SimTime at(simnet::SimTime now) const {
+      simnet::SimTime t = now + offset;
+      return on_grid ? (t + kGrid - 1) / kGrid * kGrid : t;
+    }
   };
   std::vector<Child> children(std::uint64_t id) const {
     util::Rng rng(seed ^ (id * 0x9e3779b97f4a7c15ULL));
@@ -466,7 +480,25 @@ struct EventScript {
     for (std::uint64_t k = 0, n = rng.below(3); k < n; ++k) {
       auto offset = static_cast<simnet::SimDuration>(rng.below(4)) - 1;
       if (rng.below(3) == 0) offset = 0;
-      out.push_back(Child{offset, id * 4 + k + 1});
+      Child child{offset, id * 4 + k + 1};
+      if (far) {
+        switch (rng.below(4)) {
+          case 0:  // parked: 1 min to 3 h out
+            child.offset = simnet::minutes(1) +
+                           static_cast<simnet::SimDuration>(
+                               rng.below(simnet::hours(3)));
+            child.on_grid = true;
+            break;
+          case 1:  // a near hop onto the next grid point
+            child.offset = static_cast<simnet::SimDuration>(
+                rng.below(simnet::sec(30)));
+            child.on_grid = true;
+            break;
+          default:
+            break;
+        }
+      }
+      out.push_back(child);
     }
     return out;
   }
@@ -476,59 +508,89 @@ struct EventScript {
   }
 };
 
-class EventOrderSweep : public ::testing::TestWithParam<std::uint64_t> {};
+/// What one script run popped, and what the reference says it should.
+struct ScriptRun {
+  std::vector<std::uint64_t> ran;
+  std::vector<std::uint64_t> expected;
+  std::size_t scheduled = 0;
+  std::uint64_t executed = 0;
+  /// Events scheduled within a minute of the last pop at a time some
+  /// event scheduled beyond that minute already holds.
+  std::size_t near_meets_far = 0;
+};
 
-TEST_P(EventOrderSweep, PopsInReferenceOrderAcrossSlotReuse) {
-  const EventScript script{GetParam(), 30000};
+ScriptRun run_script(const EventScript& script) {
   constexpr std::uint64_t kRoots = 400;
+  ScriptRun out;
 
   // The queue under test.
   simnet::EventQueue queue;
-  std::vector<std::uint64_t> ran;
-  std::size_t scheduled = 0;
   std::function<void(std::uint64_t)> run_event = [&](std::uint64_t id) {
-    ran.push_back(id);
+    out.ran.push_back(id);
     for (const EventScript::Child& child : script.children(id)) {
-      if (scheduled == script.budget) return;
-      ++scheduled;
-      queue.schedule_at(queue.now() + child.offset,
+      if (out.scheduled == script.budget) return;
+      ++out.scheduled;
+      queue.schedule_at(child.at(queue.now()),
                         [&run_event, c = child.id] { run_event(c); });
     }
   };
   for (std::uint64_t r = 0; r < kRoots; ++r) {
-    ++scheduled;
+    ++out.scheduled;
     queue.schedule_at(script.root_at(r),
                       [&run_event, r] { run_event(r << 40); });
   }
   queue.run();
+  out.executed = queue.executed();
 
   // The reference: an ordered set on (at, schedule order).
   std::set<std::tuple<simnet::SimTime, std::uint64_t, std::uint64_t>> ref;
+  std::set<simnet::SimTime> far_times;
   std::uint64_t seq = 0;
   simnet::SimTime now = 0;
   std::size_t ref_scheduled = 0;
   auto schedule = [&](simnet::SimTime at, std::uint64_t id) {
     ++ref_scheduled;
-    ref.emplace(std::max(at, now), seq++, id);
+    at = std::max(at, now);
+    if (at > now + simnet::minutes(1))
+      far_times.insert(at);
+    else
+      out.near_meets_far += far_times.count(at);
+    ref.emplace(at, seq++, id);
   };
   for (std::uint64_t r = 0; r < kRoots; ++r)
     schedule(script.root_at(r), r << 40);
-  std::vector<std::uint64_t> expected;
   while (!ref.empty()) {
     auto [at, s, id] = *ref.begin();
     ref.erase(ref.begin());
     now = at;
-    expected.push_back(id);
+    out.expected.push_back(id);
     for (const EventScript::Child& child : script.children(id)) {
       if (ref_scheduled == script.budget) break;
-      schedule(now + child.offset, child.id);
+      schedule(child.at(now), child.id);
     }
   }
+  return out;
+}
 
-  EXPECT_EQ(scheduled, script.budget);  // the script really ran long
-  ASSERT_EQ(ran.size(), expected.size());
-  EXPECT_EQ(ran, expected);
-  EXPECT_EQ(queue.executed(), expected.size());
+class EventOrderSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventOrderSweep, PopsInReferenceOrderAcrossSlotReuse) {
+  const EventScript script{GetParam(), 30000};
+  ScriptRun run = run_script(script);
+  EXPECT_EQ(run.scheduled, script.budget);  // the script really ran long
+  ASSERT_EQ(run.ran.size(), run.expected.size());
+  EXPECT_EQ(run.ran, run.expected);
+  EXPECT_EQ(run.executed, run.expected.size());
+}
+
+TEST_P(EventOrderSweep, PopsInReferenceOrderAcrossTheNearHorizon) {
+  const EventScript script{GetParam(), 30000, /*far=*/true};
+  ScriptRun run = run_script(script);
+  EXPECT_EQ(run.scheduled, script.budget);
+  EXPECT_GT(run.near_meets_far, 100u);  // the tiers really share times
+  ASSERT_EQ(run.ran.size(), run.expected.size());
+  EXPECT_EQ(run.ran, run.expected);
+  EXPECT_EQ(run.executed, run.expected.size());
 }
 
 // The heap key packs the sending domain into 16 bits: a queue that could

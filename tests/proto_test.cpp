@@ -46,6 +46,45 @@ TEST(Http, ResponseRoundTrip) {
   EXPECT_EQ(extract_title(parsed->body).value_or(""), "FRITZ!Box");
 }
 
+// The exact bytes a device answers the HTTP scan with, with and without
+// a Server header, and a body length of several digits.
+TEST(Http, ResponseBytesArePinned) {
+  auto text = [](const HttpResponse& resp) {
+    auto wire = resp.serialize();
+    return std::string(wire.begin(), wire.end());
+  };
+  HttpResponse with_server;
+  with_server.status = 404;
+  with_server.server = "lighttpd/1.4.35";
+  with_server.body = "hello";
+  EXPECT_EQ(text(with_server),
+            "HTTP/1.1 404 Not Found\r\n"
+            "Server: lighttpd/1.4.35\r\n"
+            "Content-Type: text/html; charset=utf-8\r\n"
+            "Content-Length: 5\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            "hello");
+  HttpResponse bare;
+  bare.status = 503;
+  EXPECT_EQ(text(bare),
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: text/html; charset=utf-8\r\n"
+            "Content-Length: 0\r\n"
+            "Connection: close\r\n"
+            "\r\n");
+  HttpResponse long_body;
+  long_body.status = 418;
+  long_body.body = std::string(12345, 'x');
+  EXPECT_EQ(text(long_body),
+            "HTTP/1.1 418 Unknown\r\n"
+            "Content-Type: text/html; charset=utf-8\r\n"
+            "Content-Length: 12345\r\n"
+            "Connection: close\r\n"
+            "\r\n" +
+                long_body.body);
+}
+
 TEST(Http, ParseRejectsGarbage) {
   auto garbage = std::vector<std::uint8_t>{'x', 'y', 'z'};
   EXPECT_FALSE(HttpRequest::parse(garbage));
